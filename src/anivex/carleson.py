@@ -18,7 +18,7 @@ from .errors import FourierBoundFailure, ZeroDenominator
 from .exponents import indicator_norm, luxemburg_norm
 from .grid import GridFunction, convolve_scaled, integrate, kernel_grid, sample
 from .search import default_scale_window, supremum_search
-from .tent import ScaleFunction, lusin_area, tent_atomic_decomposition
+from .tent import ScaleFunction, lusin_area, tent_atomic_decomposition, tent_members
 
 __all__ = [
     "tent_mass",
@@ -34,18 +34,14 @@ __all__ = [
 def tent_mass(mu, d, ball):
     """integral of mu over the tent of the ball (counting x Lebesgue)."""
     grid = mu.grid
-    pts = grid.points()
     total = 0.0
-    ball_mask = d.form_values(pts - ball.center, ball.scale) < d.level_c
+    ball_mask = d.form_values(grid.points() - ball.center, ball.scale) < d.level_c
     for ell in mu.scales():
-        if d.bpow(ell) > d.bpow(ball.scale) * (1.0 + 1e-12):
-            continue
         layer = mu.layer(ell).ravel()
         candidates = np.nonzero(ball_mask & (layer != 0.0))[0]
         if len(candidates) == 0:
             continue
-        offs = pts[candidates] - ball.center
-        inside = d.containment_max_values(ell, ball.scale, offs) <= d.level_c * (1.0 + 1e-9)
+        inside = tent_members(d, grid, ball, ell, candidates)
         total += float(layer[candidates[inside]].sum())
     return total * grid.cell_volume
 

@@ -10,6 +10,7 @@ family.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gamma, pi
 
 import numpy as np
@@ -20,6 +21,10 @@ DEFAULT_LEVEL_CAP = 40
 
 _SERIES_TOL = 1e-14
 _SERIES_MAX_TERMS = 20000
+
+# Safety net for the secular-equation Newton iteration; rows converge in a
+# handful of steps, so reaching the cap means something degenerate.
+_NEWTON_MAX_STEPS = 60
 
 
 def unit_ball_volume(n):
@@ -94,8 +99,7 @@ class Dilation:
         self._powers = self._build_powers(A, self.level_cap + self.omega + 2)
         self._bpow = self._build_bpow_chain(self.b, self.level_cap + self.omega + 2)
         self._form_maps = {}
-
-        self.quasi_triangle_H = self.estimate_quasi_triangle(pairs=h_sample_pairs, seed=h_seed)
+        self._h_sample = (h_sample_pairs, h_seed)
 
     # -- construction helpers -------------------------------------------------
 
@@ -269,14 +273,29 @@ class Dilation:
             "ij,ij->i", e, e
         )
 
+    def closed_containment(self, inner_scale, outer_scale, offsets):
+        """Booleans, one per offset row: closure(offset + B_inner) inside
+        closure(B_outer).
+
+        This is the only place a containment value meets the level: the
+        relative slack 1e-9 keeps boundary-touching balls inside despite
+        rounding, and the values themselves are upper bounds.
+        """
+        vals = self.containment_max_values(inner_scale, outer_scale, offsets)
+        return vals <= self.level_c * (1.0 + 1e-9)
+
     def ball_containment(self, inner, outer):
         """Exact test: closure(inner) inside closure(outer)."""
-        vals = self.containment_max_values(
-            inner.scale, outer.scale, (inner.center - outer.center)[None, :]
-        )
-        return bool(vals[0] <= self.level_c * (1.0 + 1e-9))
+        offset = (inner.center - outer.center)[None, :]
+        return bool(self.closed_containment(inner.scale, outer.scale, offset)[0])
 
     # -- quasi-triangle estimate -----------------------------------------------
+
+    @cached_property
+    def quasi_triangle_H(self):
+        """Sampled quasi-triangle constant, estimated on first access."""
+        pairs, seed = self._h_sample
+        return self.estimate_quasi_triangle(pairs=pairs, seed=seed)
 
     def estimate_quasi_triangle(self, pairs=4000, seed=2718):
         """Empirical H = max rho(x+y) / (rho(x)+rho(y)) over sampled pairs."""
@@ -295,41 +314,51 @@ class Dilation:
 def _max_shifted_quadratic(lam, ghat, radius):
     """Vectorized max of w'diag(lam)w + 2 ghat.w over ||w|| <= radius.
 
-    lam is ascending (from eigh); ghat has one row per query.  Solves the
-    secular equation sum ghat_i^2/(nu-lam_i)^2 = radius^2 on nu > lam_max by
-    bisection, with the degenerate top-component case handled at nu = lam_max.
+    lam is ascending (from eigh); ghat has one row per query.  By weak
+    duality, every nu > lam_max gives the upper bound
+        nu radius^2 + sum_i ghat_i^2 / (nu - lam_i),
+    which is tight at the root of the secular equation ||w(nu)|| = radius,
+    w_i = ghat_i / (nu - lam_i).  So any iterate above lam_max yields a value
+    no smaller than the true maximum, and containment is never over-claimed.
+
+    The root is found by Newton steps on phi(nu) = 1/||w(nu)|| - 1/radius
+    (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983), started at the
+    probe lam_max + 1e-13 scale, where phi < 0.  phi is increasing and
+    concave on (lam_max, inf), so the iterates rise monotonically and never
+    pass the root.  A row stops when its next step is below 4 eps nu (a few
+    ulps) or is not a finite positive number; a fixed step cap is only a
+    safety net, and a row stopped by it still returns its dual bound.  When
+    ||w|| is already within the radius at the probe, the maximizer pads the
+    top eigenspace and nu = lam_max.
     """
     lam = np.asarray(lam, dtype=float)
     ghat = np.atleast_2d(np.asarray(ghat, dtype=float))
     lmax = lam[-1]
     scale = max(abs(lmax), 1e-280)
     g2 = ghat * ghat
-    total = g2.sum(axis=1)
     rr = radius * radius
 
-    def w_norm2(nu, rows):
-        denom = nu[:, None] - lam[None, :]
-        denom = np.maximum(denom, 1e-300)
-        return (g2[rows] / (denom * denom)).sum(axis=1)
-
-    # The secular root lives in (lmax, lmax + |ghat|/radius]; if the norm is
-    # already below radius just above lmax, the maximizer pads the top
-    # eigenspace and nu = lmax.
     probe = lmax + 1e-13 * scale
     nu = np.full(ghat.shape[0], lmax)
-    all_rows = np.arange(ghat.shape[0])
-    bis = w_norm2(np.full_like(total, probe), all_rows) > rr
-    if bis.any():
-        rows = np.nonzero(bis)[0]
-        a_lo = np.full(rows.shape, probe)
-        a_hi = lmax + np.sqrt(total[rows]) / radius
-        a_hi = np.maximum(a_hi, a_lo)
-        for _ in range(90):
-            mid = 0.5 * (a_lo + a_hi)
-            grow = w_norm2(mid, rows) > rr
-            a_lo = np.where(grow, mid, a_lo)
-            a_hi = np.where(grow, a_hi, mid)
-        nu[rows] = a_hi
+    w2 = g2 / (probe - lam) ** 2
+    newton = w2.sum(axis=1) > rr
+    if newton.any():
+        rows = np.nonzero(newton)[0]
+        nu[rows] = probe
+        tiny = 4.0 * np.finfo(float).eps
+        for _ in range(_NEWTON_MAX_STEPS):
+            gap = nu[rows, None] - lam[None, :]
+            w2 = g2[rows] / (gap * gap)
+            norm2 = w2.sum(axis=1)
+            norm = np.sqrt(norm2)
+            # -phi/phi' with phi' = sum(w^2/gap) / ||w||^3.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = (norm / radius - 1.0) * norm2 / (w2 / gap).sum(axis=1)
+            moving = np.isfinite(step) & (step > tiny * nu[rows])
+            nu[rows[moving]] += step[moving]
+            rows = rows[moving]
+            if rows.size == 0:
+                break
 
     denom = nu[:, None] - lam[None, :]
     safe = denom > 1e-250

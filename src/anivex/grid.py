@@ -143,15 +143,6 @@ def integrate_on_ball(f, d, ball):
     return f.values[mask].sum() * f.grid.cell_volume
 
 
-def ball_quadrature_measure(grid, d, ball):
-    """Lattice measure of the ball: point count times cell volume."""
-    mask = ball_lattice_mask(grid, d, ball)
-    count = int(mask.sum())
-    if count == 0:
-        raise EmptyMask(f"ball at scale {ball.scale} misses every lattice point")
-    return count * grid.cell_volume
-
-
 def boundary_margin(grid, width):
     """Indicator of lattice points at distance >= width from the box boundary."""
     masks = []

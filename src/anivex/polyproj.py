@@ -62,10 +62,6 @@ class Polynomial:
         return GridFunction(grid, vals.reshape(grid.resolution))
 
 
-def evaluate(poly, x):
-    return poly.evaluate(x)
-
-
 def _ball_design(f, d, ball, s):
     mask = ball_lattice_mask(f.grid, d, ball)
     indices = multi_indices(f.grid.n, s)

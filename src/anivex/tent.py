@@ -3,10 +3,16 @@ area function, tents, the anisotropic maximal operator, and a constructive
 tent atomic decomposition.
 
 A tent over a ball B collects the nodes (y, l) whose ball y + B_l sits
-inside B; tents of set masks are realized by erosion with ball footprints,
-while tents of single balls use the exact ellipsoid containment test.  The
-decomposition follows dyadic level sets of the area function, dilates them
-through the maximal operator, covers them greedily with guard-expanded
+inside B.  Tents of set masks are realized by erosion with ball footprints.
+Tents of single balls have one membership primitive, tent_members: for a
+ball centred on a lattice point it pastes the cached offset stamp of the
+(l, scale) pair, computed once with the exact ellipsoid containment test
+(Dilation.closed_containment); for any other centre it runs that test on
+the queried nodes.  Tent masses, atom expansions and atom validation go
+through it; tent_contains asks the exact test for one off-grid point.
+
+The decomposition follows dyadic level sets of the area function, dilates
+them through the maximal operator, covers them greedily with guard-expanded
 balls, and carves the function into disjointly supported atoms that rebuild
 it exactly on every covered node; whatever escapes (the discrete stand-in
 for the construction's null set) is reported as leakage mass.
@@ -26,6 +32,7 @@ __all__ = [
     "zero_scale_function",
     "lusin_area",
     "tent_contains",
+    "tent_members",
     "tent_offset_mask",
     "hl_maximal",
     "maximal_dilate",
@@ -119,9 +126,33 @@ def tent_offset_mask(d, grid, ell, ball_scale):
         if d.bpow(ell) > d.bpow(ball_scale) * (1.0 + 1e-12):
             cache[key] = np.zeros(shape, dtype=bool)
         else:
-            vals = d.containment_max_values(ell, ball_scale, offsets)
-            cache[key] = (vals <= d.level_c * (1.0 + 1e-9)).reshape(shape)
+            cache[key] = d.closed_containment(ell, ball_scale, offsets).reshape(shape)
     return cache[key]
+
+
+def _lattice_index(grid, point):
+    """Multi-index of the lattice point equal to point, or None if off-lattice."""
+    idx = []
+    for x, lo, h, r in zip(point, grid.lower, grid.spacing, grid.resolution):
+        i = int(np.rint((x - lo) / h - 0.5))
+        if not (0 <= i < r and lo + (i + 0.5) * h == x):
+            return None
+        idx.append(i)
+    return tuple(idx)
+
+
+def tent_members(d, grid, ball, ell, flat):
+    """Booleans, one per flat lattice index y: y + B_ell inside the closed ball.
+
+    Lattice-aligned centres (search sweeps, cover and atom balls) read the
+    cached tent_offset_mask stamp; other centres run the exact test.
+    """
+    idx = _lattice_index(grid, ball.center)
+    if idx is None:
+        offsets = grid.points()[flat] - ball.center
+        return d.closed_containment(ell, ball.scale, offsets)
+    stamp = _paste_centered(grid.resolution, tent_offset_mask(d, grid, ell, ball.scale), idx)
+    return stamp.ravel()[flat]
 
 
 def tent_contains(d, ball, y, ell):
@@ -301,10 +332,11 @@ class TentAtomEntry:
 
     @property
     def atom(self):
-        return self._template_atom
+        """The atom as a full scale function, built from the template on access."""
+        return self.scale_function(self._template)
 
     def attach_template(self, template):
-        self._template_atom = self.scale_function(template)
+        self._template = template
         return self
 
 
@@ -343,17 +375,10 @@ class TentAtomSet:
 def _minimal_tent_expansion(d, grid, cover, node_scales, max_extra=10):
     """Smallest e such that every claimed node (y, l) satisfies
     y + B_l inside the cover ball grown to scale + e."""
-    pts = grid.points()
     cap = min(max_extra, d.level_cap - cover.scale - 1)
     for extra in range(0, cap + 1):
-        ok = True
-        for ell, layer_flat in node_scales:
-            offs = pts[layer_flat] - cover.center
-            vals = d.containment_max_values(ell, cover.scale + extra, offs)
-            if np.any(vals > d.level_c * (1.0 + 1e-9)):
-                ok = False
-                break
-        if ok:
+        grown = d.ball(cover.center, cover.scale + extra)
+        if all(tent_members(d, grid, grown, ell, layer_flat).all() for ell, layer_flat in node_scales):
             return extra
     return None
 
@@ -520,19 +545,13 @@ def tent_atom_validate(a, ball, p, d, q_list=(2.0, 4.0), tol=1e-8):
 
     The size bound ||A(a)||_{L^q} <= |B|^(1/q) / ||1_B|| is witnessed on the
     finite q list; passing every listed q is reported as infinity-atom
-    status.  Support uses the exact ellipsoid tent test node by node.
+    status.  Support is checked node by node with tent_members.
     """
     grid = a.grid
     support_exact = True
-    pts = grid.points()
     for ell in a.scales():
-        layer = a.layer(ell)
-        hit = np.nonzero(layer.ravel() != 0.0)[0]
-        if len(hit) == 0:
-            continue
-        offs = pts[hit] - ball.center
-        vals = d.containment_max_values(ell, ball.scale, offs)
-        if np.any(vals > d.level_c * (1.0 + 1e-9)):
+        hit = np.nonzero(a.layer(ell).ravel() != 0.0)[0]
+        if len(hit) and not tent_members(d, grid, ball, ell, hit).all():
             support_exact = False
             break
 

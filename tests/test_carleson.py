@@ -15,6 +15,7 @@ from anivex.exponents import constant_exponent
 from anivex.grid import GridFunction, integrate, sample, uniform_grid
 from anivex.hardy import FiniteAtomicRep, make_atom
 from anivex.search import BallConfiguration
+from anivex.suites import DENSITY_BUDGET, density_homogeneity
 from anivex.tent import zero_scale_function
 
 
@@ -203,3 +204,20 @@ class TestDualityCheck:
         assert report.defect_normalized <= 0.05
         assert report.fubini_ratio_range[0] > 0.5
         assert report.fubini_ratio_range[1] < 2.0
+
+
+class TestDensityHomogeneity:
+    def test_zero_value_fails(self, d1, g1, p1):
+        # A density without tent mass gives 0 and 0, which must not count as
+        # a homogeneity witness.
+        mu = zero_scale_function(g1, (-4, 2))
+        result = density_homogeneity(mu, mu, p1, d1)
+        assert result.residual == 0.0
+        assert not result.passed
+
+    def test_suite_budget_reaches_tent_mass(self, d1, g1, p1, phi1):
+        b = sample(g1, lambda t: np.exp(-(t**2)) * np.sin(2 * t))
+        mu1 = carleson_from_function(b, phi1, d1, (-4, 2), moment_cancel=1)
+        mu3 = carleson_from_function(b.with_values(3.0 * b.values), phi1, d1, (-4, 2), moment_cancel=1)
+        assert carleson_functional(mu1, p1, d1, eta=1.0, budget=DENSITY_BUDGET, seed=4).value > 0.0
+        assert density_homogeneity(mu1, mu3, p1, d1).passed

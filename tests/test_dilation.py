@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from anivex.dilation import new_dilation, unit_ball_volume
+from anivex.dilation import _max_shifted_quadratic, new_dilation, unit_ball_volume
 from anivex.errors import NotExpansive, ScaleOverflow
 
 
@@ -120,6 +122,12 @@ class TestStepQuasiNorm:
         with pytest.raises(ScaleOverflow):
             d1.step_levels(tiny)
 
+    def test_quasi_triangle_lazy(self):
+        d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
+        assert "quasi_triangle_H" not in vars(d)
+        assert d.quasi_triangle_H == d.estimate_quasi_triangle(4000, 2718)
+        assert "quasi_triangle_H" in vars(d)
+
     def test_quasi_triangle_stable(self, d2):
         h1 = d2.estimate_quasi_triangle(pairs=4000, seed=99)
         h2 = d2.estimate_quasi_triangle(pairs=8000, seed=99)
@@ -175,6 +183,92 @@ class TestContainment:
             exact = d2.containment_max_values(int(ki), int(ko), (ci - co)[None, :])[0]
             assert exact >= sampled_max * (1 - 1e-9)
             assert exact <= sampled_max * (1 + 1e-3) + 1e-12
+
+
+def _bisection_max_shifted_quadratic(lam, ghat, radius):
+    """Reference solver: 90 fixed bisection steps on the secular equation,
+    returning the dual bound at the upper end of the bracket."""
+    lam = np.asarray(lam, dtype=float)
+    ghat = np.atleast_2d(np.asarray(ghat, dtype=float))
+    lmax = lam[-1]
+    scale = max(abs(lmax), 1e-280)
+    g2 = ghat * ghat
+    total = g2.sum(axis=1)
+    rr = radius * radius
+
+    def w_norm2(nu, rows):
+        denom = np.maximum(nu[:, None] - lam[None, :], 1e-300)
+        return (g2[rows] / (denom * denom)).sum(axis=1)
+
+    probe = lmax + 1e-13 * scale
+    nu = np.full(ghat.shape[0], lmax)
+    bis = w_norm2(np.full_like(total, probe), np.arange(ghat.shape[0])) > rr
+    if bis.any():
+        rows = np.nonzero(bis)[0]
+        a_lo = np.full(rows.shape, probe)
+        a_hi = np.maximum(lmax + np.sqrt(total[rows]) / radius, a_lo)
+        for _ in range(90):
+            mid = 0.5 * (a_lo + a_hi)
+            grow = w_norm2(mid, rows) > rr
+            a_lo = np.where(grow, mid, a_lo)
+            a_hi = np.where(grow, a_hi, mid)
+        nu[rows] = a_hi
+    denom = nu[:, None] - lam[None, :]
+    safe = denom > 1e-250
+    contrib = np.where(safe, g2 / np.where(safe, denom, 1.0), 0.0)
+    return nu * rr + contrib.sum(axis=1)
+
+
+def _secular_inputs(d, inner_scale, outer_scale, offsets):
+    """(lam, ghat, radius) exactly as containment_max_values sets them up."""
+    c_map = d._form_map(0)
+    e = offsets @ (c_map @ d.power(-outer_scale)).T
+    mat = c_map @ d.power(inner_scale - outer_scale) @ np.linalg.inv(c_map)
+    lam, vecs = np.linalg.eigh(mat.T @ mat)
+    return lam, e @ (mat @ vecs), np.sqrt(d.level_c)
+
+
+@st.composite
+def expansive_matrices(draw):
+    """Rotated upper-triangular matrices with eigenvalue moduli in [1.2, 3].
+
+    Repeated diagonal entries with a nonzero coupling give Jordan blocks
+    (shears such as [[2,1],[0,2]]), so non-diagonalizable cases are common.
+    """
+    n = draw(st.sampled_from((2, 3)))
+    diag = [draw(st.sampled_from((1.2, 1.5, 2.0, 3.0, -2.0))) for _ in range(n)]
+    mat = np.diag(diag)
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i, j] = draw(st.sampled_from((0.0, 1.0, -0.7, 1.5)))
+    theta = draw(st.floats(0.0, np.pi))
+    rot = np.eye(n)
+    c, s = np.cos(theta), np.sin(theta)
+    rot[:2, :2] = [[c, -s], [s, c]]
+    return rot @ mat @ rot.T
+
+
+class TestSecularSolver:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        mat=expansive_matrices(),
+        inner=st.integers(-3, 2),
+        outer=st.integers(-2, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @example(mat=np.array([[2.0, 1.0], [0.0, 2.0]]), inner=-3, outer=0, seed=31)
+    @example(mat=np.array([[2.0, 1.0], [0.0, 2.0]]), inner=0, outer=0, seed=32)
+    def test_matches_bisection_and_never_below(self, mat, inner, outer, seed):
+        d = new_dilation(mat)
+        rng = np.random.default_rng(seed)
+        half = d.ball_bounding_halfwidths(outer)
+        offsets = rng.uniform(-1.5, 1.5, size=(40, d.n)) * half
+        offsets[0] = 0.0  # no linear term: the maximizer pads the top eigenspace
+        lam, ghat, radius = _secular_inputs(d, inner, outer, offsets)
+        got = _max_shifted_quadratic(lam, ghat, radius)
+        ref = _bisection_max_shifted_quadratic(lam, ghat, radius)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+        assert np.all(got >= ref * (1.0 - 4.0 * np.finfo(float).eps))
 
 
 class TestBpowChain:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anivex.campanato import aggregate_norm
 from anivex.dilation import new_dilation
@@ -16,6 +18,7 @@ from anivex.tent import (
     tent_atom_validate,
     tent_atomic_decomposition,
     tent_contains,
+    tent_members,
     whitney_cover,
     zero_scale_function,
 )
@@ -115,6 +118,42 @@ class TestTentContains:
     def test_scale_exceeds_ball(self, d1):
         b1 = d1.ball([0.0], 1)
         assert not tent_contains(d1, b1, [0.0], 2)
+
+
+# The stamp path must decide every node like the point query it replaces.
+_STAMP_CASES = {
+    "A=[2]": (new_dilation([[2.0]]), uniform_grid([-4.0], [4.0], 64)),
+    "shear": (new_dilation([[2.0, 1.0], [0.0, 2.0]]), uniform_grid([-2.0, -2.0], [2.0, 2.0], 16)),
+}
+
+
+class TestTentMembers:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        case=st.sampled_from(sorted(_STAMP_CASES)),
+        data=st.data(),
+        ball_scale=st.integers(-2, 3),
+        depth=st.integers(-1, 5),
+    )
+    def test_stamp_matches_point_queries(self, case, data, ball_scale, depth):
+        d, grid = _STAMP_CASES[case]
+        idx = tuple(data.draw(st.integers(0, r - 1)) for r in grid.resolution)
+        center = np.array([ax[i] for ax, i in zip(grid.axes(), idx)])
+        ball = d.ball(center, ball_scale)
+        ell = ball_scale - depth
+        every = np.arange(int(np.prod(grid.resolution)))
+        stamped = tent_members(d, grid, ball, ell, every)
+        pointwise = d.closed_containment(ell, ball_scale, grid.points() - center)
+        assert np.array_equal(stamped, pointwise)
+
+    def test_off_lattice_center_uses_exact_test(self, d1):
+        grid = uniform_grid([-4.0], [4.0], 64)
+        ball = d1.ball([0.01], 1)
+        every = np.arange(64)
+        got = tent_members(d1, grid, ball, -1, every)
+        # Interval oracle: |y - 0.01| + 1/4 <= 1 for B_-1 inside B_1.
+        want = np.abs(grid.axes()[0] - 0.01) + 0.25 <= 1.0
+        assert np.array_equal(got, want)
 
 
 class TestHLMaximal:
@@ -271,6 +310,19 @@ def _indicator_of(ball, d, grid):
     from anivex.grid import indicator
 
     return indicator(grid, d, ball)
+
+
+class TestLazyAtom:
+    def test_atom_built_on_access(self, d1, g1, p1):
+        G = blob_scale_function(g1, (-4, 0), [0.0], [0.5], {-3: 1.0, -1: 0.5})
+        atoms = tent_atomic_decomposition(G, p1, d1)
+        for e in atoms.entries[:8]:
+            stored = [v for v in vars(e).values() if isinstance(v, ScaleFunction)]
+            assert all(v is atoms.template for v in stored)
+            want = np.zeros(G.values.shape)
+            want.ravel()[e.node_indices] = e.amplitude * e.g_values
+            assert np.array_equal(e.atom.values, want)
+            assert (e.atom.l_min, e.atom.l_max) == (G.l_min, G.l_max)
 
 
 class TestAtomValidate:
