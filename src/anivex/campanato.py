@@ -14,10 +14,11 @@ analytic; only integrals are lattice quadrature.
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import EmptyMask, ZeroDenominator
+from .errors import ZeroDenominator
 from .exponents import indicator_norm, luxemburg_norm
 from .grid import GridFunction, ball_lattice_mask
 from .polyproj import lq_error, minimizing_polynomial, refine_lq
@@ -71,17 +72,69 @@ class CampanatoParams:
         return (2.0 / self.r_aux - 1.0) * np.log(d.b) / np.log(d.lambda_minus)
 
 
+def _aggregate(acc, ball, weight, p, eta, d):
+    """acc += [weight / ||1_B||]^eta 1_B; indicator_norm raises EmptyMask for
+    a ball that misses every lattice point."""
+    acc[ball_lattice_mask(p.grid, d, ball)] += (weight / indicator_norm(d, ball, p)) ** eta
+
+
+def _aggregate_value(acc, p, eta):
+    return luxemburg_norm(GridFunction(p.grid, acc ** (1.0 / eta)), p)
+
+
 def aggregate_norm(config, p, eta, d):
     """Luxemburg norm of the eta-aggregated weighted indicator sum."""
     acc = np.zeros(p.grid.resolution)
     for ball, weight in config.entries:
-        if weight == 0.0:
-            continue
-        mask = ball_lattice_mask(p.grid, d, ball)
-        if not mask.any():
-            raise EmptyMask(f"ball at scale {ball.scale} misses every lattice point")
-        acc[mask] += (weight / indicator_norm(d, ball, p)) ** eta
-    return luxemburg_norm(GridFunction(p.grid, acc ** (1.0 / eta)), p)
+        if weight != 0.0:
+            _aggregate(acc, ball, weight, p, eta, d)
+    return _aggregate_value(acc, p, eta)
+
+
+def per_ball_cache(term):
+    """Memoize a per-ball term by ball key."""
+    cache = {}
+
+    def cached(ball):
+        key = ball.key()
+        if key not in cache:
+            cache[key] = term(ball)
+        return cache[key]
+
+    return cached
+
+
+def config_quotient(config, term, p, eta, d):
+    """sum_j w_j term(B_j) / aggregate_norm(config), summed in entry order
+    and skipping zero weights as aggregate_norm does."""
+    denom = aggregate_norm(config, p, eta, d)
+    if denom == 0.0:
+        raise ZeroDenominator("aggregate norm vanished")
+    return sum(w * term(ball) for ball, w in config.entries if w != 0.0) / denom
+
+
+def prefix_quotients(entries, term, p, eta, d, tail_window):
+    """config_quotient of every prefix of a truncated countable family (0.0
+    while the numerator is zero), and the largest fluctuation of the last
+    tail_window values about the final one."""
+    term = per_ball_cache(term)
+    acc = np.zeros(p.grid.resolution)
+    numer = 0.0
+    values = []
+    for ball, weight in entries:
+        if weight != 0.0:
+            numer += weight * term(ball)
+            _aggregate(acc, ball, weight, p, eta, d)
+        values.append(numer / _aggregate_value(acc, p, eta) if numer != 0.0 else 0.0)
+    values = np.array(values)
+    tail = float(np.max(np.abs(values[-tail_window:] - values[-1]))) if len(values) else 0.0
+    return values, tail
+
+
+def search_objective(term, p, eta, d):
+    """config -> config_quotient(config, term, p, eta, d), with term memoized
+    per ball across the configurations of a search."""
+    return partial(config_quotient, term=per_ball_cache(term), p=p, eta=eta, d=d)
 
 
 @dataclass
@@ -121,34 +174,28 @@ def classic_functional(f, d, ball, p, q, s):
 def plain_summand(f, d, ball, p, s):
     """(1/||1_B||) int_B |f - P_B^s f|, the q = 1 per-ball term."""
     poly = minimizing_polynomial(f, d, ball, s)
-    mask = ball_lattice_mask(f.grid, d, ball)
-    pts = f.grid.points()[mask.ravel()]
-    resid = np.abs(f.values[mask] - poly.evaluate(pts))
-    return float(resid.sum() * f.grid.cell_volume / indicator_norm(d, ball, p))
+    return lq_error(f, d, ball, poly, 1.0) / indicator_norm(d, ball, p)
 
 
-def _config_quotient(f, config, prm, d, refine):
-    denom = aggregate_norm(config, prm.p, prm.eta, d)
-    if denom == 0.0:
-        raise ZeroDenominator("aggregate norm vanished")
-    total = 0.0
-    for ball, weight in config.entries:
-        if weight == 0.0:
-            continue
+def _oscillation_term(f, prm, d, refine=False):
+    """ball -> (|B|/||1_B||) (avg_B |f - P|^q)^(1/q), P projected or refined."""
+
+    def term(ball):
         proj_avg, ref_avg = _oscillation(f, d, ball, prm.q, prm.s, refine=refine)
         avg = ref_avg if refine else proj_avg
-        total += weight * d.ball_volume(ball) / indicator_norm(d, ball, prm.p) * avg
-    return total / denom
+        return d.ball_volume(ball) / indicator_norm(d, ball, prm.p) * avg
+
+    return term
 
 
 def campanato_type_functional(f, config, prm, d):
     """The configuration quotient with per-ball minimizing polynomials."""
-    return _config_quotient(f, config, prm, d, refine=False)
+    return config_quotient(config, _oscillation_term(f, prm, d), prm.p, prm.eta, d)
 
 
 def variant_inf_functional(f, config, prm, d):
     """The configuration quotient with per-ball refined infima over P."""
-    return _config_quotient(f, config, prm, d, refine=True)
+    return config_quotient(config, _oscillation_term(f, prm, d, refine=True), prm.p, prm.eta, d)
 
 
 def eps_kernel_summand(f, d, ball, p, s, epsilon):
@@ -181,15 +228,13 @@ def variant_eps_functional(f, config, prm, d):
             f"{threshold:.4g}; the value is still computed",
             stacklevel=2,
         )
-    denom = aggregate_norm(config, prm.p, prm.eta, d)
-    if denom == 0.0:
-        raise ZeroDenominator("aggregate norm vanished")
-    total = 0.0
-    for ball, weight in config.entries:
-        if weight == 0.0:
-            continue
-        total += weight * eps_kernel_summand(f, d, ball, prm.p, prm.s, prm.epsilon)
-    return total / denom
+    return config_quotient(
+        config,
+        lambda ball: eps_kernel_summand(f, d, ball, prm.p, prm.s, prm.epsilon),
+        prm.p,
+        prm.eta,
+        d,
+    )
 
 
 def campanato_type_norm(f, prm, d, budget=200, seed=0, scale_window=None, max_balls=8):
@@ -202,22 +247,7 @@ def campanato_type_norm(f, prm, d, budget=200, seed=0, scale_window=None, max_ba
     if scale_window is None:
         scale_window = default_scale_window(d, f.grid, min_points=4 + 2 * prm.s)
 
-    cache = {}
-
-    def per_ball(ball):
-        key = ball.key()
-        if key not in cache:
-            proj_avg, _ = _oscillation(f, d, ball, prm.q, prm.s, refine=False)
-            cache[key] = d.ball_volume(ball) / indicator_norm(d, ball, prm.p) * proj_avg
-        return cache[key]
-
-    def config_value(config):
-        denom = aggregate_norm(config, prm.p, prm.eta, d)
-        if denom == 0.0:
-            raise ZeroDenominator("aggregate norm vanished")
-        total = sum(w * per_ball(ball) for ball, w in config.entries if w > 0.0)
-        return total / denom
-
+    config_value = search_objective(_oscillation_term(f, prm, d), prm.p, prm.eta, d)
     return supremum_search(config_value, d, f.grid, budget, seed, scale_window, max_balls)
 
 
@@ -236,27 +266,9 @@ def countable_limit_check(f, entries, prm, d, tol=1e-6, tail_window=20):
     report carries every prefix value, the largest fluctuation over the last
     tail_window prefixes, and the first index after which nothing changes.
     """
-    osc = {}
-    acc = np.zeros(prm.p.grid.resolution)
-    numer = 0.0
-    values = []
-    for ball, weight in entries:
-        key = ball.key()
-        if key not in osc:
-            proj_avg, _ = _oscillation(f, d, ball, prm.q, prm.s, refine=False)
-            osc[key] = d.ball_volume(ball) / indicator_norm(d, ball, prm.p) * proj_avg
-        if weight > 0.0:
-            mask = ball_lattice_mask(prm.p.grid, d, ball)
-            acc[mask] += (weight / indicator_norm(d, ball, prm.p)) ** prm.eta
-            numer += weight * osc[key]
-        if numer == 0.0:
-            values.append(0.0)
-            continue
-        denom = luxemburg_norm(GridFunction(prm.p.grid, acc ** (1.0 / prm.eta)), prm.p)
-        values.append(numer / denom if denom > 0 else np.inf)
-
-    values = np.array(values)
-    tail = float(np.max(np.abs(values[-tail_window:] - values[-1]))) if len(values) else 0.0
+    values, tail = prefix_quotients(
+        entries, _oscillation_term(f, prm, d), prm.p, prm.eta, d, tail_window
+    )
     stabilized = None
     for m in range(len(values)):
         if np.all(values[m:] == values[-1]):

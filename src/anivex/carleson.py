@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FourierBoundFailure, ZeroDenominator
-from .exponents import indicator_norm, luxemburg_norm
-from .grid import GridFunction, convolve_scaled, integrate, kernel_grid, sample
+from .campanato import prefix_quotients, search_objective
+from .errors import FourierBoundFailure
+from .exponents import indicator_norm
+from .grid import _box_corners, boundary_margin, convolve_scaled, integrate, kernel_grid, sample
 from .search import default_scale_window, supremum_search
 from .tent import ScaleFunction, lusin_area, tent_atomic_decomposition, tent_members
 
@@ -35,7 +36,7 @@ def tent_mass(mu, d, ball):
     """integral of mu over the tent of the ball (counting x Lebesgue)."""
     grid = mu.grid
     total = 0.0
-    ball_mask = d.form_values(grid.points() - ball.center, ball.scale) < d.level_c
+    ball_mask = d.ball_contains_many(ball, grid.points())
     for ell in mu.scales():
         layer = mu.layer(ell).ravel()
         candidates = np.nonzero(ball_mask & (layer != 0.0))[0]
@@ -44,6 +45,16 @@ def tent_mass(mu, d, ball):
         inside = tent_members(d, grid, ball, ell, candidates)
         total += float(layer[candidates[inside]].sum())
     return total * grid.cell_volume
+
+
+def _carleson_term(mu, p, d):
+    """ball -> sqrt(|B|) / ||1_B|| * sqrt(tent mass of mu over B)."""
+
+    def term(ball):
+        vol = d.ball_volume(ball)
+        return np.sqrt(vol) / indicator_norm(d, ball, p) * np.sqrt(tent_mass(mu, d, ball))
+
+    return term
 
 
 def carleson_functional(mu, p, d, eta=None, budget=200, seed=0, scale_window=None, max_balls=8):
@@ -55,55 +66,15 @@ def carleson_functional(mu, p, d, eta=None, budget=200, seed=0, scale_window=Non
         eta = p.underline_p
     if scale_window is None:
         scale_window = default_scale_window(d, mu.grid, min_points=1)
-
-    from .campanato import aggregate_norm
-
-    cache = {}
-
-    def per_ball(ball):
-        key = ball.key()
-        if key not in cache:
-            vol = d.ball_volume(ball)
-            cache[key] = np.sqrt(vol) / indicator_norm(d, ball, p) * np.sqrt(
-                tent_mass(mu, d, ball)
-            )
-        return cache[key]
-
-    def config_value(config):
-        denom = aggregate_norm(config, p, eta, d)
-        if denom == 0.0:
-            raise ZeroDenominator("aggregate norm vanished")
-        total = sum(w * per_ball(ball) for ball, w in config.entries if w > 0.0)
-        return total / denom
-
+    config_value = search_objective(_carleson_term(mu, p, d), p, eta, d)
     return supremum_search(config_value, d, mu.grid, budget, seed, scale_window, max_balls)
 
 
 def carleson_prefix_check(mu, entries, p, d, eta=None, tol=1e-6, tail_window=20):
     """Finite-vs-countable agreement along a truncated configuration family."""
-    from .campanato import aggregate_norm
-    from .grid import ball_lattice_mask
-
     if eta is None:
         eta = p.underline_p
-    acc = np.zeros(p.grid.resolution)
-    numer = 0.0
-    values = []
-    for ball, weight in entries:
-        if weight > 0.0:
-            mask = ball_lattice_mask(p.grid, d, ball)
-            acc[mask] += (weight / indicator_norm(d, ball, p)) ** eta
-            vol = d.ball_volume(ball)
-            numer += (
-                weight * np.sqrt(vol) / indicator_norm(d, ball, p) * np.sqrt(tent_mass(mu, d, ball))
-            )
-        if numer == 0.0:
-            values.append(0.0)
-            continue
-        denom = luxemburg_norm(GridFunction(p.grid, acc ** (1.0 / eta)), p)
-        values.append(numer / denom if denom > 0 else np.inf)
-    values = np.array(values)
-    tail = float(np.max(np.abs(values[-tail_window:] - values[-1]))) if len(values) else 0.0
+    values, tail = prefix_quotients(entries, _carleson_term(mu, p, d), p, eta, d, tail_window)
     return values, bool(tail < tol), tail
 
 
@@ -214,14 +185,20 @@ def build_analyzing_function(d, s, grid, width_factor=0.9, annulus_samples=64, s
     )
 
 
+def _convolution_layers(b, phi, d, scale_window, moment_cancel):
+    """Scale function (y, l) -> (phi_-l * b)(y) over the window."""
+    l_min, l_max = scale_window
+    layers = [
+        convolve_scaled(b, phi, d, -ell, moment_cancel=moment_cancel).values
+        for ell in range(l_min, l_max + 1)
+    ]
+    return ScaleFunction(b.grid, l_min, l_max, np.stack(layers))
+
+
 def carleson_from_function(b, phi, d, scale_window, moment_cancel=None):
     """Density (y, l) -> |(phi_-l * b)(y)|^2 as a scale function."""
-    l_min, l_max = scale_window
-    layers = []
-    for ell in range(l_min, l_max + 1):
-        conv = convolve_scaled(b, phi, d, -ell, moment_cancel=moment_cancel)
-        layers.append(np.abs(conv.values) ** 2)
-    return ScaleFunction(b.grid, l_min, l_max, np.stack(layers))
+    conv = _convolution_layers(b, phi, d, scale_window, moment_cancel)
+    return conv.with_values(np.abs(conv.values) ** 2)
 
 
 # -- reproducing pair check -----------------------------------------------------
@@ -333,24 +310,12 @@ def carleson_duality_check(
     pairing = float(integrate(f * b))
 
     # phi side: physical convolutions (these also define the density d-mu).
-    phi_layers = []
-    for ell in range(l_min, l_max + 1):
-        conv = convolve_scaled(b, phi, d, -ell, moment_cancel=moment_cancel)
-        phi_layers.append(conv.values)
-    phi_side = ScaleFunction(grid, l_min, l_max, np.stack(phi_layers))
+    phi_side = _convolution_layers(b, phi, d, scale_window, moment_cancel)
     mu = phi_side.with_values(np.abs(phi_side.values) ** 2)
 
     # Interior maximum of the phi-side field, outside all convolution edges.
-    from .grid import boundary_margin
-
-    kernel_half = np.array(
-        [0.5 * (u - l) for l, u in zip(phi.grid.lower, phi.grid.upper)]
-    )
-    extent = 0.0
-    for ell in range(l_min, l_max + 1):
-        corners = np.array(np.meshgrid(*[(-w, w) for w in kernel_half], indexing="ij"))
-        corners = corners.reshape(len(kernel_half), -1)
-        extent = max(extent, float(np.abs(d.power(ell) @ corners).max()))
+    corners = _box_corners(phi)
+    extent = max(float(np.abs(d.power(ell) @ corners).max()) for ell in range(l_min, l_max + 1))
     box_half = 0.5 * float(
         np.min(np.asarray(grid.upper) - np.asarray(grid.lower))
     )

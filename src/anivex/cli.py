@@ -13,6 +13,7 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -21,10 +22,10 @@ from . import __version__
 from . import campanato as camp
 from . import carleson as carl
 from . import hardy
-from .config import ExperimentConfig
-from .errors import ConfigError, ToolkitError, UnknownSuite
+from .config import ExperimentConfig, load_raw
+from .errors import ConfigError, ToolkitError
 from .exponents import check_log_holder, luxemburg_norm
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, _bump, fubini_residual, run_suite
 
 REPORT_SCHEMA = "anivex-report/1"
 
@@ -37,133 +38,113 @@ def _canonical_json(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_configuration(cfg, entries):
-    from .search import BallConfiguration
+def _luxemburg_norm(cfg, spec, f):
+    return luxemburg_norm(f, cfg.exponent)
 
-    return BallConfiguration(
+
+def _campanato_functional(cfg, spec, f):
+    d, prm = cfg.dilation, cfg.campanato
+    config = camp.BallConfiguration(
         [
-            (cfg.dilation.ball(e["center"], int(e["scale"])), float(e.get("weight", 1.0)))
-            for e in entries
+            (d.ball(e["center"], int(e["scale"])), float(e.get("weight", 1.0)))
+            for e in spec["configuration"]
         ]
     )
+    out = {
+        "value": camp.campanato_type_functional(f, config, prm, d),
+        "inf_variant": camp.variant_inf_functional(f, config, prm, d),
+    }
+    if prm.epsilon is not None:
+        out["kernel_variant"] = camp.variant_eps_functional(f, config, prm, d)
+    return out
 
 
-def _execute_compute(cfg, spec):
-    """One computation request from the config's 'compute' list."""
-    op = spec.get("op")
-    d, g, p = cfg.dilation, cfg.grid, cfg.exponent
-    params = cfg.params
-    if op == "luxemburg_norm":
-        return luxemburg_norm(cfg.functions[spec["function"]], p)
-    if op == "campanato_functional":
-        prm = camp.CampanatoParams(
-            p=p,
-            q=float(params.get("q", 2.0)),
-            s=int(params.get("s", 0)),
-            eta=params.get("eta"),
-            epsilon=params.get("epsilon"),
-        )
-        config = _parse_configuration(cfg, spec["configuration"])
-        f = cfg.functions[spec["function"]]
-        out = {
-            "value": camp.campanato_type_functional(f, config, prm, d),
-            "inf_variant": camp.variant_inf_functional(f, config, prm, d),
-        }
-        if prm.epsilon is not None:
-            out["kernel_variant"] = camp.variant_eps_functional(f, config, prm, d)
-        return out
-    if op == "campanato_norm":
-        prm = camp.CampanatoParams(
-            p=p,
-            q=float(params.get("q", 2.0)),
-            s=int(params.get("s", 0)),
-            eta=params.get("eta"),
-        )
-        res = camp.campanato_type_norm(
-            cfg.functions[spec["function"]],
-            prm,
-            d,
-            budget=cfg.budget,
-            seed=cfg.seed,
-        )
-        return {"value": res.value, "evaluations": res.evaluations}
-    if op == "classic_functional":
-        ball = d.ball(spec["center"], int(spec["scale"]))
-        res = camp.classic_functional(
-            cfg.functions[spec["function"]],
-            d,
-            ball,
-            p,
-            float(params.get("q", 2.0)),
-            int(params.get("s", 0)),
-        )
-        return {"projection": res.projection_value, "refined": res.refined_value}
-    if op == "hardy_estimate":
-        phi, _ = carl.build_analyzing_function(d, int(params.get("s", 0)), g)
-        window = tuple(params.get("scale_window", (-6, 4)))
-        # An analyzing kernel has vanishing integral; the radial maximal
-        # function needs a unit-mass bump instead.
-        from .suites import _bump
+def _campanato_norm(cfg, spec, f):
+    res = camp.campanato_type_norm(f, cfg.campanato, cfg.dilation, budget=cfg.budget, seed=cfg.seed)
+    return {"value": res.value, "evaluations": res.evaluations}
 
-        bump = _bump(g.spacing, 0.5)
-        return hardy.hardy_norm_estimate(
-            cfg.functions[spec["function"]], bump, p, d, window, margin=1.0
-        )
-    if op == "carleson_norm":
-        phi, _ = carl.build_analyzing_function(d, int(params.get("s", 0)), g)
-        window = tuple(params.get("scale_window", (-4, 2)))
-        mu = carl.carleson_from_function(
-            cfg.functions[spec["function"]], phi, d, window,
-            moment_cancel=int(params.get("s", 0)),
-        )
-        res = carl.carleson_functional(
-            mu, p, d, eta=params.get("eta"), budget=cfg.budget, seed=cfg.seed
-        )
-        return {"value": res.value, "evaluations": res.evaluations}
-    if op == "log_holder":
-        report = check_log_holder(p, d, sample_pairs=int(spec.get("pairs", 4000)))
-        return {
-            "c_log": report.c_log,
-            "c_infinity": report.c_infinity,
-            "unstable": report.unstable,
-        }
-    if op == "fubini_residual":
-        # Counting-identity residual of the area function on a canonical
-        # multi-scale blob; shrinks first order under grid refinement.
-        from .tent import ScaleFunction, lusin_area
 
-        window = tuple(params.get("scale_window", (-3, 1)))
-        xs = g.meshes()
-        layers = []
-        for ell in range(window[0], window[1] + 1):
-            w = {-2: 0.6, -1: 0.8, 0: 1.0, 1: 0.5}.get(ell, 0.0)
-            layer = np.zeros(g.resolution)
-            if w:
-                for c, sd in ((0.5, 0.6), (-1.0, 0.9)):
-                    r2 = sum((m - c) ** 2 for m in xs)
-                    layer += w * np.exp(-r2 / (2 * sd**2)) * (np.sqrt(r2) < 3 * sd)
-            layers.append(layer)
-        G = ScaleFunction(g, window[0], window[1], np.stack(layers))
-        lhs = float(np.sum(lusin_area(G, d).values ** 2) * g.cell_volume)
-        rhs = float(np.sum(np.abs(G.values) ** 2) * g.cell_volume)
-        return {"residual": abs(lhs - rhs) / rhs, "cone_side": lhs, "layer_side": rhs}
-    raise ConfigError(f"unknown compute op {op!r}", field="compute")
+def _classic_functional(cfg, spec, f):
+    d, prm = cfg.dilation, cfg.campanato
+    ball = d.ball(spec["center"], int(spec["scale"]))
+    res = camp.classic_functional(f, d, ball, prm.p, prm.q, prm.s)
+    return {"projection": res.projection_value, "refined": res.refined_value}
+
+
+def _hardy_estimate(cfg, spec, f):
+    window = tuple(cfg.params.get("scale_window", (-6, 4)))
+    # An analyzing kernel has vanishing integral; the radial maximal
+    # function needs a unit-mass bump instead.
+    bump = _bump(cfg.grid.spacing, 0.5)
+    return hardy.hardy_norm_estimate(f, bump, cfg.exponent, cfg.dilation, window, margin=1.0)
+
+
+def _carleson_norm(cfg, spec, f):
+    d, prm = cfg.dilation, cfg.campanato
+    phi, _ = carl.build_analyzing_function(d, prm.s, cfg.grid)
+    window = tuple(cfg.params.get("scale_window", (-4, 2)))
+    mu = carl.carleson_from_function(f, phi, d, window, moment_cancel=prm.s)
+    res = carl.carleson_functional(mu, prm.p, d, eta=prm.eta, budget=cfg.budget, seed=cfg.seed)
+    return {"value": res.value, "evaluations": res.evaluations}
+
+
+def _log_holder(cfg, spec, f):
+    report = check_log_holder(cfg.exponent, cfg.dilation, sample_pairs=int(spec.get("pairs", 4000)))
+    return {
+        "c_log": report.c_log,
+        "c_infinity": report.c_infinity,
+        "unstable": report.unstable,
+    }
+
+
+def _fubini_residual(cfg, spec, f):
+    window = tuple(cfg.params.get("scale_window", (-3, 1)))
+    residual, lhs, rhs = fubini_residual(cfg.grid, cfg.dilation, window)
+    return {"residual": residual, "cone_side": lhs, "layer_side": rhs}
+
+
+# op -> (handler(cfg, spec, the spec's function or None), keys the spec must carry)
+_OPS = {
+    "luxemburg_norm": (_luxemburg_norm, ("function",)),
+    "campanato_functional": (_campanato_functional, ("function", "configuration")),
+    "campanato_norm": (_campanato_norm, ("function",)),
+    "classic_functional": (_classic_functional, ("function", "center", "scale")),
+    "hardy_estimate": (_hardy_estimate, ("function",)),
+    "carleson_norm": (_carleson_norm, ("function",)),
+    "log_holder": (_log_holder, ()),
+    "fubini_residual": (_fubini_residual, ()),
+}
+
+
+def _validate_compute(cfg):
+    """Check every compute spec against the op table before any op runs."""
+    for i, spec in enumerate(cfg.raw.get("compute", [])):
+        field = f"compute[{i}]"
+        if not isinstance(spec, dict):
+            raise ConfigError("a compute spec must be an object", field=field)
+        op = spec.get("op")
+        # Membership is tested in lists: a JSON value may be an unhashable array.
+        if op not in list(_OPS):
+            raise ConfigError(f"unknown op {op!r}; choose from {sorted(_OPS)}", field=f"{field}.op")
+        for key in _OPS[op][1]:
+            if key not in spec:
+                raise ConfigError(f"missing key {key!r}", field=f"{field}.{key}")
+        if "function" in spec and spec["function"] not in list(cfg.functions):
+            raise ConfigError(f"unknown function {spec['function']!r}", field=f"{field}.function")
 
 
 def run_config(config_path, out_path, seed=None, budget=None, resolution=None, use_cache=True):
-    if resolution is not None:
-        raw = ExperimentConfig.from_path(config_path).raw
-        n_axes = len(raw["grid"]["lower"])
-        raw["grid"]["resolution"] = [int(resolution)] * n_axes
-        cfg = ExperimentConfig(raw)
-    else:
-        cfg = ExperimentConfig.from_path(config_path)
+    raw = load_raw(config_path)
+    grid = raw.get("grid")
+    # A malformed grid skips the override and fails validation below.
+    if resolution is not None and isinstance(grid, dict):
+        grid["resolution"] = [int(resolution)] * np.size(grid.get("lower", []))
     if seed is not None:
-        cfg.seed = int(seed)
-        cfg.raw["seed"] = int(seed)
+        raw["seed"] = int(seed)
     if budget is not None:
-        cfg.budget = int(budget)
-        cfg.raw["budget"] = int(budget)
+        raw["budget"] = int(budget)
+    cfg = ExperimentConfig(raw)
+    _validate_compute(cfg)
     digest_src = dict(cfg.raw)
     digest_src["__version__"] = __version__
     digest = hashlib.sha256(
@@ -183,17 +164,12 @@ def run_config(config_path, out_path, seed=None, budget=None, resolution=None, u
     for i, spec in enumerate(cfg.raw.get("compute", [])):
         name = spec.get("name", f"compute{i}")
         try:
-            values[name] = _execute_compute(cfg, spec)
+            handler, _ = _OPS[spec["op"]]
+            values[name] = handler(cfg, spec, cfg.functions.get(spec.get("function")))
         except ToolkitError as exc:
             errors.append({"name": name, "error": f"{type(exc).__name__}: {exc}"})
 
-    checks = []
-    for suite_name in cfg.checks:
-        try:
-            for res in run_suite(suite_name):
-                checks.append(res.as_dict())
-        except UnknownSuite as exc:
-            errors.append({"name": suite_name, "error": str(exc)})
+    checks = [res.as_dict() for suite_name in cfg.checks for res in run_suite(suite_name)]
 
     report = {
         "schema": REPORT_SCHEMA,
@@ -225,7 +201,7 @@ def sweep_config(config_path, parameter, values, out_path, seed=None, budget=Non
     """
     rows = []
     for value in values:
-        cfg_raw = ExperimentConfig.from_path(config_path).raw
+        cfg_raw = load_raw(config_path)
         resolution = None
         if parameter == "resolution":
             resolution = int(value)
@@ -235,10 +211,14 @@ def sweep_config(config_path, parameter, values, out_path, seed=None, budget=Non
             for key in path:
                 target = target.setdefault(key, {})
             target[leaf] = value
-        tmp = f"{out_path}.{len(rows)}.json"
-        with open(tmp + ".config", "w") as fh:
-            json.dump(cfg_raw, fh)
-        report, _ = run_config(tmp + ".config", tmp, seed=seed, budget=budget, resolution=resolution)
+        with tempfile.TemporaryDirectory() as tmp:
+            point_config = os.path.join(tmp, "config.json")
+            with open(point_config, "w") as fh:
+                json.dump(cfg_raw, fh)
+            report, _ = run_config(
+                point_config, os.path.join(tmp, "report.json"),
+                seed=seed, budget=budget, resolution=resolution,
+            )
         flat = {"parameter": parameter, "value": value}
         for name, val in report["values"].items():
             if isinstance(val, dict):
@@ -298,7 +278,7 @@ def main(argv=None):
             return 2
         status = "cached" if cached else "computed"
         print(f"{status}: {args.out} (hash {report['config_hash'][:12]})")
-        return 0 if report["all_passed"] or not report["checks"] else 1
+        return 0 if report["all_passed"] else 1
 
     if args.command == "sweep":
         values = [float(v) for v in args.values.split(",")]
@@ -313,21 +293,15 @@ def main(argv=None):
         print(f"wrote {args.out}")
         return 0
 
-    if args.command == "verify":
-        try:
-            results = run_suite(args.suite)
-        except UnknownSuite as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        failed = 0
-        for res in results:
-            mark = "PASS" if res.passed else "FAIL"
-            print(f"[{mark}] {res.name}  residual={res.residual:.3e} {res.note}")
-            failed += 0 if res.passed else 1
-        print(f"{len(results) - failed}/{len(results)} checks passed")
-        return 0 if failed == 0 else 1
-
-    return 2
+    # verify: the only other subcommand
+    results = run_suite(args.suite)
+    failed = 0
+    for res in results:
+        mark = "PASS" if res.passed else "FAIL"
+        print(f"[{mark}] {res.name}  residual={res.residual:.3e} {res.note}")
+        failed += 0 if res.passed else 1
+    print(f"{len(results) - failed}/{len(results)} checks passed")
+    return 0 if failed == 0 else 1
 
 
 if __name__ == "__main__":

@@ -9,15 +9,16 @@ evaluates.
 """
 
 import ast
-import hashlib
 import json
 
 import numpy as np
 
+from .campanato import CampanatoParams
 from .dilation import new_dilation
 from .errors import ConfigError
 from .exponents import Exponent
 from .grid import GridFunction, sample, uniform_grid
+from .suites import SUITE_NAMES
 
 _FUNCTIONS = {
     "sin": np.sin,
@@ -167,25 +168,40 @@ class ExperimentConfig:
                 spec, self.grid, self.dilation, self.exponent, field=f"functions.{name}"
             )
         self.params = dict(raw.get("params", {}))
+        try:
+            self.campanato = CampanatoParams(
+                p=self.exponent,
+                q=float(self.params.get("q", 2.0)),
+                s=int(self.params.get("s", 0)),
+                eta=self.params.get("eta"),
+                epsilon=self.params.get("epsilon"),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc), field="params") from None
         self.checks = list(raw.get("checks", []))
+        for i, name in enumerate(self.checks):
+            if not isinstance(name, str) or name not in SUITE_NAMES:
+                raise ConfigError(
+                    f"unknown suite {name!r}; choose from {sorted(SUITE_NAMES)}",
+                    field=f"checks[{i}]",
+                )
         self.seed = int(raw.get("seed", 0))
         self.budget = int(raw.get("budget", 120))
-        if any(
-            isinstance(c, dict) and c.get("randomized", False) for c in self.checks
-        ) and "seed" not in raw:
-            raise ConfigError("randomized checks require an explicit seed", field="seed")
 
     @classmethod
     def from_path(cls, path):
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"line {exc.lineno}: {exc.msg}", field=str(path)) from None
-        except OSError as exc:
-            raise ConfigError(str(exc), field=str(path)) from None
-        return cls(raw)
+        return cls(load_raw(path))
 
-    def content_hash(self):
-        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+
+def load_raw(path):
+    """The JSON object of a config file, before any runtime object is built."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"line {exc.lineno}: {exc.msg}", field=str(path)) from None
+    except OSError as exc:
+        raise ConfigError(str(exc), field=str(path)) from None
+    if not isinstance(raw, dict):
+        raise ConfigError("a config must be a JSON object", field=str(path))
+    return raw

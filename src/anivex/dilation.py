@@ -192,12 +192,12 @@ class Dilation:
 
     def ball_contains(self, ball, x):
         """Strict membership x in center + B_k (boundaries are null sets)."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float)) - ball.center
-        vals = self.form_values(pts, ball.scale)
-        out = vals < self.level_c
+        out = self.ball_contains_many(ball, np.atleast_2d(x))
         return bool(out[0]) if np.isscalar(x) or np.asarray(x).ndim <= 1 else out
 
     def ball_contains_many(self, ball, points):
+        """Strict membership of each point in center + B_k; the one place
+        that decides lattice points on a ball's boundary."""
         pts = np.asarray(points, dtype=float) - ball.center
         return self.form_values(pts, ball.scale) < self.level_c
 
@@ -239,11 +239,8 @@ class Dilation:
 
     def step_quasi_norm(self, x):
         """rho(x): 0 at the origin, else b^k on B_{k+1} \\ B_k."""
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim <= 1
-        levels, zero = self.step_levels(arr)
-        vals = np.array([0.0 if z else self.bpow(int(k)) for k, z in zip(levels, zero)])
-        return float(vals[0]) if scalar else vals
+        vals = self.step_quasi_norm_many(x)
+        return float(vals[0]) if np.ndim(x) <= 1 else vals
 
     def step_quasi_norm_many(self, points):
         levels, zero = self.step_levels(points)

@@ -65,5 +65,9 @@ class ConfigError(ToolkitError):
         self.field = field
 
 
+class CorruptFile(ToolkitError, ValueError):
+    """A binary lattice file failed its header or size check on load."""
+
+
 class UnknownSuite(ToolkitError):
     """Requested verification suite name does not exist."""

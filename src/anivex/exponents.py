@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMask, NonFinite, NotConjugable
-from .grid import GridFunction, ball_lattice_mask
+from .grid import GridFunction, ball_lattice_mask, sample
 
 BISECTION_RTOL = 1e-12
 BISECTION_MAX_ITER = 200
@@ -62,8 +62,6 @@ def constant_exponent(grid, q, p_infinity=None):
 
 
 def exponent_from_callable(grid, fn, p_infinity=None):
-    from .grid import sample
-
     return Exponent(sample(grid, fn), p_infinity)
 
 
@@ -71,9 +69,7 @@ def modular(f, p):
     """integral of |f(x)|^p(x) over the box."""
     if f.grid.key() != p.grid.key():
         raise ValueError("function and exponent live on different grids")
-    a = np.abs(f.values)
-    with np.errstate(over="ignore"):
-        return float(np.sum(a**p.values.values) * f.grid.cell_volume)
+    return _modular_of_scaled(np.abs(f.values), p.values.values, f.grid.cell_volume, 1.0)
 
 
 def _modular_of_scaled(abs_vals, p_vals, cell_volume, lam):

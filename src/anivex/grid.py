@@ -6,7 +6,6 @@ Functions are zero outside their box.
 """
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.ndimage import map_coordinates
@@ -128,8 +127,7 @@ def integrate(f):
 
 def ball_lattice_mask(grid, d, ball):
     """Boolean mask of lattice points strictly inside the dilated ball."""
-    vals = d.form_values(grid.points() - ball.center, ball.scale)
-    return (vals < d.level_c).reshape(grid.resolution)
+    return d.ball_contains_many(ball, grid.points()).reshape(grid.resolution)
 
 
 def indicator(grid, d, ball):
@@ -165,35 +163,37 @@ def kernel_grid(spacing, halfwidth):
     return Grid(tuple(lower), tuple(upper), tuple(2 * m + 1))
 
 
-def _offset_axes(grid, halfwidths):
-    """Integer offset ranges covering the requested halfwidths, capped at the
-    full difference range of the grid."""
-    counts = []
-    for h, hw, r in zip(grid.spacing, halfwidths, grid.resolution):
-        counts.append(min(int(np.ceil(hw / h)) + 1, r - 1))
-    return [np.arange(-c, c + 1) for c in counts]
+def _offset_lattice(grid, halfwidths, pad=0):
+    """Centred integer-offset lattice covering the halfwidths plus pad cells,
+    capped at the full difference range of the grid.
+
+    Returns the (N, n) offset points in C order and the array shape.
+    """
+    counts = [
+        min(int(np.ceil(hw / h)) + pad, r - 1)
+        for h, hw, r in zip(grid.spacing, halfwidths, grid.resolution)
+    ]
+    axes = [np.arange(-c, c + 1) for c in counts]
+    meshes = np.meshgrid(*[a * h for a, h in zip(axes, grid.spacing)], indexing="ij")
+    return np.stack([m.ravel() for m in meshes], axis=1), tuple(len(a) for a in axes)
 
 
-def _monomial_basis(points, order):
-    n = points.shape[1]
-    cols = [np.ones(points.shape[0])]
-    for deg in range(1, order + 1):
-        for combo in combinations_with_replacement(range(n), deg):
-            col = np.ones(points.shape[0])
-            for axis in combo:
-                col = col * points[:, axis]
-            cols.append(col)
-    return np.stack(cols, axis=1)
+def _box_corners(kernel):
+    """Corners of a kernel's centred box, one per column."""
+    half = [0.5 * (u - l) for l, u in zip(kernel.grid.lower, kernel.grid.upper)]
+    return np.array(np.meshgrid(*[(-w, w) for w in half], indexing="ij")).reshape(len(half), -1)
 
 
 def _cancel_discrete_moments(kernel_vals, offset_points, order):
     """Subtract a polynomial on the kernel support so that all discrete
     moments up to the given order vanish exactly on the lattice."""
+    from .polyproj import _design_matrix, multi_indices
+
     support = kernel_vals.ravel() != 0.0
     if not support.any():
         return kernel_vals
     pts = offset_points[support]
-    basis = _monomial_basis(pts, order)
+    basis = _design_matrix(pts, multi_indices(pts.shape[1], order))
     gram = basis.T @ basis
     moments = basis.T @ kernel_vals.ravel()[support]
     coef, *_ = np.linalg.lstsq(gram, moments, rcond=None)
@@ -204,25 +204,19 @@ def _cancel_discrete_moments(kernel_vals, offset_points, order):
 
 def scaled_kernel_samples(kernel, d, k, grid, moment_cancel=None):
     """Sample b^k * kernel(A^k z) on the integer-offset lattice of the grid."""
-    bbox = np.array([0.5 * (u - l) for l, u in zip(kernel.grid.lower, kernel.grid.upper)])
-    corners = np.array(np.meshgrid(*[(-w, w) for w in bbox], indexing="ij")).reshape(
-        len(bbox), -1
-    )
-    scaled_corners = np.linalg.solve(d.power(k), corners)
+    scaled_corners = np.linalg.solve(d.power(k), _box_corners(kernel))
     halfwidths = np.abs(scaled_corners).max(axis=1)
     if np.max(2.0 * halfwidths) < np.min(grid.spacing):
         raise ScaleTooFine(f"support of the scale-{k} kernel is below one cell")
 
-    axes = _offset_axes(grid, halfwidths)
-    offset_meshes = np.meshgrid(*[a * h for a, h in zip(axes, grid.spacing)], indexing="ij")
-    offsets = np.stack([m.ravel() for m in offset_meshes], axis=1)
+    offsets, shape = _offset_lattice(grid, halfwidths, pad=1)
     mapped = offsets @ d.power(k).T
     idx = [
         (mapped[:, i] - kernel.grid.lower[i]) / kernel.grid.spacing[i] - 0.5
         for i in range(grid.n)
     ]
     vals = map_coordinates(kernel.values, np.stack(idx), order=1, cval=0.0)
-    vals = (d.bpow(k) * vals).reshape([len(a) for a in axes])
+    vals = (d.bpow(k) * vals).reshape(shape)
     if moment_cancel is not None:
         vals = _cancel_discrete_moments(vals, offsets, moment_cancel)
     return vals

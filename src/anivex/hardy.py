@@ -16,7 +16,7 @@ from .campanato import CampanatoParams, minimal_admissible_degree, variant_inf_f
 from .errors import DegenerateSeed
 from .exponents import indicator_norm, luxemburg_norm
 from .grid import GridFunction, ball_lattice_mask, boundary_margin, convolve_scaled, integrate
-from .polyproj import minimizing_polynomial, moments, multi_indices, refine_lq
+from .polyproj import _design_matrix, minimizing_polynomial, moments, multi_indices, refine_lq
 from .search import BallConfiguration
 
 DEFAULT_SCALE_RANGE = (-10, 6)
@@ -175,6 +175,7 @@ def duality_chain_check(rep, g, prm, d, poly_samples=5, seed=0):
         )
     q_conj = q / (q - 1.0)
     grid = g.grid
+    indices = multi_indices(grid.n, prm.s)
     cell_volume = grid.cell_volume
 
     moment_slack = np.inf
@@ -192,9 +193,9 @@ def duality_chain_check(rep, g, prm, d, poly_samples=5, seed=0):
         pairings.append(pair)
 
         # (a) shifting g by any polynomial of degree <= s leaves the pairing.
+        design = _design_matrix(pts, indices)
         for _ in range(poly_samples):
-            coeffs = rng.uniform(-10.0, 10.0, size=len(multi_indices(grid.n, prm.s)))
-            shift = _polynomial_values(pts, grid.n, prm.s, coeffs)
+            shift = design @ rng.uniform(-10.0, 10.0, size=len(indices))
             shifted = np.sum(a_vals[mask] * (g.values[mask] - shift)) * cell_volume
             moment_slack = min(moment_slack, 1e-8 - abs(abs(shifted) - abs(pair)))
 
@@ -236,17 +237,6 @@ def duality_chain_check(rep, g, prm, d, poly_samples=5, seed=0):
         atom_pairings=np.array(pairings),
         oscillation_bound=float(denom),
     )
-
-
-def _polynomial_values(pts, n, s, coeffs):
-    out = np.zeros(pts.shape[0])
-    for gamma, c in zip(multi_indices(n, s), coeffs):
-        col = np.ones(pts.shape[0])
-        for axis, power in enumerate(gamma):
-            if power:
-                col = col * pts[:, axis] ** power
-        out += c * col
-    return out
 
 
 @dataclass

@@ -6,7 +6,7 @@ Gram matrix stays well conditioned across scales.  A coordinate-descent
 refinement approximates the q != 2 infimum starting from the projection.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from math import comb
 
@@ -56,10 +56,7 @@ class Polynomial:
         return float(vals[0]) if np.asarray(x).ndim <= 1 else vals
 
     def on_grid(self, grid):
-        pts = grid.points()
-        local = (pts - self.center) @ self.transform.T
-        vals = _design_matrix(local, self.indices) @ self.coefficients
-        return GridFunction(grid, vals.reshape(grid.resolution))
+        return GridFunction(grid, self.evaluate(grid.points()).reshape(grid.resolution))
 
 
 def _ball_design(f, d, ball, s):
@@ -161,15 +158,7 @@ def refine_lq(f, d, ball, s, q, start=None, sweeps=REFINE_SWEEPS):
         if improved <= 1e-13 * max(best, 1e-300):
             break
 
-    refined = Polynomial(
-        dimension=poly.dimension,
-        degree=poly.degree,
-        center=poly.center,
-        transform=poly.transform,
-        indices=poly.indices,
-        coefficients=coef,
-    )
-    return refined, best ** (1.0 / q)
+    return replace(poly, coefficients=coef), best ** (1.0 / q)
 
 
 def coefficient_count(n, s):

@@ -28,9 +28,6 @@ class BallConfiguration:
     def balls(self):
         return [b for b, _ in self.entries]
 
-    def weights(self):
-        return np.array([w for _, w in self.entries])
-
 
 @dataclass
 class SearchResult:

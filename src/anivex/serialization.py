@@ -12,6 +12,10 @@ scale function (magic AVXS, version 1):
     per axis: u32 resolution | f64 lower | f64 upper
     raw values, C order, scale index first
 
+Both are written and read by one header codec.  A load checks the magic,
+version, header length, dtype code and payload size, and raises CorruptFile
+naming the file when any of them is wrong.
+
 Every file gets a "<path>.json" sidecar with the same metadata.  Tent atom
 sets are stored as a JSON manifest next to one stacked AVXS block per atom.
 """
@@ -21,10 +25,14 @@ import struct
 
 import numpy as np
 
+from .errors import CorruptFile
 from .grid import Grid, GridFunction
 
 _DTYPES = {0: np.float64, 1: np.complex128}
 _CODES = {np.dtype(np.float64): 0, np.dtype(np.complex128): 1}
+# Fixed header per magic; the AVXS header adds the scale window.
+_HEADERS = {b"AVXG": "<4sBBB", b"AVXS": "<4sBBBii"}
+_AXIS = "<Idd"
 
 
 def _dtype_code(values):
@@ -40,75 +48,61 @@ def _write_sidecar(path, meta):
         fh.write("\n")
 
 
-def _grid_meta(grid):
-    return {
-        "resolution": list(grid.resolution),
-        "lower": list(grid.lower),
-        "upper": list(grid.upper),
-    }
+def _write_block(path, magic, kind, grid, values, **window):
+    """Header, axes and raw values, then the sidecar with the same metadata."""
+    code = _dtype_code(values)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(_HEADERS[magic], magic, 1, code, grid.n, *window.values()))
+        for r, l, u in zip(grid.resolution, grid.lower, grid.upper):
+            fh.write(struct.pack(_AXIS, r, l, u))
+        fh.write(np.ascontiguousarray(values).tobytes())
+    meta = {"kind": kind, "dtype": int(code), **window, "resolution": list(grid.resolution)}
+    _write_sidecar(path, {**meta, "lower": list(grid.lower), "upper": list(grid.upper)})
+
+
+def _read_block(path, magic):
+    """(grid, window, values) from a file written by _write_block."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:5] != magic + b"\x01":
+        raise CorruptFile(f"{path}: not an {magic.decode()} v1 file")
+    offset = struct.calcsize(_HEADERS[magic])
+    step = struct.calcsize(_AXIS)
+    try:
+        _, _, code, ndim, *window = struct.unpack_from(_HEADERS[magic], data)
+        axes = [struct.unpack_from(_AXIS, data, offset + i * step) for i in range(ndim)]
+    except struct.error:
+        raise CorruptFile(f"{path}: truncated header") from None
+    if code not in _DTYPES:
+        raise CorruptFile(f"{path}: unknown dtype code {code}")
+    offset += ndim * step
+    res = [a[0] for a in axes]
+    shape = ([window[1] - window[0] + 1] if window else []) + res
+    dtype = np.dtype(_DTYPES[code])
+    if len(data) - offset != int(np.prod(shape)) * dtype.itemsize:
+        raise CorruptFile(f"{path}: {len(data) - offset} payload bytes do not fit shape {shape}")
+    values = np.frombuffer(data, dtype=dtype, offset=offset).reshape(shape).copy()
+    return Grid(tuple(a[1] for a in axes), tuple(a[2] for a in axes), tuple(res)), window, values
 
 
 def save_grid_function(f, path):
-    code = _dtype_code(f.values)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sBBB", b"AVXG", 1, code, f.grid.n))
-        for r, l, u in zip(f.grid.resolution, f.grid.lower, f.grid.upper):
-            fh.write(struct.pack("<Idd", r, l, u))
-        fh.write(np.ascontiguousarray(f.values).tobytes())
-    _write_sidecar(path, {"kind": "grid_function", "dtype": int(code), **_grid_meta(f.grid)})
+    _write_block(path, b"AVXG", "grid_function", f.grid, f.values)
 
 
 def load_grid_function(path):
-    with open(path, "rb") as fh:
-        magic, version, code, ndim = struct.unpack("<4sBBB", fh.read(7))
-        if magic != b"AVXG" or version != 1:
-            raise ValueError("not an AVXG v1 file")
-        res, lower, upper = [], [], []
-        for _ in range(ndim):
-            r, l, u = struct.unpack("<Idd", fh.read(20))
-            res.append(r)
-            lower.append(l)
-            upper.append(u)
-        grid = Grid(tuple(lower), tuple(upper), tuple(res))
-        values = np.frombuffer(fh.read(), dtype=_DTYPES[code]).reshape(res).copy()
+    grid, _, values = _read_block(path, b"AVXG")
     return GridFunction(grid, values)
 
 
 def save_scale_function(sf, path):
-    code = _dtype_code(sf.values)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sBBBii", b"AVXS", 1, code, sf.grid.n, sf.l_min, sf.l_max))
-        for r, l, u in zip(sf.grid.resolution, sf.grid.lower, sf.grid.upper):
-            fh.write(struct.pack("<Idd", r, l, u))
-        fh.write(np.ascontiguousarray(sf.values).tobytes())
-    _write_sidecar(
-        path,
-        {
-            "kind": "scale_function",
-            "dtype": int(code),
-            "l_min": sf.l_min,
-            "l_max": sf.l_max,
-            **_grid_meta(sf.grid),
-        },
-    )
+    window = {"l_min": sf.l_min, "l_max": sf.l_max}
+    _write_block(path, b"AVXS", "scale_function", sf.grid, sf.values, **window)
 
 
 def load_scale_function(path):
     from .tent import ScaleFunction
 
-    with open(path, "rb") as fh:
-        magic, version, code, ndim, l_min, l_max = struct.unpack("<4sBBBii", fh.read(15))
-        if magic != b"AVXS" or version != 1:
-            raise ValueError("not an AVXS v1 file")
-        res, lower, upper = [], [], []
-        for _ in range(ndim):
-            r, l, u = struct.unpack("<Idd", fh.read(20))
-            res.append(r)
-            lower.append(l)
-            upper.append(u)
-        grid = Grid(tuple(lower), tuple(upper), tuple(res))
-        nscales = l_max - l_min + 1
-        values = np.frombuffer(fh.read(), dtype=_DTYPES[code]).reshape([nscales] + res).copy()
+    grid, (l_min, l_max), values = _read_block(path, b"AVXS")
     return ScaleFunction(grid, l_min, l_max, values)
 
 
@@ -136,9 +130,7 @@ def save_atomic_rep(rep, path_prefix):
                 "values": blob,
             }
         )
-    with open(f"{path_prefix}.manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_sidecar(f"{path_prefix}.manifest", manifest)
 
 
 def load_atomic_rep(path_prefix, d, p):
@@ -185,6 +177,4 @@ def save_tent_atoms(atom_set, path_prefix):
                 "values": blob,
             }
         )
-    with open(f"{path_prefix}.manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_sidecar(f"{path_prefix}.manifest", manifest)

@@ -25,7 +25,7 @@ from scipy.signal import fftconvolve
 
 from .errors import CoverFailure
 from .exponents import indicator_norm
-from .grid import GridFunction
+from .grid import GridFunction, _offset_lattice
 
 __all__ = [
     "ScaleFunction",
@@ -93,27 +93,13 @@ def _cache(d):
     return cache
 
 
-def _offset_box(d, grid, scale):
-    halfw = d.ball_bounding_halfwidths(scale)
-    counts = [
-        min(int(np.ceil(hw / h)), r - 1)
-        for hw, h, r in zip(halfw, grid.spacing, grid.resolution)
-    ]
-    axes = [np.arange(-c, c + 1) for c in counts]
-    meshes = np.meshgrid(*[a * h for a, h in zip(axes, grid.spacing)], indexing="ij")
-    offsets = np.stack([m.ravel() for m in meshes], axis=1)
-    shape = tuple(len(a) for a in axes)
-    return offsets, shape
-
-
 def ball_footprint(d, grid, scale):
     """Centered boolean array of integer offsets v with v*h inside B_scale."""
     cache = _cache(d)
     key = ("fp", grid.key(), scale)
     if key not in cache:
-        offsets, shape = _offset_box(d, grid, scale)
-        inside = d.form_values(offsets, scale) < d.level_c
-        cache[key] = inside.reshape(shape)
+        offsets, shape = _offset_lattice(grid, d.ball_bounding_halfwidths(scale))
+        cache[key] = d.ball_contains_many(d.ball(np.zeros(d.n), scale), offsets).reshape(shape)
     return cache[key]
 
 
@@ -122,7 +108,7 @@ def tent_offset_mask(d, grid, ell, ball_scale):
     cache = _cache(d)
     key = ("tent", grid.key(), ell, ball_scale)
     if key not in cache:
-        offsets, shape = _offset_box(d, grid, ball_scale)
+        offsets, shape = _offset_lattice(grid, d.ball_bounding_halfwidths(ball_scale))
         if d.bpow(ell) > d.bpow(ball_scale) * (1.0 + 1e-12):
             cache[key] = np.zeros(shape, dtype=bool)
         else:
@@ -207,6 +193,16 @@ def lusin_area(G, d):
     return GridFunction(grid, np.sqrt(np.maximum(acc, 0.0)))
 
 
+def _ball_averages(values, d, grid, scale_window):
+    """(footprint, count-normalized ball mean of values at every lattice
+    point) for each window scale whose footprint holds a lattice point."""
+    for k in range(scale_window[0], scale_window[1] + 1):
+        fp = ball_footprint(d, grid, k).astype(float)
+        count = fp.sum()
+        if count >= 1.0:
+            yield fp, fftconvolve(values, fp, mode="same") / count
+
+
 def hl_maximal(f, d, scale_window):
     """Max over window scales and ball positions of the ball average of |f|.
 
@@ -220,12 +216,7 @@ def hl_maximal(f, d, scale_window):
     absf = np.abs(np.asarray(f.values, dtype=float))
     cap = float(absf.max()) if absf.size else 0.0
     out = absf.copy()
-    for k in range(scale_window[0], scale_window[1] + 1):
-        fp = ball_footprint(d, grid, k).astype(float)
-        count = fp.sum()
-        if count < 1.0:
-            continue
-        avg = fftconvolve(absf, fp, mode="same") / count
+    for fp, avg in _ball_averages(absf, d, grid, scale_window):
         # Ball averages of |f| cannot exceed max |f|; clipping removes FFT noise.
         avg = np.clip(avg, 0.0, cap)
         dil = maximum_filter(avg, footprint=fp.astype(bool), mode="constant", cval=0.0)
@@ -238,13 +229,7 @@ def maximal_dilate(mask, d, grid, scale_window, gamma):
     f = 1_mask, including mask itself (the degenerate point scale)."""
     out = mask.copy()
     thr = (1.0 - gamma) * (1.0 + 1e-12) + 1e-12
-    dense = mask.astype(float)
-    for k in range(scale_window[0], scale_window[1] + 1):
-        fp = ball_footprint(d, grid, k).astype(float)
-        count = fp.sum()
-        if count < 1.0:
-            continue
-        avg = fftconvolve(dense, fp, mode="same") / count
+    for fp, avg in _ball_averages(mask.astype(float), d, grid, scale_window):
         centers = avg > thr
         if centers.any():
             out |= _binary_dilate(centers, fp)

@@ -79,6 +79,62 @@ class TestConfig:
         assert cfg.exponent.p_plus == 2.0
 
 
+def _quick_params():
+    return json.loads(open(QUICK).read())["params"]
+
+
+def _write_config(tmp_path, **changes):
+    raw = json.loads(open(QUICK).read())
+    raw.update(changes)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"name": "v", "op": "luxemburg_norm", "function": "nope"}, "compute[0].function"),
+            ({"name": "v", "op": "bogus", "function": "f"}, "compute[0].op"),
+            ({"name": "v", "op": "classic_functional", "function": "f", "center": [0.0]},
+             "compute[0].scale"),
+        ],
+    )
+    def test_bad_compute_spec_is_config_error(self, cache_env, tmp_path, spec, field):
+        path = _write_config(tmp_path, compute=[spec])
+        with pytest.raises(ConfigError) as info:
+            run_config(path, str(cache_env / "bad.json"))
+        assert info.value.field == field
+        assert main(["run", "--config", path, "--out", str(cache_env / "bad.json")]) == 2
+        assert not (cache_env / "bad.json").exists()
+
+    @pytest.mark.parametrize("check", [{"randomized": True}, "nonsense"])
+    def test_unknown_check_rejected_at_load(self, tmp_path, check):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_path(_write_config(tmp_path, checks=[check]))
+        assert info.value.field == "checks[0]"
+
+    def test_invalid_params_rejected_at_load(self, cache_env, tmp_path):
+        path = _write_config(tmp_path, params={**_quick_params(), "q": 0.5})
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_path(path)
+        assert info.value.field == "params"
+        assert main(["run", "--config", path, "--out", str(cache_env / "bad.json")]) == 2
+
+    def test_failed_op_exits_nonzero(self, cache_env, tmp_path):
+        path = _write_config(
+            tmp_path,
+            params={**_quick_params(), "scale_window": [-60, 60]},
+            compute=[{"name": "mu", "op": "carleson_norm", "function": "f"}],
+        )
+        out = cache_env / "fail.json"
+        assert main(["run", "--config", path, "--out", str(out), "--no-cache"]) == 1
+        errors = json.loads(out.read_text())["errors"]
+        assert [e["name"] for e in errors] == ["mu"]
+        assert errors[0]["error"].startswith("ScaleOverflow")
+
+
 class TestRun:
     def test_run_and_cache(self, cache_env):
         out1 = cache_env / "r1.json"
@@ -126,6 +182,12 @@ class TestSweep:
         text = out.read_text().splitlines()
         assert text[0].startswith("parameter,value")
         assert len(text) == 3
+
+    def test_sweep_leaves_only_the_csv(self, cache_env):
+        out_dir = cache_env / "sweep_out"
+        out_dir.mkdir()
+        sweep_config(QUICK, "params.epsilon", [2.0, 4.0], str(out_dir / "sweep.csv"))
+        assert sorted(os.listdir(out_dir)) == ["sweep.csv"]
 
     def test_single_value_sweep_matches_run(self, cache_env):
         out_csv = cache_env / "one.csv"
@@ -186,6 +248,27 @@ class TestCompletedInterfaces:
         rows = sweep_config(str(path), "resolution", [1024, 2048, 4096], str(out))
         residuals = [row["fub.residual"] for row in rows]
         assert residuals[0] > residuals[1] > residuals[2]
+
+    def test_fubini_residual_2d_scalar_centres(self, cache_env, tmp_path):
+        # The op's blob centres are scalars: each stands for the same
+        # coordinate on every axis of a 2-D grid.
+        raw = {
+            "dilation": {"matrix": [[2.0, 0.0], [0.0, 3.0]]},
+            "grid": {"lower": [-4.0, -4.0], "upper": [4.0, 4.0], "resolution": [24, 24]},
+            "exponent": {"kind": "constant", "value": 1.0},
+            "compute": [{"name": "fub", "op": "fubini_residual"}],
+        }
+        path = tmp_path / "fub2d.json"
+        path.write_text(json.dumps(raw))
+        report, _ = run_config(str(path), str(cache_env / "fub2d_out.json"))
+        x0, x1 = np.meshgrid(*[np.linspace(-4.0, 4.0, 25)[:-1] + 1.0 / 6.0] * 2, indexing="ij")
+        blob = 0.0
+        for c, sd in ((0.5, 0.6), (-1.0, 0.9)):
+            r2 = (x0 - c) ** 2 + (x1 - c) ** 2
+            blob = blob + np.exp(-r2 / (2 * sd**2)) * (np.sqrt(r2) < 3 * sd)
+        cell = (8.0 / 24) ** 2
+        expected = sum(np.sum((w * blob) ** 2) * cell for w in (0.6, 0.8, 1.0, 0.5))
+        assert report["values"]["fub"]["layer_side"] == pytest.approx(expected, rel=1e-12)
 
     def test_epsilon_sweep_kernel_ratio(self, cache_env, tmp_path):
         raw = json.loads(open(QUICK).read())

@@ -12,8 +12,10 @@ from anivex.grid import (
     integrate_on_ball,
     kernel_grid,
     sample,
+    scaled_kernel_samples,
     uniform_grid,
 )
+from anivex.polyproj import multi_indices
 from anivex.serialization import load_grid_function, save_grid_function
 
 
@@ -123,6 +125,24 @@ class TestConvolveScaled:
         out = convolve_scaled(f, phi, d1, 0, moment_cancel=1)
         interior = boundary_margin(g1, 2.0).values > 0
         assert np.max(np.abs(out.values[interior])) < 1e-10
+
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_moment_cancel_2d_shear_order_2(self, k):
+        # Every discrete moment of degree <= 2 of the corrected samples
+        # vanishes on the offset lattice, under a non-diagonalizable A.
+        d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
+        g = uniform_grid([-4.0, -4.0], [4.0, 4.0], 64)
+        kernel = sample(
+            kernel_grid(g.spacing, 0.5),
+            lambda x, y: np.exp(-8.0 * (x**2 + 2.0 * y**2)) * (1.0 + x + 0.5 * y),
+        )
+        vals = scaled_kernel_samples(kernel, d, k, g, moment_cancel=2)
+        axes = [(np.arange(n) - (n - 1) // 2) * h for n, h in zip(vals.shape, g.spacing)]
+        xs, ys = np.meshgrid(*axes, indexing="ij")
+        for gx, gy in multi_indices(2, 2):
+            mono = xs**gx * ys**gy
+            moment = np.sum(vals * mono)
+            assert abs(moment) <= 1e-10 * np.sum(np.abs(vals * mono))
 
     def test_translation_equivariance(self, d1):
         g = uniform_grid([-8.0], [8.0], 1024)

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from anivex.dilation import new_dilation
+from anivex.errors import CorruptFile, ToolkitError
 from anivex.exponents import constant_exponent
-from anivex.grid import uniform_grid
-from anivex.serialization import load_scale_function, save_scale_function, save_tent_atoms
+from anivex.grid import GridFunction, uniform_grid
+from anivex.serialization import (
+    load_grid_function,
+    load_scale_function,
+    save_grid_function,
+    save_scale_function,
+    save_tent_atoms,
+)
 from anivex.tent import ScaleFunction, tent_atomic_decomposition
 
 
@@ -73,3 +80,41 @@ def test_atomic_rep_roundtrip(setup, tmp_path):
     assert back.terms[0][0] == 0.4
     assert np.array_equal(back.terms[1][1].values.values, a2.values.values)
     assert back.terms[1][1].validation.passed
+
+
+def _saved_blocks(setup, tmp_path):
+    """One saved AVXG and one saved AVXS file, each with its loader."""
+    _, g, _ = setup
+    rng = np.random.default_rng(2)
+    grid_path = tmp_path / "f.avxg"
+    save_grid_function(GridFunction(g, rng.normal(size=g.resolution)), grid_path)
+    scale_path = tmp_path / "sf.avxs"
+    save_scale_function(ScaleFunction(g, -2, 1, rng.normal(size=(4,) + g.resolution)), scale_path)
+    return [(grid_path, load_grid_function), (scale_path, load_scale_function)]
+
+
+def _assert_corrupt(load, path):
+    with pytest.raises(CorruptFile) as info:
+        load(path)
+    assert isinstance(info.value, ToolkitError) and isinstance(info.value, ValueError)
+    assert str(path) in str(info.value)
+
+
+def test_truncated_header_is_corrupt_file(setup, tmp_path):
+    for path, load in _saved_blocks(setup, tmp_path):
+        path.write_bytes(path.read_bytes()[:10])
+        _assert_corrupt(load, path)
+
+
+def test_unknown_dtype_code_is_corrupt_file(setup, tmp_path):
+    for path, load in _saved_blocks(setup, tmp_path):
+        data = bytearray(path.read_bytes())
+        data[5] = 7  # the u8 dtype code after magic and version
+        path.write_bytes(bytes(data))
+        _assert_corrupt(load, path)
+
+
+def test_payload_size_mismatch_is_corrupt_file(setup, tmp_path):
+    for path, load in _saved_blocks(setup, tmp_path):
+        path.write_bytes(path.read_bytes()[:-4])
+        _assert_corrupt(load, path)
