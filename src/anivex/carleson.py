@@ -4,10 +4,13 @@ the reproducing-pair checks tying pairings to tent masses.
 The Carleson value of a density mu is the supremum over weighted ball
 configurations of the aggregation quotient built from square roots of tent
 masses; as with the oscillation norms, the search reports a certified lower
-bound.  Analyzing functions are derivative tensors of a smooth bump, so
-their moments vanish analytically, and their Fourier transforms stay
-bounded below on the step-norm annulus by construction (measured, with one
-retry at a narrower width).
+bound.  Analyzing functions are derivative tensors of the smooth bump
+psi(u) = exp(-1/(1-u^2)), so their moments vanish analytically, and their
+Fourier transforms stay bounded below on the step-norm annulus by
+construction (measured, with one retry at a narrower width).  The
+derivatives come from the exact recurrence psi^(n) = P_n psi / (1-u^2)^(2n),
+P_0 = 1, P_{n+1} = (1-u^2)^2 P_n' + (4n u (1-u^2) - 2u) P_n
+(grid._bump_derivative).
 """
 
 from dataclasses import dataclass
@@ -17,7 +20,16 @@ import numpy as np
 from .campanato import prefix_quotients, search_objective
 from .errors import FourierBoundFailure
 from .exponents import indicator_norm
-from .grid import _box_corners, boundary_margin, convolve_scaled, integrate, kernel_grid, sample
+from .grid import (
+    _box_corners,
+    _cancel_discrete_moments,
+    boundary_margin,
+    bump_kernel,
+    convolve_scaled,
+    integrate,
+    sample,
+)
+from .polyproj import moments as poly_moments
 from .search import default_scale_window, supremum_search
 from .tent import ScaleFunction, lusin_area, tent_atomic_decomposition, tent_members
 
@@ -80,31 +92,6 @@ def carleson_prefix_check(mu, entries, p, d, eta=None, tol=1e-6, tail_window=20)
 
 # -- analyzing functions --------------------------------------------------------
 
-_BUMP_DERIVATIVES = {}
-
-
-def _bump_derivative(order):
-    """order-th derivative of exp(-1/(1-u^2)) on (-1,1), zero outside."""
-    if order not in _BUMP_DERIVATIVES:
-        import sympy as sp
-
-        u = sp.symbols("u")
-        expr = sp.diff(sp.exp(-1 / (1 - u**2)), u, order)
-        raw = sp.lambdify(u, expr, "numpy")
-
-        def fn(x, raw=raw):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            inside = np.abs(x) < 1.0 - 1e-9
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = raw(x[inside])
-            out[inside] = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
-            return out
-
-        _BUMP_DERIVATIVES[order] = fn
-    return _BUMP_DERIVATIVES[order]
-
-
 @dataclass
 class AnalyzingReport:
     moments: np.ndarray
@@ -130,36 +117,21 @@ def build_analyzing_function(d, s, grid, width_factor=0.9, annulus_samples=64, s
     axis, and the sampled kernel is corrected so the discrete moments vanish
     exactly on its own lattice.
     """
-    from .grid import _cancel_discrete_moments
-    from .polyproj import moments as poly_moments
-
     a_norm = float(np.linalg.norm(d.matrix))  # Frobenius
     rho_lo = 1.0 / (2.0 * a_norm)
 
     lam_max = float(np.linalg.eigvalsh(d.shape).max())
     base_width = width_factor * np.sqrt(d.level_c / (d.n * lam_max))
 
-    deriv = _bump_derivative(s + 1)
     last_error = None
-    for attempt, shrink in enumerate((1.0, 0.7)):
+    for shrink in (1.0, 0.7):
         w = base_width * shrink
-        kg = kernel_grid(grid.spacing, np.full(d.n, w))
-
-        def tensor(*axes, w=w):
-            out = np.ones_like(axes[0])
-            for ax in axes:
-                out = out * deriv(ax / w)
-            return out
-
-        phi = sample(kg, tensor)
+        phi = bump_kernel(grid.spacing, w, s + 1)
         peak = float(np.max(np.abs(phi.values)))
         if peak == 0.0:
             raise FourierBoundFailure("kernel sampled to zero; grid too coarse")
         phi = phi.with_values(phi.values / peak)
-        corrected = _cancel_discrete_moments(
-            phi.values, kg.points(), s
-        )
-        phi = phi.with_values(corrected)
+        phi = phi.with_values(_cancel_discrete_moments(phi.values, phi.grid.points(), s))
 
         rng = np.random.default_rng(seed)
         half1 = d.ball_bounding_halfwidths(1)

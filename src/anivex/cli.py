@@ -25,7 +25,7 @@ from . import hardy
 from .config import ExperimentConfig, load_raw
 from .errors import ConfigError, ToolkitError
 from .exponents import check_log_holder, luxemburg_norm
-from .suites import SUITE_NAMES, _bump, fubini_residual, run_suite
+from .suites import SUITE_NAMES, fubini_residual, run_suite
 
 REPORT_SCHEMA = "anivex-report/1"
 
@@ -73,9 +73,7 @@ def _classic_functional(cfg, spec, f):
 
 def _hardy_estimate(cfg, spec, f):
     window = tuple(cfg.params.get("scale_window", (-6, 4)))
-    # An analyzing kernel has vanishing integral; the radial maximal
-    # function needs a unit-mass bump instead.
-    bump = _bump(cfg.grid.spacing, 0.5)
+    bump = hardy.maximal_bump(cfg.grid.spacing, 0.5)
     return hardy.hardy_norm_estimate(f, bump, cfg.exponent, cfg.dilation, window, margin=1.0)
 
 

@@ -220,15 +220,16 @@ class Dilation:
         levels = np.zeros(npts, dtype=int)
         undecided = ~zero
         cap = self.level_cap
+        origin = np.zeros(self.n)
         if undecided.any():
             idx = np.nonzero(undecided)[0]
-            too_deep = self.form_values(pts[idx], -cap) < self.level_c
+            too_deep = self.ball_contains_many(self.ball(origin, -cap), pts[idx])
             if too_deep.any():
                 raise ScaleOverflow("point inside B_k at the bottom of the level cap")
         m = -cap + 1
         while m <= cap and undecided.any():
             idx = np.nonzero(undecided)[0]
-            inside = self.form_values(pts[idx], m) < self.level_c
+            inside = self.ball_contains_many(self.ball(origin, m), pts[idx])
             hit = idx[inside]
             levels[hit] = m - 1
             undecided[hit] = False

@@ -50,10 +50,6 @@ class Exponent:
         self.log_holder_report = None
         self._indicator_cache = {}
 
-    @property
-    def is_constant(self):
-        return self.p_minus == self.p_plus
-
 
 def constant_exponent(grid, q, p_infinity=None):
     if p_infinity is None:

@@ -163,6 +163,46 @@ def kernel_grid(spacing, halfwidth):
     return Grid(tuple(lower), tuple(upper), tuple(2 * m + 1))
 
 
+def _bump_derivative(order):
+    """order-th derivative of the bump psi(u) = exp(-1/(1-u^2)) on (-1, 1),
+    zero outside.
+
+    psi^(n) = P_n psi / (1-u^2)^(2n) with P_0 = 1 and the exact recurrence
+    P_{n+1} = (1-u^2)^2 P_n' + (4n u (1-u^2) - 2u) P_n.  On |u| < 1 - 1e-9
+    the value is P_n(u) exp(-1/(1-u^2) - 2n log(1-u^2)): the vanishing
+    factor and the blowing-up one share one exponent, so no inf * 0 arises.
+    """
+    u = np.polynomial.Polynomial([0.0, 1.0])
+    gap = 1.0 - u**2
+    poly = np.polynomial.Polynomial([1.0])
+    for n in range(order):
+        poly = gap**2 * poly.deriv() + (4 * n * u * gap - 2 * u) * poly
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        inside = np.abs(x) < 1.0 - 1e-9
+        t = x[inside]
+        g = 1.0 - t**2
+        out[inside] = poly(t) * np.exp(-1.0 / g - 2 * order * np.log(g))
+        return out
+
+    return fn
+
+
+def bump_kernel(spacing, radius, order):
+    """prod_i psi^(order)(x_i / radius), sampled on kernel_grid(spacing, radius)."""
+    deriv = _bump_derivative(order)
+
+    def tensor(*axes):
+        out = np.ones_like(axes[0])
+        for ax in axes:
+            out = out * deriv(ax / radius)
+        return out
+
+    return sample(kernel_grid(spacing, radius), tensor)
+
+
 def _offset_lattice(grid, halfwidths, pad=0):
     """Centred integer-offset lattice covering the halfwidths plus pad cells,
     capped at the full difference range of the grid.

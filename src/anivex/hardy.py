@@ -15,7 +15,14 @@ import numpy as np
 from .campanato import CampanatoParams, minimal_admissible_degree, variant_inf_functional
 from .errors import DegenerateSeed
 from .exponents import indicator_norm, luxemburg_norm
-from .grid import GridFunction, ball_lattice_mask, boundary_margin, convolve_scaled, integrate
+from .grid import (
+    GridFunction,
+    ball_lattice_mask,
+    boundary_margin,
+    bump_kernel,
+    convolve_scaled,
+    integrate,
+)
 from .polyproj import _design_matrix, minimizing_polynomial, moments, multi_indices, refine_lq
 from .search import BallConfiguration
 
@@ -110,6 +117,13 @@ def finite_atomic_norm(rep, p, d):
     from .campanato import aggregate_norm
 
     return aggregate_norm(rep.configuration(), p, p.underline_p, d)
+
+
+def maximal_bump(spacing, halfwidth):
+    """Unit-mass bump of radius 0.999 * halfwidth per axis.  An analyzing
+    kernel has vanishing integral; the radial maximal function needs this."""
+    bump = bump_kernel(spacing, 0.999 * halfwidth, 0)
+    return bump.with_values(bump.values / integrate(bump))
 
 
 def radial_maximal(f, phi, d, k_range=DEFAULT_SCALE_RANGE, margin=0.0):

@@ -37,13 +37,14 @@ class SearchResult:
     candidates_seen: int
 
 
-def default_scale_window(d, grid, min_points=4):
-    """Ball scales from a few lattice cells up to the box volume."""
+def default_scale_window(d, grid, min_points):
+    """Ball scales from min_points lattice cells up to the box volume, kept
+    omega + 1 levels inside the level cap so omega-expanded guards exist."""
     box_volume = float(np.prod(np.asarray(grid.upper) - np.asarray(grid.lower)))
     logb = np.log(d.b)
     k_min = int(np.ceil(np.log(min_points * grid.cell_volume) / logb))
     k_max = int(np.floor(np.log(box_volume) / logb))
-    cap = d.level_cap - 1
+    cap = d.level_cap - d.omega - 1
     k_min = max(k_min, -cap)
     k_max = min(max(k_max, k_min), cap)
     return (k_min, k_max)

@@ -27,8 +27,6 @@ from .grid import (
     GridFunction,
     ball_lattice_mask,
     boundary_margin,
-    integrate,
-    kernel_grid,
     sample,
     uniform_grid,
 )
@@ -67,23 +65,6 @@ def _desk_1d(resolution=4096):
     d = new_dilation([[2.0]])
     g = uniform_grid([-8.0], [8.0], resolution)
     return d, g
-
-
-def _bump(spacing, halfwidth, normalize=True):
-    kg = kernel_grid(spacing, halfwidth)
-    w = 0.999 * halfwidth
-
-    def f(x):
-        u = np.clip(x / w, -1.0, 1.0)
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-        return out
-
-    gf = sample(kg, f)
-    if normalize:
-        gf = gf.with_values(gf.values / integrate(gf))
-    return gf
 
 
 def suite_geometry(samples=10_000, mc_samples=1_000_000):
@@ -306,7 +287,7 @@ def suite_duality(chains=10):
         CheckResult("dilation-growth-slope", growth.passed, growth.slope, note=f"bound {growth.bound}")
     )
 
-    phi = _bump(g.spacing, 0.5)
+    phi = hardy.maximal_bump(g.spacing, 0.5)
     ratios = []
     rng2 = np.random.default_rng(19)
     for _ in range(4):

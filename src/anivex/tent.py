@@ -26,6 +26,7 @@ from scipy.signal import fftconvolve
 from .errors import CoverFailure
 from .exponents import indicator_norm
 from .grid import GridFunction, _offset_lattice
+from .search import default_scale_window
 
 __all__ = [
     "ScaleFunction",
@@ -41,7 +42,6 @@ __all__ = [
     "tent_atom_validate",
     "TentAtomSet",
     "TentAtomEntry",
-    "default_cover_window",
 ]
 
 
@@ -247,15 +247,6 @@ class CoverBall:
     guarded: bool
 
 
-def default_cover_window(d, grid):
-    logb = np.log(d.b)
-    k_cell = int(np.ceil(np.log(grid.cell_volume) / logb))
-    box_volume = float(np.prod(np.asarray(grid.upper) - np.asarray(grid.lower)))
-    k_box = int(np.floor(np.log(box_volume) / logb))
-    cap = d.level_cap - d.omega - 1
-    return (max(k_cell, -cap), min(max(k_box, k_cell), cap))
-
-
 def whitney_cover(mask, d, grid, cover_window):
     """Greedy cover of a lattice set by balls whose omega-expanded guards stay
     inside it.
@@ -285,9 +276,7 @@ def whitney_cover(mask, d, grid, cover_window):
         if not guarded:
             k = k_lo
         fp = ball_footprint(d, grid, k)
-        stamp = _paste_centered(grid.resolution, fp, idx)
-        stamp[idx] = True
-        covered |= stamp
+        covered |= _paste_centered(grid.resolution, fp, idx)
         center = np.array([ax[i] for ax, i in zip(axes, idx)])
         balls.append(CoverBall(tuple(int(i) for i in idx), center, k, guarded))
     return balls
@@ -343,13 +332,6 @@ class TentAtomSet:
             acc.ravel()[e.node_indices] += e.g_values
         return self.template.with_values(acc)
 
-    def absolute_reconstruction(self):
-        """Sum of weight * |atom|, which likewise rebuilds |G| exactly."""
-        acc = np.zeros(self.template.values.shape)
-        for e in self.entries:
-            acc.ravel()[e.node_indices] += np.abs(e.g_values)
-        return self.template.with_values(acc)
-
     def covered_mask(self):
         mask = np.zeros(self.template.values.size, dtype=bool)
         for e in self.entries:
@@ -387,7 +369,7 @@ def tent_atomic_decomposition(
     """
     grid = G.grid
     if cover_window is None:
-        cover_window = default_cover_window(d, grid)
+        cover_window = default_scale_window(d, grid, min_points=1)
     if hl_window is None:
         hl_window = cover_window
 
@@ -452,7 +434,6 @@ def tent_atomic_decomposition(
                 break
             fp = ball_footprint(d, grid, cover.scale)
             ball_mask = _paste_centered(grid.resolution, fp, cover.center_index)
-            ball_mask[cover.center_index] = True
             piece = ball_mask & ~claimed_base
             claimed_base |= ball_mask
             if not piece.any():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,6 +43,20 @@ def phi1(d1, g1):
     phi, report = build_analyzing_function(d1, 1, g1)
     assert report.fourier_lower_bound >= 1e-6
     return phi
+
+
+def test_analyzing_function_loads_no_sympy():
+    code = (
+        "import sys\n"
+        "from anivex.carleson import build_analyzing_function\n"
+        "from anivex.dilation import new_dilation\n"
+        "from anivex.grid import uniform_grid\n"
+        "build_analyzing_function(new_dilation([[2.0]]), 1, uniform_grid([-8.0], [8.0], 512))\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestTentMass:

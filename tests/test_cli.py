@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from anivex import hardy
 from anivex.cli import main, run_config, sweep_config
 from anivex.config import ExperimentConfig, compile_expression
 from anivex.errors import ConfigError, UnknownSuite
@@ -172,6 +173,53 @@ class TestRun:
         report, _ = run_config(QUICK, str(cache_env / "echo.json"))
         assert report["checks"] == []
         assert report["all_passed"]
+
+
+def _hardy_2d_config(tmp_path, params):
+    raw = {
+        "dilation": {"matrix": [[2.0, 0.0], [0.0, 3.0]]},
+        "grid": {"lower": [-4.0, -4.0], "upper": [4.0, 4.0], "resolution": [32, 32]},
+        "exponent": {"kind": "constant", "value": 1.5},
+        "functions": {"f": {"kind": "expression", "formula": "sin(x0) * exp(-(x0**2 + x1**2) / 4)"}},
+        "params": params,
+        "compute": [{"name": "h", "op": "hardy_estimate", "function": "f"}],
+    }
+    path = tmp_path / "hardy2d.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestHardyEstimate:
+    def test_2d_runs(self, cache_env, tmp_path):
+        path = _hardy_2d_config(tmp_path, {"s": 0, "scale_window": [-3, 1]})
+        out = cache_env / "h2d.json"
+        assert main(["run", "--config", path, "--out", str(out), "--no-cache"]) == 0
+        value = json.loads(out.read_text())["values"]["h"]
+        assert np.isfinite(value) and value > 0.0
+
+    def test_2d_default_window_is_typed_error(self, cache_env, tmp_path, capsys):
+        # Scale -6 shrinks the bump below one cell of the 32^2 grid.
+        path = _hardy_2d_config(tmp_path, {"s": 0})
+        out = cache_env / "h2d_fine.json"
+        assert main(["run", "--config", path, "--out", str(out), "--no-cache"]) == 1
+        errors = json.loads(out.read_text())["errors"]
+        assert [e["name"] for e in errors] == ["h"]
+        assert errors[0]["error"].startswith("ScaleTooFine")
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_1d_equals_hardy_norm_estimate(self, cache_env, tmp_path):
+        path = _write_config(
+            tmp_path,
+            params={**_quick_params(), "scale_window": [-3, 2]},
+            compute=[{"name": "h", "op": "hardy_estimate", "function": "f"}],
+        )
+        report, _ = run_config(path, str(cache_env / "h1d.json"), use_cache=False)
+        cfg = ExperimentConfig.from_path(path)
+        bump = hardy.maximal_bump(cfg.grid.spacing, 0.5)
+        expect = hardy.hardy_norm_estimate(
+            cfg.functions["f"], bump, cfg.exponent, cfg.dilation, (-3, 2), margin=1.0
+        )
+        assert report["values"]["h"] == expect
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anivex import grid as gr
 from anivex.dilation import new_dilation
 from anivex.errors import EmptyMask, ScaleTooFine
 from anivex.grid import (
@@ -44,6 +45,56 @@ def bump_kernel(spacing, halfwidth, normalize=True):
     if normalize:
         gf = gf.with_values(gf.values / integrate(gf))
     return gf
+
+
+class TestBumpFamily:
+    """psi(u) = exp(-1/(1-u^2)) and its derivatives from the polynomial
+    recurrence, checked against closed forms and finite differences."""
+
+    def test_orders_1_and_2_match_closed_forms(self):
+        u = np.linspace(-0.999, 0.999, 20001)
+        gap = 1.0 - u**2
+        psi = np.exp(-1.0 / gap)
+        closed = {1: -2.0 * u / gap**2 * psi, 2: (6.0 * u**4 - 2.0) / gap**4 * psi}
+        for order, expect in closed.items():
+            got = gr._bump_derivative(order)(u)
+            # Relative to the peak: order 2 changes sign, where pointwise
+            # relative error is meaningless.
+            assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+    def test_order_3_is_derivative_of_order_2(self):
+        u = np.linspace(-0.95, 0.95, 2001)
+        h = 1e-5
+        d2 = gr._bump_derivative(2)
+        fd = (d2(u + h) - d2(u - h)) / (2.0 * h)
+        got = gr._bump_derivative(3)(u)
+        assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_finite_towards_the_edge(self, order):
+        edge = 1.0 - np.logspace(-1, -15, 300)
+        u = np.concatenate([edge, -edge, [1.0, -1.0, 1.5, -2.0]])
+        vals = gr._bump_derivative(order)(u)
+        assert np.all(np.isfinite(vals))
+        assert np.all(vals[-4:] == 0.0)
+
+    def test_2d_kernel_factorises_with_unit_mass(self):
+        spacing = np.array([0.05, 0.1])
+        phi = gr.bump_kernel(spacing, 0.6, 0)
+        x, y = phi.grid.axes()
+        psi = gr._bump_derivative(0)
+        assert np.array_equal(phi.values, np.multiply.outer(psi(x / 0.6), psi(y / 0.6)))
+        unit = phi.with_values(phi.values / integrate(phi))
+        assert integrate(unit) == pytest.approx(1.0, rel=1e-14)
+        assert phi.grid.key() == kernel_grid(spacing, 0.6).key()
+
+    def test_maximal_bump_equals_reference_bump_in_1d(self, g1):
+        from anivex.hardy import maximal_bump
+
+        ref = bump_kernel(g1.spacing, 0.5)
+        got = maximal_bump(g1.spacing, 0.5)
+        assert got.grid.key() == ref.grid.key()
+        assert np.array_equal(got.values, ref.values)
 
 
 class TestIntegrate:

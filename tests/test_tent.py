@@ -260,11 +260,10 @@ class TestDecomposition:
         recon = atoms.reconstruction()
         # Exact reconstruction on covered nodes, in value and in modulus.
         assert np.array_equal(recon.values[covered], G.values[covered])
-        acc_abs = atoms.absolute_reconstruction()
         node_count = np.zeros(G.values.size)
         for e in atoms.entries:
             node_count[e.node_indices] += 1
-        assert np.array_equal(acc_abs.values[covered], np.abs(G.values)[covered])
+        assert np.array_equal(np.abs(recon.values)[covered], np.abs(G.values)[covered])
         assert node_count.max() <= 1  # disjoint supports
         assert atoms.leakage_ratio <= 0.01
         # Pointwise bound with equality on the support.
