@@ -31,7 +31,7 @@ from .grid import (
 )
 from .polyproj import moments as poly_moments
 from .search import default_scale_window, supremum_search
-from .tent import ScaleFunction, lusin_area, tent_atomic_decomposition, tent_members
+from .tent import ScaleFunction, area_l2_weights, tent_atomic_decomposition, tent_members
 
 __all__ = [
     "tent_mass",
@@ -350,6 +350,7 @@ def carleson_duality_check(
     fub_lo, fub_hi = np.inf, -np.inf
     size_max = 0.0
     abs_phi = np.abs(phi_side.values)
+    area_weights = area_l2_weights(d, grid, scale_window)
     for entry in atoms.entries:
         lhs = float(
             np.sum(np.abs(entry.node_values) * abs_phi.ravel()[entry.node_indices]) * cv
@@ -360,8 +361,8 @@ def carleson_duality_check(
         cs_slack = min(cs_slack, entry.weight * (rhs - lhs))
         tent_bound_total += entry.weight * rhs
 
-        atom_sf = entry.scale_function(atoms.template)
-        area_l2 = float(np.sqrt(np.sum(lusin_area(atom_sf, d).values ** 2) * cv))
+        area_sq = np.dot(np.abs(entry.node_values) ** 2, area_weights[entry.node_indices])
+        area_l2 = cv * float(np.sqrt(area_sq))
         if a_l2 > 0:
             ratio = area_l2 / a_l2
             fub_lo, fub_hi = min(fub_lo, ratio), max(fub_hi, ratio)

@@ -4,17 +4,20 @@ execute verification suites.
 Reports are canonical JSON (sorted keys, repr floats), so identical
 (config, seed, version) runs produce byte-identical files; wall-clock timing
 goes to a separate .timing.json sidecar to keep the report deterministic.
-Completed runs are cached under the SHA-256 of the canonicalized config.
+Completed runs are cached under a SHA-256 of the canonicalized config and
+the package source, so a code change never serves a stale report.  Reports,
+sidecars and cache files are written atomically.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
-import shutil
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +39,27 @@ def _cache_dir():
 
 def _canonical_json(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@functools.cache
+def _source_digest():
+    """SHA-256 over the names and bytes of the package's *.py files."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def _write_atomic(path, text):
+    """Write text to a temporary file beside path, then rename it over path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _luxemburg_norm(cfg, spec, f):
@@ -149,12 +173,13 @@ def run_config(config_path, out_path, seed=None, budget=None, resolution=None, u
         json.dumps(digest_src, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
 
-    cache_file = os.path.join(_cache_dir(), f"{digest}.json")
+    cache_key = hashlib.sha256((digest + _source_digest()).encode()).hexdigest()
+    cache_file = os.path.join(_cache_dir(), f"{cache_key}.json")
     if use_cache and os.path.exists(cache_file):
-        shutil.copyfile(cache_file, out_path)
-        with open(out_path) as fh:
-            report = json.load(fh)
-        return report, True
+        with open(cache_file) as fh:
+            text = fh.read()
+        _write_atomic(out_path, text)
+        return json.loads(text), True
 
     started = time.time()
     values = {}
@@ -181,13 +206,10 @@ def run_config(config_path, out_path, seed=None, budget=None, resolution=None, u
         "all_passed": bool(all(c["passed"] for c in checks)) and not errors,
     }
     text = _canonical_json(report)
-    with open(out_path, "w") as fh:
-        fh.write(text)
-    with open(str(out_path) + ".timing.json", "w") as fh:
-        json.dump({"seconds": time.time() - started}, fh)
+    _write_atomic(out_path, text)
+    _write_atomic(f"{out_path}.timing.json", json.dumps({"seconds": time.time() - started}))
     os.makedirs(_cache_dir(), exist_ok=True)
-    with open(cache_file, "w") as fh:
-        fh.write(text)
+    _write_atomic(cache_file, text)
     return report, False
 
 

@@ -26,7 +26,7 @@ class ScaleTooFine(ToolkitError):
 
 
 class NonFinite(ToolkitError):
-    """A norm bracketing step produced no finite bracket."""
+    """A norm computation produced no finite positive value."""
 
 
 class NotConjugable(ToolkitError):

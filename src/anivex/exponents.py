@@ -1,10 +1,10 @@
 """Variable exponents p(.), the modular, and the Luxemburg quasi-norm.
 
-The Luxemburg norm inf{lam > 0: modular(f/lam) <= 1} is computed by
-exponential bracketing plus bisection; on a finite grid the modular is
-continuous and strictly decreasing in lam wherever it is positive, so the
-bracket always closes.  Log-Holder checking is diagnostic only and never
-gates any other operation.
+The Luxemburg norm inf{lam > 0: modular(f/lam) <= 1} is found by Newton's
+method on g(t) = log modular(f/e^t), a log-sum-exp of decreasing lines:
+convex for every p(.) > 0, p < 1 included, and a line for constant p.  A
+guard then makes the unit-modular property exact.  Log-Holder checking is
+diagnostic only and never gates any other operation.
 """
 
 from dataclasses import dataclass
@@ -13,9 +13,6 @@ import numpy as np
 
 from .errors import EmptyMask, NonFinite, NotConjugable
 from .grid import GridFunction, ball_lattice_mask, sample
-
-BISECTION_RTOL = 1e-12
-BISECTION_MAX_ITER = 200
 
 
 @dataclass
@@ -76,51 +73,46 @@ def _modular_of_scaled(abs_vals, p_vals, cell_volume, lam):
 def luxemburg_norm(f, p):
     """inf{lam > 0: modular(f/lam) <= 1}; 0 iff f vanishes on the lattice.
 
-    Returns the upper end of the final bracket, so the unit-modular property
-    modular(f/norm) <= 1 holds by construction.
+    Newton steps -g/g' from where one cell's term alone is one (g >= 0) rise
+    onto the root of the convex, decreasing g without passing it; the guard
+    then raises the resulting lam by 4 eps, 8 eps, ... until the full-array
+    modular(f/lam) <= 1, so the unit-modular property holds by construction.
     """
     if f.grid.key() != p.grid.key():
         raise ValueError("function and exponent live on different grids")
     a = np.abs(np.asarray(f.values))
-    if not np.any(a > 0.0):
-        return 0.0
     pv = p.values.values
     cv = f.grid.cell_volume
+    keep = a > 0.0
+    if not keep.any():
+        return 0.0
 
-    lam = float(np.max(a))
-    if lam <= 0.0 or not np.isfinite(lam):
-        raise NonFinite("no finite bracket start")
-    val = _modular_of_scaled(a, pv, cv, lam)
-    if val <= 1.0:
-        hi = lam
-        lo = lam
-        for _ in range(2000):
-            lo /= 2.0
-            if _modular_of_scaled(a, pv, cv, lo) > 1.0:
-                break
-            hi = lo
-        else:
-            return 0.0
-    else:
-        lo = lam
-        hi = lam
-        for _ in range(2000):
-            hi *= 2.0
-            if _modular_of_scaled(a, pv, cv, hi) <= 1.0:
-                break
-            lo = hi
-        else:
-            raise NonFinite("modular stayed above one for every bracket")
-
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= BISECTION_RTOL * hi:
+    # t is measured from log max|f|, so its rounding does not grow with |f|.
+    top = float(a.max())
+    q = pv[keep]
+    log_w = q * np.log(a[keep] / top) + np.log(cv)
+    t = float(np.max(log_w / q))
+    tiny = 4.0 * np.finfo(float).eps
+    for _ in range(60):  # a safety net: Newton converges in a handful of steps
+        z = log_w - q * t
+        z_max = float(z.max())
+        e = np.exp(z - z_max)
+        total = float(e.sum())
+        step = (z_max + np.log(total)) * total / float(np.dot(q, e))
+        if not 0.0 < step < np.inf:
             break
-        mid = 0.5 * (lo + hi)
-        if _modular_of_scaled(a, pv, cv, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+        t += step
+        if step <= tiny * max(abs(t), 1.0):
+            break
+
+    lam = top * float(np.exp(t))
+    nudge = tiny
+    while 0.0 < lam < np.inf and _modular_of_scaled(a, pv, cv, lam) > 1.0:
+        lam *= 1.0 + nudge
+        nudge *= 2.0
+    if not 0.0 < lam < np.inf:
+        raise NonFinite(f"Luxemburg norm {lam!r} is not a finite positive number")
+    return lam
 
 
 def indicator_norm(d, ball, p):

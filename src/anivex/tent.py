@@ -193,6 +193,18 @@ def lusin_area(G, d):
     return GridFunction(grid, np.sqrt(np.maximum(acc, 0.0)))
 
 
+def area_l2_weights(d, grid, scale_window):
+    """Weights w, flat over (scales x lattice), with ||A(G)||_2^2 = cell^2 sum |G|^2 w:
+    by lattice Fubini and symmetric footprints, node (y, l) counts b^-l once
+    for each box point x with y in x + B_l (box indicator * footprint)."""
+    box = np.ones(grid.resolution)
+    return np.concatenate([
+        np.rint(fftconvolve(box, ball_footprint(d, grid, ell).astype(float), mode="same")).ravel()
+        / d.bpow(ell)
+        for ell in range(scale_window[0], scale_window[1] + 1)
+    ])
+
+
 def _ball_averages(values, d, grid, scale_window):
     """(footprint, count-normalized ball mean of values at every lattice
     point) for each window scale whose footprint holds a lattice point."""
@@ -294,24 +306,18 @@ class TentAtomEntry:
     node_indices: np.ndarray  # flat indices into the (nscales, *res) array
     g_values: np.ndarray  # raw samples of G on the claimed nodes
     amplitude: float  # 2^-j / ||1_B||; atom samples are amplitude * g_values
+    template: ScaleFunction = field(repr=False, compare=False)  # zeros shared by the set
 
     @property
     def node_values(self):
         return self.amplitude * self.g_values
 
-    def scale_function(self, template):
-        vals = np.zeros(template.values.shape, dtype=float)
-        vals.ravel()[self.node_indices] = self.node_values
-        return template.with_values(vals)
-
     @property
     def atom(self):
         """The atom as a full scale function, built from the template on access."""
-        return self.scale_function(self._template)
-
-    def attach_template(self, template):
-        self._template = template
-        return self
+        vals = np.zeros(self.template.values.shape, dtype=float)
+        vals.ravel()[self.node_indices] = self.node_values
+        return self.template.with_values(vals)
 
 
 @dataclass
@@ -373,6 +379,7 @@ def tent_atomic_decomposition(
     if hl_window is None:
         hl_window = cover_window
 
+    template = G.with_values(np.zeros_like(G.values, dtype=float))
     total_mass = G.mass()
     if total_mass == 0.0:
         return TentAtomSet(
@@ -382,7 +389,7 @@ def tent_atomic_decomposition(
             gamma=gamma,
             cover_sizes={},
             unguarded_balls=0,
-            template=G.with_values(np.zeros_like(G.values)),
+            template=template,
         )
 
     area = lusin_area(G, d).values
@@ -472,14 +479,12 @@ def tent_atomic_decomposition(
                     node_indices=np.concatenate(claim_nodes),
                     g_values=np.concatenate(claim_values),
                     amplitude=float(2.0**-j / norm_1b),
+                    template=template,
                 )
             )
 
     leaked = float(np.sum(np.abs(G.values)[support & ~assigned]) * grid.cell_volume)
     ratio = leaked / total_mass
-    template = G.with_values(np.zeros_like(G.values, dtype=float))
-    for e in entries:
-        e.attach_template(template)
     atom_set = TentAtomSet(
         entries=entries,
         leakage_ratio=ratio,

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from anivex import hardy
+from anivex import cli, hardy
 from anivex.cli import main, run_config, sweep_config
 from anivex.config import ExperimentConfig, compile_expression
 from anivex.errors import ConfigError, UnknownSuite
@@ -147,6 +147,23 @@ class TestRun:
         assert report1["config_hash"] == report2["config_hash"]
         assert "f_luxemburg" in report1["values"]
         assert report1["values"]["f_campanato"]["value"] > 0
+
+    def test_cache_is_keyed_on_the_source(self, cache_env, monkeypatch):
+        out = cache_env / "out"
+        out.mkdir()
+        report, _ = run_config(QUICK, str(out / "r1.json"))
+        # A report cached under the config hash alone, as an older build of
+        # the code would have left it, must not be served.
+        stale = dict(report, values={"f_luxemburg": -1.0})
+        (cache_env / "cache" / f"{report['config_hash']}.json").write_text(json.dumps(stale))
+        again, cached = run_config(QUICK, str(out / "r2.json"))
+        assert cached and again["values"] == report["values"]
+        monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+        changed, cached = run_config(QUICK, str(out / "r3.json"))
+        assert not cached and changed["values"] == report["values"]
+        # Atomic writes leave no temporary files behind.
+        assert sorted(os.listdir(out)) == ["r1.json", "r1.json.timing.json", "r2.json", "r3.json", "r3.json.timing.json"]
+        assert len(os.listdir(cache_env / "cache")) == 3
 
     def test_reports_byte_identical_without_cache(self, cache_env):
         out1 = cache_env / "a.json"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anivex.dilation import new_dilation
@@ -15,7 +15,7 @@ from anivex.exponents import (
     luxemburg_norm,
     modular,
 )
-from anivex.grid import GridFunction, uniform_grid
+from anivex.grid import GridFunction, indicator, uniform_grid
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,96 @@ class TestLuxemburg:
         p = constant_exponent(g, q)
         f = GridFunction(g, np.full(g.resolution, scale))
         assert luxemburg_norm(f, p) == pytest.approx(scale, rel=1e-9)
+
+
+def _bisection_luxemburg(f, p):
+    """Reference: exponential bracketing, then bisection to 1e-15 of the
+    upper end, over the full array with the formula modular() uses."""
+    a = np.abs(f.values)
+    pv = p.values.values
+    cv = f.grid.cell_volume
+
+    def mod(lam):
+        with np.errstate(over="ignore", divide="ignore"):
+            return float(np.sum((a / lam) ** pv) * cv)
+
+    lo = hi = float(a.max())
+    while mod(lo) <= 1.0:
+        lo /= 2.0
+    while mod(hi) > 1.0:
+        hi *= 2.0
+    for _ in range(400):
+        if hi - lo <= 1e-15 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if mod(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _solver_case(ndim, kind, p_lo, p_hi, log_amp, support, seed):
+    """A grid, an exponent of the given kind with values in [p_lo, p_hi],
+    and a function of magnitude about 10**log_amp on the given support."""
+    g = uniform_grid([-8.0], [8.0], 512) if ndim == 1 else uniform_grid([-4.0, 0.0], [4.0, 6.0], (24, 20))
+    rng = np.random.default_rng(seed)
+    x = g.meshes()[0]
+    if kind == "constant":
+        pv = np.full(g.resolution, p_lo)
+    elif kind == "smooth":
+        pv = p_lo + (p_hi - p_lo) * np.sin(x + sum(g.meshes()[1:])) ** 2
+    else:  # a jump across x = 0.3
+        pv = np.where(x < 0.3, p_lo, p_hi)
+    vals = 10.0**log_amp * rng.normal(size=g.resolution) * 10.0 ** rng.uniform(-3, 3, size=g.resolution)
+    if support == "single":
+        keep = np.zeros(vals.size, dtype=bool)
+        keep[rng.integers(vals.size)] = True
+        vals = np.where(keep.reshape(g.resolution), vals, 0.0)
+    elif support == "sparse":
+        vals = np.where(rng.random(g.resolution) < 0.05, vals, 0.0)
+    return GridFunction(g, vals), Exponent(GridFunction(g, pv))
+
+
+class TestNewtonSolver:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        ndim=st.sampled_from((1, 2)),
+        kind=st.sampled_from(("constant", "smooth", "jump")),
+        p_pair=st.tuples(st.floats(0.3, 8.0), st.floats(0.3, 8.0)).map(sorted),
+        log_amp=st.floats(-100.0, 100.0),
+        support=st.sampled_from(("full", "sparse", "single")),
+        seed=st.integers(0, 2**16),
+    )
+    @example(ndim=1, kind="jump", p_pair=[0.3, 8.0], log_amp=100.0, support="full", seed=1)
+    @example(ndim=2, kind="smooth", p_pair=[0.3, 8.0], log_amp=-100.0, support="single", seed=2)
+    def test_unit_modular_bracket_and_reference(self, ndim, kind, p_pair, log_amp, support, seed):
+        f, p = _solver_case(ndim, kind, *p_pair, log_amp, support, seed)
+        norm = luxemburg_norm(f, p)
+        assert modular(f.with_values(f.values / norm), p) <= 1.0
+        assert modular(f.with_values(f.values / (norm * (1.0 - 1e-12))), p) > 1.0
+        ref = _bisection_luxemburg(f, p)
+        assert abs(norm - ref) <= 1e-11 * ref
+
+    def test_constant_exponent_closed_form(self, g1):
+        rng = np.random.default_rng(12)
+        for q in (0.3, 0.7, 1.0, 2.5, 8.0):
+            p = constant_exponent(g1, q)
+            for amp in 10.0 ** rng.uniform(-100.0, 100.0, size=10):
+                vals = rng.normal(size=g1.resolution) * 10.0 ** rng.uniform(-2, 2, size=g1.resolution)
+                closed = amp * (np.sum(np.abs(vals) ** q) * g1.cell_volume) ** (1.0 / q)
+                vals = amp * vals
+                assert luxemburg_norm(GridFunction(g1, vals), p) == pytest.approx(closed, rel=1e-14, abs=0)
+
+    def test_diag_indicator_matches_reference(self):
+        d = new_dilation([[2.0, 0.0], [0.0, 3.0]])
+        g = uniform_grid([-4.0, -4.0], [4.0, 4.0], (64, 64))
+        p = exponent_from_callable(g, lambda x, y: 1.2 + 0.8 * np.sin(x) ** 2 + 0.5 * (y > 0.3))
+        for center, k in (([0.0, 0.0], 0), ([0.7, -1.1], 1), ([-1.3, 0.4], -1), ([0.0, 0.0], 2)):
+            ball = d.ball(center, k)
+            got = indicator_norm(d, ball, p)
+            ref = _bisection_luxemburg(indicator(g, d, ball), p)
+            assert abs(got - ref) <= 1e-11 * ref
 
 
 class TestIndicatorNorm:

@@ -11,6 +11,7 @@ from anivex.grid import GridFunction, uniform_grid
 from anivex.search import BallConfiguration
 from anivex.tent import (
     ScaleFunction,
+    area_l2_weights,
     ball_footprint,
     hl_maximal,
     lusin_area,
@@ -309,6 +310,26 @@ def _indicator_of(ball, d, grid):
     from anivex.grid import indicator
 
     return indicator(grid, d, ball)
+
+
+class TestAreaFubini:
+    @pytest.mark.parametrize("case", ("1d", "shear"))
+    def test_weights_match_lusin_area_of_each_atom(self, d1, g1, p1, case):
+        if case == "1d":
+            d, g, p = d1, g1, p1
+            G = blob_scale_function(g, (-5, 1), [-1.5, 2.0], [0.5, 0.7], {-4: 1.0, -2: 0.6, 0: 0.3})
+        else:
+            d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
+            g = uniform_grid([-4.0, -4.0], [4.0, 4.0], (32, 32))
+            p = constant_exponent(g, 1.5)
+            G = blob_scale_function(g, (-2, 1), [[0.5, -0.5]], [1.0], {-2: 1.0, -1: 0.7, 1: 0.4})
+        atoms = tent_atomic_decomposition(G, p, d, leakage_bound=np.inf)
+        assert len(atoms.entries) >= 5
+        weights = area_l2_weights(d, g, (G.l_min, G.l_max))
+        for e in atoms.entries:
+            want = np.sqrt(np.sum(lusin_area(e.atom, d).values ** 2) * g.cell_volume)
+            got = g.cell_volume * np.sqrt(np.dot(np.abs(e.node_values) ** 2, weights[e.node_indices]))
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestLazyAtom:
