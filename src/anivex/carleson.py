@@ -11,6 +11,12 @@ construction (measured, with one retry at a narrower width).  The
 derivatives come from the exact recurrence psi^(n) = P_n psi / (1-u^2)^(2n),
 P_0 = 1, P_{n+1} = (1-u^2)^2 P_n' + (4n u (1-u^2) - 2u) P_n
 (grid._bump_derivative).
+
+The kernel's transform phi-hat, at the annulus samples and at the dilated
+FFT frequencies (A^T)^l xi of every scale of the duality check, is one
+polynomial in z_i = exp(-2 pi i h_i xi_i) on the kernel's lattice, summed
+by nested Horner (_fourier_at): n + 1 exponentials per frequency, none per
+kernel point.
 """
 
 from dataclasses import dataclass
@@ -101,11 +107,38 @@ class AnalyzingReport:
 
 
 def _fourier_at(phi, freqs):
-    """Semidiscrete transform of a kernel grid function at given frequencies."""
-    pts = phi.grid.points()
-    vals = phi.values.ravel()
-    phase = np.exp(-2j * np.pi * (pts @ np.atleast_2d(freqs).T))
-    return phase.T @ vals * phi.grid.cell_volume
+    """Semidiscrete transform cell * sum_j v_j exp(-2 pi i x_j . xi) of a
+    kernel at the rows of freqs, summed by nested Horner on its lattice.
+
+    With x_j = x_0 + j o h the sum is exp(-2 pi i x_0 . xi) times the
+    polynomial sum_j v_j prod_i z_i^(j_i) in z_i = exp(-2 pi i h_i xi_i),
+    evaluated one axis at a time from the last: n + 1 exponentials per
+    frequency and one complex multiply-add per kernel point.  The
+    frequencies need not lie on any lattice.
+
+    Forward error, for m_i points per axis, K = prod m_i points and
+    J = sum (m_i - 1) the largest power: with |z_i| = 1 Horner perturbs each
+    term by at most gamma_2J <= gamma_2K (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 5.1; complex products add a small
+    constant factor), and a relative error delta in each computed z_i
+    perturbs z^j by at most J * delta.  Together
+    |computed - exact| <~ (gamma_2K + J * delta) * cell * sum_j |v_j|,
+    where delta is a few ulps times (1 + 2 pi max_i |h_i xi_i|).
+    """
+    freqs = np.atleast_2d(freqs)
+    grid = phi.grid
+    x0 = np.array([ax[0] for ax in grid.axes()])
+    z = np.exp(-2j * np.pi * freqs * grid.spacing)
+    acc = phi.values[None]
+    for axis in reversed(range(grid.n)):
+        step = z[:, axis].reshape((-1,) + (1,) * axis)
+        total = np.empty(np.broadcast_shapes(step.shape, acc.shape[:-1]), dtype=complex)
+        total[...] = acc[..., -1]
+        for j in range(acc.shape[-1] - 2, -1, -1):
+            total *= step
+            total += acc[..., j]
+        acc = total
+    return acc * np.exp(-2j * np.pi * (freqs @ x0)) * grid.cell_volume
 
 
 def build_analyzing_function(d, s, grid, width_factor=0.9, annulus_samples=64, seed=77):
@@ -295,22 +328,20 @@ def carleson_duality_check(
     phi_interior_max = float(np.max(np.abs(phi_side.values[:, interior]), initial=0.0))
 
     # psi side: truncated frequency-domain partner applied to f.
+    # phi-hat at (A^T)^l xi for every scale, in one transform call.
     f_hat, freqs = _semidiscrete_fft(f)
-    at_mat = d.matrix.T
-    window_sq = np.zeros(len(freqs))
-    phi_hat_per_ell = {}
-    for ell in range(l_min, l_max + 1):
-        scaled = freqs @ np.linalg.matrix_power(at_mat, ell).T
-        vals = _fourier_at(phi, scaled)
-        phi_hat_per_ell[ell] = vals
-        window_sq += np.abs(vals) ** 2
+    scaled = np.concatenate(
+        [freqs @ np.linalg.matrix_power(d.matrix.T, ell).T for ell in range(l_min, l_max + 1)]
+    )
+    phi_hat = _fourier_at(phi, scaled).reshape(l_max - l_min + 1, len(freqs))
+    window_sq = np.sum(np.abs(phi_hat) ** 2, axis=0)
     floor = denominator_floor * float(window_sq.max())
     usable = window_sq > floor
 
     psi_layers = []
-    for ell in range(l_min, l_max + 1):
+    for vals in phi_hat:
         psi_hat = np.zeros(len(freqs), dtype=complex)
-        psi_hat[usable] = np.conj(phi_hat_per_ell[ell][usable]) / window_sq[usable]
+        psi_hat[usable] = np.conj(vals[usable]) / window_sq[usable]
         psi_layers.append(np.real(_synthesize(grid, f_hat * psi_hat)))
     psi_side = ScaleFunction(grid, l_min, l_max, np.stack(psi_layers))
 

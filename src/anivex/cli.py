@@ -5,8 +5,10 @@ Reports are canonical JSON (sorted keys, repr floats), so identical
 (config, seed, version) runs produce byte-identical files; wall-clock timing
 goes to a separate .timing.json sidecar to keep the report deterministic.
 Completed runs are cached under a SHA-256 of the canonicalized config and
-the package source, so a code change never serves a stale report.  Reports,
-sidecars and cache files are written atomically.
+the package source, so a code change never serves a stale report; a cache
+file that does not parse as a report for the same config is a miss, and is
+recomputed and rewritten.  Reports, sidecars and cache files are written
+atomically.
 """
 
 import argparse
@@ -28,6 +30,7 @@ from . import hardy
 from .config import ExperimentConfig, load_raw
 from .errors import ConfigError, ToolkitError
 from .exponents import check_log_holder, luxemburg_norm
+from .serialization import write_atomic
 from .suites import SUITE_NAMES, fubini_residual, run_suite
 
 REPORT_SCHEMA = "anivex-report/1"
@@ -50,16 +53,23 @@ def _source_digest():
     return h.hexdigest()
 
 
-def _write_atomic(path, text):
-    """Write text to a temporary file beside path, then rename it over path."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+def _read_cache(path, config_hash):
+    """(text, report) of a cached report for this config, or None when the
+    file is missing, unreadable, or not such a report (a miss)."""
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        with open(path) as fh:
+            text = fh.read()
+        report = json.loads(text)
+    except (OSError, ValueError):
+        return None
+    if not (
+        isinstance(report, dict)
+        and report.get("schema") == REPORT_SCHEMA
+        and report.get("config_hash") == config_hash
+        and isinstance(report.get("all_passed"), bool)
+    ):
+        return None
+    return text, report
 
 
 def _luxemburg_norm(cfg, spec, f):
@@ -175,11 +185,11 @@ def run_config(config_path, out_path, seed=None, budget=None, resolution=None, u
 
     cache_key = hashlib.sha256((digest + _source_digest()).encode()).hexdigest()
     cache_file = os.path.join(_cache_dir(), f"{cache_key}.json")
-    if use_cache and os.path.exists(cache_file):
-        with open(cache_file) as fh:
-            text = fh.read()
-        _write_atomic(out_path, text)
-        return json.loads(text), True
+    hit = _read_cache(cache_file, digest) if use_cache else None
+    if hit is not None:
+        text, report = hit
+        write_atomic(out_path, text)
+        return report, True
 
     started = time.time()
     values = {}
@@ -206,10 +216,10 @@ def run_config(config_path, out_path, seed=None, budget=None, resolution=None, u
         "all_passed": bool(all(c["passed"] for c in checks)) and not errors,
     }
     text = _canonical_json(report)
-    _write_atomic(out_path, text)
-    _write_atomic(f"{out_path}.timing.json", json.dumps({"seconds": time.time() - started}))
+    write_atomic(out_path, text)
+    write_atomic(f"{out_path}.timing.json", json.dumps({"seconds": time.time() - started}))
     os.makedirs(_cache_dir(), exist_ok=True)
-    _write_atomic(cache_file, text)
+    write_atomic(cache_file, text)
     return report, False
 
 

@@ -18,9 +18,11 @@ naming the file when any of them is wrong.
 
 Every file gets a "<path>.json" sidecar with the same metadata.  Tent atom
 sets are stored as a JSON manifest next to one stacked AVXS block per atom.
+Every file is written atomically (write_atomic).
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -42,20 +44,30 @@ def _dtype_code(values):
         raise ValueError(f"unsupported dtype {values.dtype}") from None
 
 
+def write_atomic(path, data):
+    """Write text or bytes to a temporary file beside path, then rename it
+    over path: a failed write leaves neither a partial target nor the
+    temporary file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_sidecar(path, meta):
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(str(path) + ".json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _write_block(path, magic, kind, grid, values, **window):
     """Header, axes and raw values, then the sidecar with the same metadata."""
     code = _dtype_code(values)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(_HEADERS[magic], magic, 1, code, grid.n, *window.values()))
-        for r, l, u in zip(grid.resolution, grid.lower, grid.upper):
-            fh.write(struct.pack(_AXIS, r, l, u))
-        fh.write(np.ascontiguousarray(values).tobytes())
+    header = struct.pack(_HEADERS[magic], magic, 1, code, grid.n, *window.values())
+    axes = [struct.pack(_AXIS, r, l, u) for r, l, u in zip(grid.resolution, grid.lower, grid.upper)]
+    write_atomic(path, b"".join([header, *axes, np.ascontiguousarray(values).tobytes()]))
     meta = {"kind": kind, "dtype": int(code), **window, "resolution": list(grid.resolution)}
     _write_sidecar(path, {**meta, "lower": list(grid.lower), "upper": list(grid.upper)})
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from anivex.carleson import (
+    _fft_frequencies,
+    _fourier_at,
     band_limited_pair,
     build_analyzing_function,
     carleson_from_function,
@@ -157,6 +159,67 @@ class TestAnalyzingFunction:
         assert np.max(np.abs(report.moments)) < 1e-10
 
 
+def _dense_fourier_at(phi, freqs):
+    """Reference transform: the full (kernel points x frequencies) matrix of
+    exp(-2 pi i x . xi)."""
+    phase = np.exp(-2j * np.pi * (phi.grid.points() @ np.atleast_2d(freqs).T))
+    return phase.T @ phi.values.ravel() * phi.grid.cell_volume
+
+
+def _scaled_fft_frequencies(d, grid, window):
+    """The grid's FFT frequencies dilated by (A^T)^l for every l in the window."""
+    freqs = _fft_frequencies(grid)
+    return np.concatenate(
+        [freqs @ np.linalg.matrix_power(d.matrix.T, ell).T for ell in range(window[0], window[1] + 1)]
+    )
+
+
+class TestFourierHorner:
+    def _assert_matches_dense(self, phi, freqs):
+        scale = float(np.sum(np.abs(phi.values))) * phi.grid.cell_volume
+        err = np.max(np.abs(_fourier_at(phi, freqs) - _dense_fourier_at(phi, freqs)))
+        assert err <= 1e-12 * scale
+
+    def test_1d_fft_and_annulus_frequencies(self, d1):
+        grid = uniform_grid([-8.0], [8.0], 4096)
+        phi, report = build_analyzing_function(d1, 1, grid)
+        assert phi.values.shape == (233,)
+        self._assert_matches_dense(phi, _scaled_fft_frequencies(d1, grid, (-4, 2)))
+        rng = np.random.default_rng(5)
+        xi = rng.uniform(-1.0, 1.0, size=(4096, 1)) * d1.ball_bounding_halfwidths(1)
+        rho = d1.step_quasi_norm_many(xi)
+        annulus = xi[(rho >= report.annulus[0]) & (rho <= report.annulus[1])][:64]
+        assert len(annulus) == 64
+        self._assert_matches_dense(phi, annulus)
+
+    def test_2d_shear_fft_frequencies(self):
+        d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
+        grid = uniform_grid([-4.0, -4.0], [4.0, 4.0], 128)
+        phi, _ = build_analyzing_function(d, 1, grid)
+        assert phi.values.shape == (11, 11)
+        self._assert_matches_dense(phi, _scaled_fft_frequencies(d, grid, (-2, 1)))
+
+    def test_2d_asymmetric_kernel(self):
+        # Unequal axes and spacings tell the axes apart, which the
+        # symmetric tensor-product kernels cannot.
+        rng = np.random.default_rng(3)
+        grid = uniform_grid([-0.6, -1.1], [0.4, 2.0], (5, 9))
+        phi = GridFunction(grid, rng.normal(size=grid.resolution))
+        self._assert_matches_dense(phi, rng.normal(scale=4.0, size=(200, 2)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_single_point_kernel_is_exact(self, n):
+        # Horner adds only zeros to the first coefficient, so what is left
+        # is the base phase.  Dyadic points and frequencies make x . xi
+        # exact, so the phase is the dense form's to the last bit.
+        grid = uniform_grid([-0.5] * n, [0.5] * n, 4)
+        values = np.zeros(grid.resolution)
+        values[(0,) * n] = 1.7
+        phi = GridFunction(grid, values)
+        freqs = np.random.default_rng(n).integers(-64, 64, size=(50, n)) / 8.0
+        assert np.array_equal(_fourier_at(phi, freqs), _dense_fourier_at(phi, freqs))
+
+
 class TestCarlesonFromFunction:
     def test_zero_function(self, d1, g1, phi1):
         b = GridFunction(g1, np.zeros(g1.resolution))
@@ -222,6 +285,20 @@ class TestDualityCheck:
         assert report.defect_normalized <= 0.05
         assert report.fubini_ratio_range[0] > 0.5
         assert report.fubini_ratio_range[1] < 2.0
+
+    def test_2d_shear_chain(self):
+        d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
+        grid = uniform_grid([-4.0, -4.0], [4.0, 4.0], 64)
+        p = constant_exponent(grid, 1.0)
+        phi, _ = build_analyzing_function(d, 1, grid)
+        f_fn, b = band_limited_pair(grid, seed=1, correlated=True)
+        atom = make_atom(f_fn, d, d.ball([0.0, 0.0], 2), 2.0, p, 0)
+        report = carleson_duality_check(
+            FiniteAtomicRep([(1.0, atom)]), b, phi, d, p, (-2, 1), moment_cancel=1
+        )
+        assert report.passed
+        fields = [getattr(report, name) for name in report.__dataclass_fields__]
+        assert np.all(np.isfinite(np.hstack(fields)))
 
 
 class TestDensityHomogeneity:

@@ -165,6 +165,23 @@ class TestRun:
         assert sorted(os.listdir(out)) == ["r1.json", "r1.json.timing.json", "r2.json", "r3.json", "r3.json.timing.json"]
         assert len(os.listdir(cache_env / "cache")) == 3
 
+    def test_corrupt_cache_is_a_miss(self, cache_env, capsys):
+        out = cache_env / "out"
+        out.mkdir()
+        assert main(["run", "--config", QUICK, "--out", str(out / "r1.json")]) == 0
+        (cache_file,) = (cache_env / "cache").iterdir()
+        cache_file.write_bytes(cache_file.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(["run", "--config", QUICK, "--out", str(out / "r2.json")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("computed:") and "Traceback" not in captured.err
+        assert (out / "r2.json").read_bytes() == (out / "r1.json").read_bytes()
+        # The cache is rewritten whole, and the next run is served from it.
+        assert cache_file.read_bytes() == (out / "r1.json").read_bytes()
+        assert main(["run", "--config", QUICK, "--out", str(out / "r3.json")]) == 0
+        assert capsys.readouterr().out.startswith("cached:")
+        assert sorted(os.listdir(cache_env / "cache")) == [cache_file.name]
+
     def test_reports_byte_identical_without_cache(self, cache_env):
         out1 = cache_env / "a.json"
         out2 = cache_env / "b.json"

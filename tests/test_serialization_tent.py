@@ -1,8 +1,10 @@
+import errno
 import json
 
 import numpy as np
 import pytest
 
+from anivex import serialization
 from anivex.dilation import new_dilation
 from anivex.errors import CorruptFile, ToolkitError
 from anivex.exponents import constant_exponent
@@ -13,6 +15,7 @@ from anivex.serialization import (
     save_grid_function,
     save_scale_function,
     save_tent_atoms,
+    write_atomic,
 )
 from anivex.tent import ScaleFunction, tent_atomic_decomposition
 
@@ -118,3 +121,39 @@ def test_payload_size_mismatch_is_corrupt_file(setup, tmp_path):
     for path, load in _saved_blocks(setup, tmp_path):
         path.write_bytes(path.read_bytes()[:-4])
         _assert_corrupt(load, path)
+
+
+class _HalfWriter:
+    """A file that writes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_leaves_no_partial_file(setup, tmp_path, monkeypatch):
+    _, g, _ = setup
+    f = GridFunction(g, np.linspace(-1.0, 1.0, 1024))
+    save_grid_function(f, tmp_path / "kept.avxg")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert sorted(before) == ["kept.avxg", "kept.avxg.json"]
+    real_open = open
+    monkeypatch.setattr(serialization, "open", lambda *a, **k: _HalfWriter(real_open(*a, **k)), raising=False)
+    with pytest.raises(OSError):
+        save_grid_function(f.with_values(2.0 * f.values), tmp_path / "kept.avxg")
+    with pytest.raises(OSError):
+        save_scale_function(ScaleFunction(g, 0, 1, np.ones((2,) + g.resolution)), tmp_path / "new.avxs")
+    with pytest.raises(OSError):
+        write_atomic(tmp_path / "kept.avxg.json", "{}\n" * 64)
+    # The old files are untouched, and no new or temporary file is left.
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
