@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ZeroDenominator
 from .exponents import indicator_norm, luxemburg_norm
-from .grid import GridFunction, ball_lattice_mask
+from .grid import GridFunction, ball_support
 from .polyproj import lq_error, minimizing_polynomial, refine_lq
 from .search import BallConfiguration, default_scale_window, supremum_search
 
@@ -75,7 +75,7 @@ class CampanatoParams:
 def _aggregate(acc, ball, weight, p, eta, d):
     """acc += [weight / ||1_B||]^eta 1_B; indicator_norm raises EmptyMask for
     a ball that misses every lattice point."""
-    acc[ball_lattice_mask(p.grid, d, ball)] += (weight / indicator_norm(d, ball, p)) ** eta
+    acc.ravel()[ball_support(p.grid, d, ball)] += (weight / indicator_norm(d, ball, p)) ** eta
 
 
 def _aggregate_value(acc, p, eta):

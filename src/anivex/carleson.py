@@ -29,6 +29,7 @@ from .exponents import indicator_norm
 from .grid import (
     _box_corners,
     _cancel_discrete_moments,
+    ball_support,
     boundary_margin,
     bump_kernel,
     convolve_scaled,
@@ -54,10 +55,10 @@ def tent_mass(mu, d, ball):
     """integral of mu over the tent of the ball (counting x Lebesgue)."""
     grid = mu.grid
     total = 0.0
-    ball_mask = d.ball_contains_many(ball, grid.points())
+    idx = ball_support(grid, d, ball)
     for ell in mu.scales():
         layer = mu.layer(ell).ravel()
-        candidates = np.nonzero(ball_mask & (layer != 0.0))[0]
+        candidates = idx[layer[idx] != 0.0]
         if len(candidates) == 0:
             continue
         inside = tent_members(d, grid, ball, ell, candidates)

@@ -188,10 +188,6 @@ class ExperimentConfig:
         self.seed = int(raw.get("seed", 0))
         self.budget = int(raw.get("budget", 120))
 
-    @classmethod
-    def from_path(cls, path):
-        return cls(load_raw(path))
-
 
 def load_raw(path):
     """The JSON object of a config file, before any runtime object is built."""

@@ -2,9 +2,10 @@
 
 The Luxemburg norm inf{lam > 0: modular(f/lam) <= 1} is found by Newton's
 method on g(t) = log modular(f/e^t), a log-sum-exp of decreasing lines:
-convex for every p(.) > 0, p < 1 included, and a line for constant p.  A
-guard then makes the unit-modular property exact.  Log-Holder checking is
-diagnostic only and never gates any other operation.
+convex for every p(.) > 0, p < 1 included, and a line for constant p.  Only
+the cells where f != 0 enter, and a guard sums the modular over those cells,
+as modular() does, so the unit-modular property is exact.  Log-Holder
+checking is diagnostic only and never gates any other operation.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMask, NonFinite, NotConjugable
-from .grid import GridFunction, ball_lattice_mask, sample
+from .grid import GridFunction, ball_support, sample
 
 
 @dataclass
@@ -59,10 +60,19 @@ def exponent_from_callable(grid, fn, p_infinity=None):
 
 
 def modular(f, p):
-    """integral of |f(x)|^p(x) over the box."""
+    """integral of |f(x)|^p(x) over the box, summed over the cells where
+    f != 0 in C order (the others contribute 0^p = 0)."""
     if f.grid.key() != p.grid.key():
         raise ValueError("function and exponent live on different grids")
-    return _modular_of_scaled(np.abs(f.values), p.values.values, f.grid.cell_volume, 1.0)
+    a, q = _nonzero_cells(f, p)
+    return _modular_of_scaled(a, q, f.grid.cell_volume, 1.0)
+
+
+def _nonzero_cells(f, p):
+    """|f| and p on the cells where f != 0, as 1-D arrays in C order."""
+    a = np.abs(np.asarray(f.values)).ravel()
+    keep = a > 0.0
+    return a[keep], p.values.values.ravel()[keep]
 
 
 def _modular_of_scaled(abs_vals, p_vals, cell_volume, lam):
@@ -75,22 +85,24 @@ def luxemburg_norm(f, p):
 
     Newton steps -g/g' from where one cell's term alone is one (g >= 0) rise
     onto the root of the convex, decreasing g without passing it; the guard
-    then raises the resulting lam by 4 eps, 8 eps, ... until the full-array
-    modular(f/lam) <= 1, so the unit-modular property holds by construction.
+    then raises the resulting lam by 4 eps, 8 eps, ... until modular(f/lam),
+    summed over the nonzero cells in C order, is <= 1, so the unit-modular
+    property holds by construction.
     """
     if f.grid.key() != p.grid.key():
         raise ValueError("function and exponent live on different grids")
-    a = np.abs(np.asarray(f.values))
-    pv = p.values.values
-    cv = f.grid.cell_volume
-    keep = a > 0.0
-    if not keep.any():
+    a, q = _nonzero_cells(f, p)
+    if a.size == 0:
         return 0.0
+    return _luxemburg(a, q, f.grid.cell_volume)
 
+
+def _luxemburg(a, q, cell):
+    """luxemburg_norm from the 1-D arrays a = |f| > 0 and q = p on the
+    nonzero cells, in C order."""
     # t is measured from log max|f|, so its rounding does not grow with |f|.
     top = float(a.max())
-    q = pv[keep]
-    log_w = q * np.log(a[keep] / top) + np.log(cv)
+    log_w = q * np.log(a / top) + np.log(cell)
     t = float(np.max(log_w / q))
     tiny = 4.0 * np.finfo(float).eps
     for _ in range(60):  # a safety net: Newton converges in a handful of steps
@@ -107,7 +119,7 @@ def luxemburg_norm(f, p):
 
     lam = top * float(np.exp(t))
     nudge = tiny
-    while 0.0 < lam < np.inf and _modular_of_scaled(a, pv, cv, lam) > 1.0:
+    while 0.0 < lam < np.inf and _modular_of_scaled(a, q, cell, lam) > 1.0:
         lam *= 1.0 + nudge
         nudge *= 2.0
     if not 0.0 < lam < np.inf:
@@ -116,14 +128,15 @@ def luxemburg_norm(f, p):
 
 
 def indicator_norm(d, ball, p):
-    """Luxemburg norm of the ball indicator, cached per (ball, exponent)."""
-    key = ball.key()
+    """Luxemburg norm of the ball indicator, cached per (dilation, ball) on
+    the exponent; computed on the ball's lattice support."""
+    key = (d.matrix.tobytes(), ball.key())
     cache = p._indicator_cache
     if key not in cache:
-        mask = ball_lattice_mask(p.grid, d, ball)
-        if not mask.any():
+        idx = ball_support(p.grid, d, ball)
+        if idx.size == 0:
             raise EmptyMask(f"ball at scale {ball.scale} misses every lattice point")
-        cache[key] = luxemburg_norm(GridFunction(p.grid, mask.astype(float)), p)
+        cache[key] = _luxemburg(np.ones(idx.size), p.values.values.ravel()[idx], p.grid.cell_volume)
     return cache[key]
 
 

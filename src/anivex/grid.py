@@ -11,7 +11,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 from scipy.signal import fftconvolve
 
-from .errors import EmptyMask, ScaleTooFine
+from .errors import ScaleTooFine
 
 
 @dataclass(frozen=True)
@@ -125,20 +125,44 @@ def integrate(f):
     return f.values.sum() * f.grid.cell_volume
 
 
+def dilation_cache(d):
+    """The per-dilation memo of lattice sets: ball supports here, footprints
+    and tent stamps in the tent module.  Keys start with a kind tag and the
+    grid key."""
+    cache = getattr(d, "_lattice_cache", None)
+    if cache is None:
+        cache = {}
+        d._lattice_cache = cache
+    return cache
+
+
+def ball_support(grid, d, ball):
+    """Read-only flat C-order indices of the lattice points strictly inside
+    the dilated ball.
+
+    The membership test runs once per (grid, ball) and dilation; projection,
+    Luxemburg, aggregate and tent-mass code index the support.
+    """
+    cache = dilation_cache(d)
+    key = ("support", grid.key(), ball.key())
+    if key not in cache:
+        idx = np.flatnonzero(d.ball_contains_many(ball, grid.points()))
+        idx.setflags(write=False)
+        cache[key] = idx
+    return cache[key]
+
+
 def ball_lattice_mask(grid, d, ball):
-    """Boolean mask of lattice points strictly inside the dilated ball."""
-    return d.ball_contains_many(ball, grid.points()).reshape(grid.resolution)
+    """Read-only boolean mask of lattice points strictly inside the dilated
+    ball: the dense view of ball_support."""
+    mask = np.zeros(grid.resolution, dtype=bool)
+    mask.ravel()[ball_support(grid, d, ball)] = True
+    mask.setflags(write=False)
+    return mask
 
 
 def indicator(grid, d, ball):
     return GridFunction(grid, ball_lattice_mask(grid, d, ball).astype(float))
-
-
-def integrate_on_ball(f, d, ball):
-    mask = ball_lattice_mask(f.grid, d, ball)
-    if not mask.any():
-        raise EmptyMask(f"ball at scale {ball.scale} misses every lattice point")
-    return f.values[mask].sum() * f.grid.cell_volume
 
 
 def boundary_margin(grid, width):

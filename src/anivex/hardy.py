@@ -17,7 +17,7 @@ from .errors import DegenerateSeed
 from .exponents import indicator_norm, luxemburg_norm
 from .grid import (
     GridFunction,
-    ball_lattice_mask,
+    ball_support,
     boundary_margin,
     bump_kernel,
     convolve_scaled,
@@ -53,17 +53,18 @@ class Atom:
     validation: AtomValidation
 
 
-def _lq_norm_on_mask(values, mask, q, cell_volume):
-    return float((np.sum(np.abs(values[mask]) ** q) * cell_volume) ** (1.0 / q))
+def _lq_norm(values, q, cell_volume):
+    return float((np.sum(np.abs(values) ** q) * cell_volume) ** (1.0 / q))
 
 
 def validate_atom(atom, d, p):
     """Recompute the support, size, and moment checks for an atom."""
     grid = atom.values.grid
-    mask = ball_lattice_mask(grid, d, atom.ball)
-    support_exact = not np.any(atom.values.values[~mask] != 0.0)
+    vals = atom.values.values
+    inside = vals.ravel()[ball_support(grid, d, atom.ball)]
+    support_exact = np.count_nonzero(inside) == np.count_nonzero(vals)
     q = atom.r_exponent
-    lq = _lq_norm_on_mask(atom.values.values, mask, q, grid.cell_volume)
+    lq = _lq_norm(inside, q, grid.cell_volume)
     bound = d.ball_volume(atom.ball) ** (1.0 / q) / indicator_norm(d, atom.ball, p)
     mom = moments(atom.values, atom.s)
     scale = max(lq, 1e-300)
@@ -79,11 +80,11 @@ def make_atom(seed, d, ball, q, p, s):
     ||1_B|| and the L^q(B) oscillation of the seed."""
     poly = minimizing_polynomial(seed, d, ball, s)
     grid = seed.grid
-    mask = ball_lattice_mask(grid, d, ball)
+    idx = ball_support(grid, d, ball)
     resid = np.zeros(grid.resolution)
-    pts = grid.points()[mask.ravel()]
-    resid[mask] = seed.values[mask] - poly.evaluate(pts)
-    res_norm = _lq_norm_on_mask(resid, mask, q, grid.cell_volume)
+    inside = seed.values.ravel()[idx] - poly.evaluate(grid.points()[idx])
+    resid.ravel()[idx] = inside
+    res_norm = _lq_norm(inside, q, grid.cell_volume)
     if res_norm < 1e-12:
         raise DegenerateSeed("seed is a polynomial on the ball")
     scale = d.ball_volume(ball) ** (1.0 / q) / (indicator_norm(d, ball, p) * res_norm)
@@ -200,9 +201,10 @@ def duality_chain_check(rep, g, prm, d, poly_samples=5, seed=0):
 
     for weight, atom in rep.terms:
         ball = atom.ball
-        mask = ball_lattice_mask(grid, d, ball)
-        pts = grid.points()[mask.ravel()]
-        a_vals = atom.values.values
+        idx = ball_support(grid, d, ball)
+        pts = grid.points()[idx]
+        a_vals = atom.values.values.ravel()[idx]
+        g_vals = g.values.ravel()[idx]
         pair = dual_pairing(atom.values, g)
         pairings.append(pair)
 
@@ -210,15 +212,15 @@ def duality_chain_check(rep, g, prm, d, poly_samples=5, seed=0):
         design = _design_matrix(pts, indices)
         for _ in range(poly_samples):
             shift = design @ rng.uniform(-10.0, 10.0, size=len(indices))
-            shifted = np.sum(a_vals[mask] * (g.values[mask] - shift)) * cell_volume
+            shifted = np.sum(a_vals * (g_vals - shift)) * cell_volume
             moment_slack = min(moment_slack, 1e-8 - abs(abs(shifted) - abs(pair)))
 
         # (b) Holder with the refined infimizing polynomial.
         start = minimizing_polynomial(g, d, ball, prm.s)
         poly_star, err_star = refine_lq(g, d, ball, prm.s, q_conj, start=start)
-        resid = g.values[mask] - poly_star.evaluate(pts)
-        lhs_b = abs(np.sum(a_vals[mask] * resid) * cell_volume)
-        a_norm = _lq_norm_on_mask(a_vals, mask, q, cell_volume)
+        resid = g_vals - poly_star.evaluate(pts)
+        lhs_b = abs(np.sum(a_vals * resid) * cell_volume)
+        a_norm = _lq_norm(a_vals, q, cell_volume)
         rhs_b = a_norm * err_star
         holder_slack = min(holder_slack, rhs_b - lhs_b)
 
@@ -282,7 +284,7 @@ def dilation_indicator_inequality(config, d, p, k_max=4, r_aux=None):
         acc = np.zeros(p.grid.resolution)
         for ball, _ in config.entries:
             grown = d.ball(ball.center, ball.scale + int(k))
-            acc += ball_lattice_mask(p.grid, d, grown).astype(float)
+            acc.ravel()[ball_support(p.grid, d, grown)] += 1.0
         norms.append(luxemburg_norm(GridFunction(p.grid, acc), p))
     norms = np.array(norms)
     x = ks * np.log(d.b)

@@ -8,14 +8,13 @@ refinement approximates the q != 2 infimum starting from the projection.
 
 from dataclasses import dataclass, replace
 from itertools import product
-from math import comb
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize_scalar
 
 from .errors import InsufficientSamples, SingularGram
-from .grid import GridFunction, ball_lattice_mask
+from .grid import GridFunction, ball_support
 
 REFINE_SWEEPS = 20
 
@@ -60,22 +59,20 @@ class Polynomial:
 
 
 def _ball_design(f, d, ball, s):
-    mask = ball_lattice_mask(f.grid, d, ball)
+    idx = ball_support(f.grid, d, ball)
     indices = multi_indices(f.grid.n, s)
-    npts = int(mask.sum())
-    if npts < len(indices):
+    if idx.size < len(indices):
         raise InsufficientSamples(
-            f"{npts} lattice points in the ball but {len(indices)} coefficients"
+            f"{idx.size} lattice points in the ball but {len(indices)} coefficients"
         )
-    pts = f.grid.points()[mask.ravel()]
-    local = (pts - ball.center) @ d.power(-ball.scale).T
-    return mask, indices, _design_matrix(local, indices)
+    local = (f.grid.points()[idx] - ball.center) @ d.power(-ball.scale).T
+    return idx, indices, _design_matrix(local, indices)
 
 
 def minimizing_polynomial(f, d, ball, s):
     """Solve the Gram normal equations for the degree-<=s projection on B."""
-    mask, indices, design = _ball_design(f, d, ball, s)
-    fvals = f.values[mask]
+    idx, indices, design = _ball_design(f, d, ball, s)
+    fvals = f.values.ravel()[idx]
     gram = design.T @ design
     rhs = design.T @ fvals
     try:
@@ -103,21 +100,17 @@ def moments(f, s, d=None, ball=None):
     otherwise the whole box contributes.
     """
     indices = multi_indices(f.grid.n, s)
-    if ball is not None:
-        mask = ball_lattice_mask(f.grid, d, ball).ravel()
-    else:
-        mask = slice(None)
-    pts = f.grid.points()[mask]
-    vals = np.asarray(f.values).ravel()[mask]
+    idx = slice(None) if ball is None else ball_support(f.grid, d, ball)
+    pts = f.grid.points()[idx]
+    vals = np.asarray(f.values).ravel()[idx]
     design = _design_matrix(pts, indices)
     return design.T @ vals * f.grid.cell_volume
 
 
 def lq_error(f, d, ball, poly, q):
     """||f - poly||_{L^q(B)} by lattice quadrature."""
-    mask = ball_lattice_mask(f.grid, d, ball)
-    pts = f.grid.points()[mask.ravel()]
-    resid = np.abs(f.values[mask] - poly.evaluate(pts))
+    idx = ball_support(f.grid, d, ball)
+    resid = np.abs(f.values.ravel()[idx] - poly.evaluate(f.grid.points()[idx]))
     return float((np.sum(resid**q) * f.grid.cell_volume) ** (1.0 / q))
 
 
@@ -131,8 +124,8 @@ def refine_lq(f, d, ball, s, q, start=None, sweeps=REFINE_SWEEPS):
     if q == 2.0:
         return poly, lq_error(f, d, ball, poly, q)
 
-    mask, indices, design = _ball_design(f, d, ball, s)
-    fvals = f.values[mask]
+    idx, indices, design = _ball_design(f, d, ball, s)
+    fvals = f.values.ravel()[idx]
     cell_volume = f.grid.cell_volume
     coef = poly.coefficients.copy()
 
@@ -159,7 +152,3 @@ def refine_lq(f, d, ball, s, q, start=None, sweeps=REFINE_SWEEPS):
             break
 
     return replace(poly, coefficients=coef), best ** (1.0 / q)
-
-
-def coefficient_count(n, s):
-    return comb(n + s, s)

@@ -25,7 +25,7 @@ from scipy.signal import fftconvolve
 
 from .errors import CoverFailure
 from .exponents import indicator_norm
-from .grid import GridFunction, _offset_lattice
+from .grid import GridFunction, _offset_lattice, dilation_cache
 from .search import default_scale_window
 
 __all__ = [
@@ -85,17 +85,9 @@ def zero_scale_function(grid, window, dtype=float):
 # -- footprints and tents ------------------------------------------------------
 
 
-def _cache(d):
-    cache = getattr(d, "_tent_cache", None)
-    if cache is None:
-        cache = {}
-        d._tent_cache = cache
-    return cache
-
-
 def ball_footprint(d, grid, scale):
     """Centered boolean array of integer offsets v with v*h inside B_scale."""
-    cache = _cache(d)
+    cache = dilation_cache(d)
     key = ("fp", grid.key(), scale)
     if key not in cache:
         offsets, shape = _offset_lattice(grid, d.ball_bounding_halfwidths(scale))
@@ -105,7 +97,7 @@ def ball_footprint(d, grid, scale):
 
 def tent_offset_mask(d, grid, ell, ball_scale):
     """Centered boolean array of offsets z with z*h + B_ell inside B_ball_scale."""
-    cache = _cache(d)
+    cache = dilation_cache(d)
     key = ("tent", grid.key(), ell, ball_scale)
     if key not in cache:
         offsets, shape = _offset_lattice(grid, d.ball_bounding_halfwidths(ball_scale))

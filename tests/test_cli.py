@@ -6,7 +6,7 @@ import pytest
 
 from anivex import cli, hardy
 from anivex.cli import main, run_config, sweep_config
-from anivex.config import ExperimentConfig, compile_expression
+from anivex.config import ExperimentConfig, compile_expression, load_raw
 from anivex.errors import ConfigError, UnknownSuite
 from anivex.suites import run_suite
 
@@ -48,7 +48,7 @@ class TestExpressionGrammar:
 
 class TestConfig:
     def test_parse_quick(self):
-        cfg = ExperimentConfig.from_path(QUICK)
+        cfg = ExperimentConfig(load_raw(QUICK))
         assert cfg.dilation.b == 2.0
         assert cfg.grid.resolution == (1024,)
         assert "f" in cfg.functions
@@ -58,13 +58,13 @@ class TestConfig:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"grid": {}}))
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_path(str(path))
+            ExperimentConfig(load_raw(str(path)))
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_path(str(path))
+            ExperimentConfig(load_raw(str(path)))
 
     def test_piecewise_exponent(self, tmp_path):
         raw = json.loads(open(QUICK).read())
@@ -75,7 +75,7 @@ class TestConfig:
         }
         path = tmp_path / "pw.json"
         path.write_text(json.dumps(raw))
-        cfg = ExperimentConfig.from_path(str(path))
+        cfg = ExperimentConfig(load_raw(str(path)))
         assert cfg.exponent.p_minus == 1.0
         assert cfg.exponent.p_plus == 2.0
 
@@ -113,13 +113,13 @@ class TestValidation:
     @pytest.mark.parametrize("check", [{"randomized": True}, "nonsense"])
     def test_unknown_check_rejected_at_load(self, tmp_path, check):
         with pytest.raises(ConfigError) as info:
-            ExperimentConfig.from_path(_write_config(tmp_path, checks=[check]))
+            ExperimentConfig(load_raw(_write_config(tmp_path, checks=[check])))
         assert info.value.field == "checks[0]"
 
     def test_invalid_params_rejected_at_load(self, cache_env, tmp_path):
         path = _write_config(tmp_path, params={**_quick_params(), "q": 0.5})
         with pytest.raises(ConfigError) as info:
-            ExperimentConfig.from_path(path)
+            ExperimentConfig(load_raw(path))
         assert info.value.field == "params"
         assert main(["run", "--config", path, "--out", str(cache_env / "bad.json")]) == 2
 
@@ -248,7 +248,7 @@ class TestHardyEstimate:
             compute=[{"name": "h", "op": "hardy_estimate", "function": "f"}],
         )
         report, _ = run_config(path, str(cache_env / "h1d.json"), use_cache=False)
-        cfg = ExperimentConfig.from_path(path)
+        cfg = ExperimentConfig(load_raw(path))
         bump = hardy.maximal_bump(cfg.grid.spacing, 0.5)
         expect = hardy.hardy_norm_estimate(
             cfg.functions["f"], bump, cfg.exponent, cfg.dilation, (-3, 2), margin=1.0

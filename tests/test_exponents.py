@@ -1,6 +1,8 @@
+from functools import cache
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from anivex.dilation import new_dilation
@@ -222,6 +224,46 @@ class TestIndicatorNorm:
         first = indicator_norm(d1, ball, p)
         assert indicator_norm(d1, ball, p) == first
         assert len(p._indicator_cache) == 1
+
+    def test_cache_keyed_on_dilation(self):
+        # One exponent, two dilations, the same centre and scale: the second
+        # norm must not be the first one read back from the cache.
+        g = uniform_grid([-4.0, -4.0], [4.0, 4.0], 64)
+        diag = new_dilation([[2.0, 0.0], [0.0, 3.0]])
+        shear = new_dilation([[2.0, 1.0], [0.0, 2.0]])
+        center = [0.0625, 0.0625]
+        alone = indicator_norm(shear, shear.ball(center, 1), constant_exponent(g, 1.0))
+        assert alone == 3.921875  # 251 cells of volume 1/64
+
+        p = constant_exponent(g, 1.0)
+        assert indicator_norm(diag, diag.ball(center, 1), p) == pytest.approx(6.109375, rel=1e-15)
+        assert indicator_norm(shear, shear.ball(center, 1), p) == alone
+
+    @settings(max_examples=60)
+    @given(
+        shear=st.booleans(),
+        center=st.tuples(st.floats(-3.5, 3.5), st.floats(-3.5, 3.5)),
+        scale=st.integers(-1, 2),
+    )
+    def test_support_path_keeps_unit_modular(self, shear, center, scale):
+        d, g, p = _variable_2d_case(shear)
+        ball = d.ball(center, scale)
+        ind = indicator(g, d, ball)
+        assume(ind.values.any())
+        lam = indicator_norm(d, ball, p)
+        assert modular(ind.with_values(ind.values / lam), p) <= 1.0
+        assert modular(ind.with_values(ind.values / (lam * (1.0 - 1e-12))), p) > 1.0
+        assert abs(luxemburg_norm(ind, p) - lam) <= 1e-15 * lam
+
+
+@cache
+def _variable_2d_case(shear):
+    """A 2-D dilation, a 48x48 grid, and an exponent ranging over
+    [0.6, 2.0] with a jump across y = 0.3."""
+    d = new_dilation([[2.0, 1.0], [0.0, 2.0]] if shear else [[2.0, 0.0], [0.0, 3.0]])
+    g = uniform_grid([-4.0, -4.0], [4.0, 4.0], 48)
+    p = exponent_from_callable(g, lambda x, y: 0.6 + 0.9 * np.sin(x) ** 2 + 0.5 * (y > 0.3))
+    return d, g, p
 
 
 class TestConjugate:

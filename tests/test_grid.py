@@ -1,16 +1,21 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anivex import grid as gr
 from anivex.dilation import new_dilation
-from anivex.errors import EmptyMask, ScaleTooFine
+from anivex.errors import ScaleTooFine
 from anivex.grid import (
     GridFunction,
+    ball_lattice_mask,
+    ball_support,
     boundary_margin,
     constant,
     convolve_scaled,
     integrate,
-    integrate_on_ball,
     kernel_grid,
     sample,
     scaled_kernel_samples,
@@ -119,34 +124,88 @@ class TestIntegrate:
         assert integrate(lo) <= integrate(a) + 1e-12
 
 
+def _integrate_on_ball(f, d, ball):
+    """Midpoint quadrature over the lattice points strictly inside the ball."""
+    return f.values.ravel()[ball_support(f.grid, d, ball)].sum() * f.grid.cell_volume
+
+
 class TestBallQuadrature:
     def test_indicator_mass(self, d1, g1):
         ball = d1.ball([0.0], 0)
         h = g1.spacing[0]
-        val = integrate_on_ball(constant(g1, 1.0), d1, ball)
+        val = _integrate_on_ball(constant(g1, 1.0), d1, ball)
         assert val == pytest.approx(1.0, abs=2 * h)
 
     def test_odd_symmetry(self, d1, g1):
         f = sample(g1, lambda x: x)
-        assert integrate_on_ball(f, d1, d1.ball([0.0], 0)) == pytest.approx(0.0, abs=1e-8)
+        assert _integrate_on_ball(f, d1, d1.ball([0.0], 0)) == pytest.approx(0.0, abs=1e-8)
 
     def test_abs_value(self, d1, g1):
         f = sample(g1, lambda x: np.abs(x))
         h = g1.spacing[0]
-        assert integrate_on_ball(f, d1, d1.ball([0.0], 0)) == pytest.approx(0.25, abs=2 * h)
+        assert _integrate_on_ball(f, d1, d1.ball([0.0], 0)) == pytest.approx(0.25, abs=2 * h)
 
     def test_empty_mask(self, d1, g1):
         far = d1.ball([100.0], -8)
-        with pytest.raises(EmptyMask):
-            integrate_on_ball(constant(g1, 1.0), d1, far)
+        assert ball_support(g1, d1, far).size == 0
+        assert _integrate_on_ball(constant(g1, 1.0), d1, far) == 0.0
 
     def test_first_order_convergence(self, d1):
         errs = []
         for res in (512, 1024, 2048):
             g = uniform_grid([-8.0], [8.0], res)
-            val = integrate_on_ball(constant(g, 1.0), d1, d1.ball([0.13], 2))
+            val = _integrate_on_ball(constant(g, 1.0), d1, d1.ball([0.13], 2))
             errs.append(abs(val - 4.0))
         assert errs[2] <= 0.75 * errs[0] + 1e-12
+
+
+# name -> (dilation matrix, grid lower, upper, resolution, ball scales)
+_SUPPORT_CASES = {
+    "1d": ([[2.0]], [-8.0], [8.0], 4096, (-8, 3)),
+    "diag": ([[2.0, 0.0], [0.0, 3.0]], [-4.0, -4.0], [4.0, 4.0], 48, (-3, 2)),
+    "shear": ([[2.0, 1.0], [0.0, 2.0]], [-4.0, -4.0], [4.0, 4.0], 32, (-3, 3)),
+    "box": ([[2.0, 1.0], [0.0, 2.0]], [-4.0, -3.0], [4.0, 6.0], (40, 56), (-3, 3)),
+}
+
+
+@cache
+def _support_case(name):
+    matrix, lower, upper, res, scales = _SUPPORT_CASES[name]
+    return new_dilation(matrix), uniform_grid(lower, upper, res), scales
+
+
+class TestBallSupport:
+    @settings(max_examples=120)
+    @given(
+        name=st.sampled_from(sorted(_SUPPORT_CASES)),
+        aligned=st.booleans(),
+        u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_support_and_mask_equal_direct_test(self, name, aligned, u, t):
+        d, g, (k_lo, k_hi) = _support_case(name)
+        if aligned:
+            cells = [min(int(ui * r), r - 1) for ui, r in zip(u, g.resolution)]
+            center = [lo + (i + 0.5) * h for lo, i, h in zip(g.lower, cells, g.spacing)]
+        else:
+            center = [lo + ui * (hi - lo) for lo, hi, ui in zip(g.lower, g.upper, u)]
+        ball = d.ball(center, k_lo + int(t * (k_hi - k_lo)))
+        direct = d.ball_contains_many(ball, g.points())
+
+        support = ball_support(g, d, ball)
+        mask = ball_lattice_mask(g, d, ball)
+        assert np.array_equal(support, np.flatnonzero(direct))
+        assert mask.shape == g.resolution
+        assert np.array_equal(mask.ravel(), direct)
+        assert not support.flags.writeable
+        assert not mask.flags.writeable
+        assert ball_support(g, d, ball) is support
+
+    def test_lattice_aligned_centres_hit_lattice_points(self):
+        d, g, _ = _support_case("diag")
+        center = [lo + (i + 0.5) * h for lo, i, h in zip(g.lower, (17, 30), g.spacing)]
+        support = ball_support(g, d, d.ball(center, -3))
+        assert np.array_equal(support, [17 * 48 + 30])
 
 
 class TestConvolveScaled:

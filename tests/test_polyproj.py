@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from anivex.dilation import new_dilation
 from anivex.errors import InsufficientSamples
 from anivex.grid import GridFunction, ball_lattice_mask, sample, uniform_grid
 from anivex.polyproj import (
-    coefficient_count,
     lq_error,
     minimizing_polynomial,
     moments,
@@ -30,8 +31,8 @@ def d2():
 
 
 def test_multi_index_count():
-    assert len(multi_indices(1, 3)) == coefficient_count(1, 3) == 4
-    assert len(multi_indices(2, 2)) == coefficient_count(2, 2) == 6
+    assert len(multi_indices(1, 3)) == comb(1 + 3, 3) == 4
+    assert len(multi_indices(2, 2)) == comb(2 + 2, 2) == 6
     assert multi_indices(2, 1)[0] == (0, 0)
 
 
