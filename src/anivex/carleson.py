@@ -169,13 +169,13 @@ def build_analyzing_function(d, s, grid, width_factor=0.9, annulus_samples=64, s
 
         rng = np.random.default_rng(seed)
         half1 = d.ball_bounding_halfwidths(1)
-        samples = []
-        while len(samples) < annulus_samples:
-            xi = rng.uniform(-1.0, 1.0, size=d.n) * half1
-            rho = d.step_quasi_norm_many(xi[None, :])[0]
-            if rho_lo <= rho <= 1.0:
-                samples.append(xi)
-        samples = np.array(samples)
+        # Batches of draws, kept in order: the same samples as one draw each.
+        kept = []
+        while sum(map(len, kept)) < annulus_samples:
+            xi = rng.uniform(-1.0, 1.0, size=(annulus_samples, d.n)) * half1
+            rho = d.step_quasi_norm_many(xi)
+            kept.append(xi[(rho_lo <= rho) & (rho <= 1.0)])
+        samples = np.concatenate(kept)[:annulus_samples]
         c_measured = float(np.min(np.abs(_fourier_at(phi, samples))))
         if c_measured >= 1e-6:
             report = AnalyzingReport(

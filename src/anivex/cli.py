@@ -265,10 +265,8 @@ def sweep_config(config_path, parameter, values, out_path, seed=None, budget=Non
         for k in row:
             if k not in keys:
                 keys.append(k)
-    with open(out_path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row.get(k, "")) for k in keys) + "\n")
+    lines = [",".join(keys)] + [",".join(repr(row.get(k, "")) for k in keys) for row in rows]
+    write_atomic(out_path, "\n".join(lines) + "\n")
     return rows
 
 

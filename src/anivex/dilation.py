@@ -7,20 +7,22 @@ A*Delta for an expansion factor r > 1.  The step quasi-norm rho takes the
 value b^k on B_{k+1} \\ B_k, with b = |det A|, and scales exactly by b under
 A.  Everything downstream (masks, tents, maximal averages) rides on this
 family.
+
+Boundary rule: a point whose computed form value is within a certified
+rounding band of c is outside every open ball (ball_contains_many); a ball
+whose containment value is at most c(1 + 1e-9) is inside every closed ball
+(closed_containment).  Every lattice membership goes through one of these.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gamma, pi
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import NotExpansive, ScaleOverflow, SeriesDivergence
 
 DEFAULT_LEVEL_CAP = 40
-
-_SERIES_TOL = 1e-14
-_SERIES_MAX_TERMS = 20000
 
 # Safety net for the secular-equation Newton iteration; rows converge in a
 # handful of steps, so reaching the cap means something degenerate.
@@ -54,7 +56,7 @@ class Dilation:
     shared freely across threads.
     """
 
-    def __init__(self, matrix, level_cap=DEFAULT_LEVEL_CAP, h_sample_pairs=4000, h_seed=2718):
+    def __init__(self, matrix):
         A = np.asarray(matrix, dtype=float)
         if A.ndim == 0:
             A = A.reshape(1, 1)
@@ -72,23 +74,21 @@ class Dilation:
         self.b = float(abs(np.linalg.det(A)))
 
         self.lambda_minus, self.lambda_plus = self._eigen_bounds(A, moduli)
-        self.level_cap = int(level_cap)
+        self.level_cap = DEFAULT_LEVEL_CAP
 
-        # Expansion factor: r = s with A'PA - s^2 P = A'A >= 0 by the series below.
+        # Expansion factor: r = s with A'PA - s^2 P = A'A >= 0.
         s = np.sqrt(self.lambda_minus)
         s = min(max(s, 1.05), 0.999 * self.lambda_minus)
         self.r = float(s)
 
         self.shape = self._lyapunov_shape(A, self.r)
         # |Delta| = c^(n/2) V_n / sqrt(det P) = 1.
-        det_p = float(np.linalg.det(self.shape))
-        self.level_c = (np.sqrt(det_p) / unit_ball_volume(self.n)) ** (2.0 / self.n)
+        n = self.n
+        self.level_c = float(np.linalg.det(self.shape)) ** (1 / n) / unit_ball_volume(n) ** (2 / n)
 
         gram = A.T @ self.shape @ A - self.r**2 * self.shape
         if np.linalg.eigvalsh(0.5 * (gram + gram.T)).min() < -1e-9 * np.linalg.norm(self.shape):
             raise SeriesDivergence("shape matrix violates the dilation inequality")
-        vol = self.level_c ** (self.n / 2.0) * unit_ball_volume(self.n) / np.sqrt(det_p)
-        assert abs(vol - 1.0) <= 1e-10
 
         omega = 1
         while self.r**omega < 2.0:
@@ -98,8 +98,7 @@ class Dilation:
         self._chol = np.linalg.cholesky(self.shape)  # P = L L'
         self._powers = self._build_powers(A, self.level_cap + self.omega + 2)
         self._bpow = self._build_bpow_chain(self.b, self.level_cap + self.omega + 2)
-        self._form_maps = {}
-        self._h_sample = (h_sample_pairs, h_seed)
+        self._forms = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -116,24 +115,10 @@ class Dilation:
 
     @staticmethod
     def _lyapunov_shape(A, s):
-        n = A.shape[0]
-        a_inv = np.linalg.inv(A)
-        term = np.eye(n)
-        total = np.zeros((n, n))
-        factor = s * s
-        prev_norm = np.inf
-        for k in range(_SERIES_MAX_TERMS):
-            total += term
-            term = factor * (a_inv.T @ term @ a_inv)
-            norm = np.linalg.norm(term)
-            if norm < _SERIES_TOL:
-                break
-            if k > 50 and norm > prev_norm * 1.0000001:
-                raise SeriesDivergence("Lyapunov series terms stopped decaying")
-            prev_norm = norm
-        else:
-            raise SeriesDivergence("Lyapunov series did not reach tolerance")
-        return 0.5 * (total + total.T)
+        # P = I + s^2 A^-T P A^-1, the sum of s^2k A^-kT A^-k, solved directly
+        # (Bartels-Stewart); so A'PA - s^2 P = A'A.
+        P = solve_discrete_lyapunov(s * np.linalg.inv(A).T, np.eye(A.shape[0]))
+        return 0.5 * (P + P.T)
 
     @staticmethod
     def _build_powers(A, cap):
@@ -171,11 +156,25 @@ class Dilation:
         except KeyError:
             raise ScaleOverflow(f"scale {k} exceeds level cap {self.level_cap}") from None
 
+    def _form(self, k):
+        """(M, open level) of B_k, M = L' A^-k: the form is |M x|^2, and the
+        open level is c less a forward error bound on the computed form
+        against the exact x' A^-k' P A^-k x (Higham, Accuracy and Stability,
+        2nd ed., sec. 3.1).  Offset, map, product, sum of squares and L L'
+        against P each err by at most gamma_{2n+2} componentwise; with
+        |x| <= |M^-1| |M x| that totals gamma_{2n+2} (1 + T)^2 times the
+        value, T = || |L'| |A^-k| |M^-1| ||_2; the factor 2 covers the
+        second-order terms."""
+        if k not in self._forms:
+            fmap = self._chol.T @ self.power(-k)
+            spread = np.abs(self._chol.T) @ np.abs(self.power(-k)) @ np.abs(np.linalg.inv(fmap))
+            mu = (self.n + 1) * np.finfo(float).eps  # (2n + 2) u
+            band = 2.0 * mu / (1.0 - mu) * (1.0 + np.linalg.norm(spread, 2)) ** 2
+            self._forms[k] = (fmap, self.level_c * (1.0 - band))
+        return self._forms[k]
+
     def _form_map(self, k):
-        # Rows of L' A^-k; the quadratic form of B_k is |form_map(k) @ x|^2.
-        if k not in self._form_maps:
-            self._form_maps[k] = self._chol.T @ self.power(-k)
-        return self._form_maps[k]
+        return self._form(k)[0]
 
     def form_values(self, points, scale):
         """Quadratic-form values of points against the ball B_scale."""
@@ -191,15 +190,16 @@ class Dilation:
         return self.b ** float(ball.scale)
 
     def ball_contains(self, ball, x):
-        """Strict membership x in center + B_k (boundaries are null sets)."""
+        """Strict membership x in center + B_k; boundary points are outside."""
         out = self.ball_contains_many(ball, np.atleast_2d(x))
         return bool(out[0]) if np.isscalar(x) or np.asarray(x).ndim <= 1 else out
 
     def ball_contains_many(self, ball, points):
         """Strict membership of each point in center + B_k; the one place
-        that decides lattice points on a ball's boundary."""
+        that decides lattice points on a ball's boundary.  Inside means a
+        form value below _form's open level, so boundary points are out."""
         pts = np.asarray(points, dtype=float) - ball.center
-        return self.form_values(pts, ball.scale) < self.level_c
+        return self.form_values(pts, ball.scale) < self._form(ball.scale)[1]
 
     def ball_bounding_halfwidths(self, scale):
         """Per-axis half-widths of the bounding box of B_scale."""
@@ -275,9 +275,10 @@ class Dilation:
         """Booleans, one per offset row: closure(offset + B_inner) inside
         closure(B_outer).
 
-        This is the only place a containment value meets the level: the
-        relative slack 1e-9 keeps boundary-touching balls inside despite
-        rounding, and the values themselves are upper bounds.
+        The closed side of the boundary rule, and the only place a
+        containment value meets the level: the relative slack 1e-9 keeps
+        boundary-touching balls inside despite rounding, and the values
+        themselves are upper bounds.
         """
         vals = self.containment_max_values(inner_scale, outer_scale, offsets)
         return vals <= self.level_c * (1.0 + 1e-9)
@@ -288,12 +289,6 @@ class Dilation:
         return bool(self.closed_containment(inner.scale, outer.scale, offset)[0])
 
     # -- quasi-triangle estimate -----------------------------------------------
-
-    @cached_property
-    def quasi_triangle_H(self):
-        """Sampled quasi-triangle constant, estimated on first access."""
-        pairs, seed = self._h_sample
-        return self.estimate_quasi_triangle(pairs=pairs, seed=seed)
 
     def estimate_quasi_triangle(self, pairs=4000, seed=2718):
         """Empirical H = max rho(x+y) / (rho(x)+rho(y)) over sampled pairs."""
@@ -364,6 +359,6 @@ def _max_shifted_quadratic(lam, ghat, radius):
     return nu * rr + contrib.sum(axis=1)
 
 
-def new_dilation(matrix, level_cap=DEFAULT_LEVEL_CAP):
+def new_dilation(matrix):
     """Validate an expansive matrix and build its ball geometry."""
-    return Dilation(matrix, level_cap=level_cap)
+    return Dilation(matrix)

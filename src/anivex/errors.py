@@ -10,7 +10,7 @@ class NotExpansive(ToolkitError):
 
 
 class SeriesDivergence(ToolkitError):
-    """The Lyapunov shape series did not converge within tolerance."""
+    """The shape matrix violates the dilation inequality."""
 
 
 class ScaleOverflow(ToolkitError):

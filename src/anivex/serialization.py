@@ -149,23 +149,27 @@ def load_atomic_rep(path_prefix, d, p):
     """Rebuild a finite atomic sum from a manifest; atoms are revalidated."""
     from .hardy import Atom, FiniteAtomicRep, validate_atom
 
-    with open(f"{path_prefix}.manifest.json") as fh:
-        manifest = json.load(fh)
-    if manifest.get("kind") != "finite_atomic_rep":
-        raise ValueError("not a finite_atomic_rep manifest")
+    path = f"{path_prefix}.manifest.json"
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise CorruptFile(f"{path}: not JSON ({exc})") from None
+    if not isinstance(manifest, dict) or manifest.get("kind") != "finite_atomic_rep":
+        raise CorruptFile(f"{path}: not a finite_atomic_rep manifest")
+    try:
+        fields = [
+            (e["values"], e["ball_center"], int(e["ball_scale"]), float(e["r_exponent"]),
+             int(e["s"]), float(e["weight"]))
+            for e in manifest["entries"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptFile(f"{path}: bad or missing manifest field {exc}") from None
     terms = []
-    for entry in manifest["entries"]:
-        values = load_grid_function(entry["values"])
-        ball = d.ball(entry["ball_center"], int(entry["ball_scale"]))
-        atom = Atom(
-            ball=ball,
-            values=values,
-            r_exponent=float(entry["r_exponent"]),
-            s=int(entry["s"]),
-            validation=None,
-        )
+    for blob, center, scale, r_exponent, s, weight in fields:
+        atom = Atom(d.ball(center, scale), load_grid_function(blob), r_exponent, s, validation=None)
         atom.validation = validate_atom(atom, d, p)
-        terms.append((float(entry["weight"]), atom))
+        terms.append((weight, atom))
     return FiniteAtomicRep(terms)
 
 

@@ -1,8 +1,11 @@
+import builtins
 import json
 import os
 
 import numpy as np
 import pytest
+
+from conftest import HalfWriter
 
 from anivex import cli, hardy
 from anivex.cli import main, run_config, sweep_config
@@ -270,6 +273,22 @@ class TestSweep:
         out_dir.mkdir()
         sweep_config(QUICK, "params.epsilon", [2.0, 4.0], str(out_dir / "sweep.csv"))
         assert sorted(os.listdir(out_dir)) == ["sweep.csv"]
+
+    def test_failed_csv_write_keeps_the_old_file(self, cache_env, monkeypatch):
+        out = cache_env / "sweep.csv"
+        out.write_text("parameter,value\n'old',1\n")
+        before = out.read_bytes()
+        real_open = builtins.open
+
+        def half_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return HalfWriter(fh) if str(file).startswith(str(out)) and "w" in mode else fh
+
+        monkeypatch.setattr(builtins, "open", half_open)
+        with pytest.raises(OSError):
+            sweep_config(QUICK, "params.epsilon", [4.0], str(out))
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in cache_env.iterdir() if p.name.startswith("sweep")) == ["sweep.csv"]
 
     def test_single_value_sweep_matches_run(self, cache_env):
         out_csv = cache_env / "one.csv"

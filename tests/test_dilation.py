@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from anivex.dilation import _max_shifted_quadratic, new_dilation, unit_ball_volume
 from anivex.errors import NotExpansive, ScaleOverflow
+from anivex.grid import ball_support, uniform_grid
+from anivex.tent import ball_footprint
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,22 @@ class TestConstruction:
         # |Delta| = c * pi / sqrt(det P) must equal 1.
         area = d2.level_c * unit_ball_volume(2) / np.sqrt(np.linalg.det(d2.shape))
         assert area == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            [[2.0]],
+            [[2.0, 0.0], [0.0, 3.0]],
+            [[2.0, 1.0], [0.0, 2.0]],
+            [[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]],
+        ],
+    )
+    def test_shape_solves_lyapunov_equation(self, mat):
+        d = new_dilation(mat)
+        A = d.matrix
+        residual = A.T @ d.shape @ A - d.r**2 * d.shape - A.T @ A
+        assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(A.T @ A)
+        assert np.array_equal(d.shape, d.shape.T)
 
     def test_not_expansive(self):
         with pytest.raises(NotExpansive):
@@ -93,6 +111,28 @@ class TestBalls:
             assert est == pytest.approx(d2.b ** float(k), rel=0.01)
 
 
+class TestBoundaryRule:
+    """On A=[2] every dyadic lattice has points on ball boundaries, and
+    boundary points are outside the open balls."""
+
+    @pytest.mark.parametrize("cell", [1500, 2048, 2600])
+    def test_lattice_centred_interval_counts(self, d1, cell):
+        g = uniform_grid([-8.0], [8.0], 4096)
+        center = g.points()[cell]
+        for k in range(-7, 4):
+            # B_k = (-2^(k-1), 2^(k-1)) around a lattice point: 2^k/h - 1 points.
+            expected = 2 ** (k + 8) - 1
+            assert ball_support(g, d1, d1.ball(center, k)).size == expected
+            assert np.count_nonzero(ball_footprint(d1, g, k)) == expected
+
+    def test_boundary_point_takes_the_outer_level(self, d1):
+        for k in range(-30, 31):
+            x = np.array([[-(2.0 ** (k - 1))], [2.0 ** (k - 1)]])
+            # x lies on the boundary of B_k, so in B_{k+1} \ B_k.
+            assert np.array_equal(d1.step_quasi_norm_many(x), [d1.bpow(k)] * 2)
+            assert np.array_equal(d1.step_quasi_norm_many(2.0 * x), d1.b * d1.step_quasi_norm_many(x))
+
+
 class TestStepQuasiNorm:
     def test_origin(self, d1):
         assert d1.step_quasi_norm([0.0]) == 0.0
@@ -121,12 +161,6 @@ class TestStepQuasiNorm:
         tiny = np.array([[2.0 ** (-d1.level_cap - 6)]])
         with pytest.raises(ScaleOverflow):
             d1.step_levels(tiny)
-
-    def test_quasi_triangle_lazy(self):
-        d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
-        assert "quasi_triangle_H" not in vars(d)
-        assert d.quasi_triangle_H == d.estimate_quasi_triangle(4000, 2718)
-        assert "quasi_triangle_H" in vars(d)
 
     def test_quasi_triangle_stable(self, d2):
         h1 = d2.estimate_quasi_triangle(pairs=4000, seed=99)

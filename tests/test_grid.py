@@ -23,6 +23,7 @@ from anivex.grid import (
 )
 from anivex.polyproj import multi_indices
 from anivex.serialization import load_grid_function, save_grid_function
+from anivex.tent import _paste_centered, ball_footprint
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +164,7 @@ class TestBallQuadrature:
 _SUPPORT_CASES = {
     "1d": ([[2.0]], [-8.0], [8.0], 4096, (-8, 3)),
     "diag": ([[2.0, 0.0], [0.0, 3.0]], [-4.0, -4.0], [4.0, 4.0], 48, (-3, 2)),
+    "diag5": ([[2.0, 0.0], [0.0, 3.0]], [-5.0, -5.0], [5.0, 5.0], 48, (-3, 2)),
     "shear": ([[2.0, 1.0], [0.0, 2.0]], [-4.0, -4.0], [4.0, 4.0], 32, (-3, 3)),
     "box": ([[2.0, 1.0], [0.0, 2.0]], [-4.0, -3.0], [4.0, 6.0], (40, 56), (-3, 3)),
 }
@@ -200,6 +202,20 @@ class TestBallSupport:
         assert not support.flags.writeable
         assert not mask.flags.writeable
         assert ball_support(g, d, ball) is support
+
+    @settings(max_examples=120)
+    @given(
+        name=st.sampled_from(["1d", "diag5", "shear"]),
+        u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_aligned_support_equals_pasted_footprint(self, name, u, t):
+        d, g, (k_lo, k_hi) = _support_case(name)
+        cells = tuple(min(int(ui * r), r - 1) for ui, r in zip(u, g.resolution))
+        center = [lo + (i + 0.5) * h for lo, i, h in zip(g.lower, cells, g.spacing)]
+        k = k_lo + int(t * (k_hi - k_lo))
+        pasted = _paste_centered(g.resolution, ball_footprint(d, g, k), cells)
+        assert np.array_equal(ball_support(g, d, d.ball(center, k)), np.flatnonzero(pasted))
 
     def test_lattice_aligned_centres_hit_lattice_points(self):
         d, g, _ = _support_case("diag")

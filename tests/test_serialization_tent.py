@@ -1,8 +1,9 @@
-import errno
 import json
 
 import numpy as np
 import pytest
+
+from conftest import HalfWriter
 
 from anivex import serialization
 from anivex.dilation import new_dilation
@@ -85,6 +86,39 @@ def test_atomic_rep_roundtrip(setup, tmp_path):
     assert back.terms[1][1].validation.passed
 
 
+def _damaged_manifest(setup, tmp_path, damage):
+    """Save a one-atom rep, rewrite its manifest text with damage, and check
+    that loading it raises CorruptFile naming the manifest."""
+    from anivex.grid import sample
+    from anivex.hardy import FiniteAtomicRep, make_atom
+    from anivex.serialization import load_atomic_rep, save_atomic_rep
+
+    d, g, p = setup
+    atom = make_atom(sample(g, lambda x: x), d, d.ball([0.0], 0), 2.0, p, 0)
+    prefix = str(tmp_path / "rep")
+    save_atomic_rep(FiniteAtomicRep([(1.0, atom)]), prefix)
+    manifest = tmp_path / "rep.manifest.json"
+    manifest.write_text(damage(manifest.read_text()))
+    _assert_corrupt(lambda _: load_atomic_rep(prefix, d, p), manifest)
+
+
+def test_manifest_not_json_is_corrupt_file(setup, tmp_path):
+    _damaged_manifest(setup, tmp_path, lambda text: text[: len(text) // 2])
+
+
+def test_manifest_of_another_kind_is_corrupt_file(setup, tmp_path):
+    _damaged_manifest(setup, tmp_path, lambda text: text.replace("finite_atomic_rep", "tent_atom_set"))
+
+
+def test_manifest_missing_key_is_corrupt_file(setup, tmp_path):
+    def drop_scale(text):
+        manifest = json.loads(text)
+        del manifest["entries"][0]["ball_scale"]
+        return json.dumps(manifest)
+
+    _damaged_manifest(setup, tmp_path, drop_scale)
+
+
 def _saved_blocks(setup, tmp_path):
     """One saved AVXG and one saved AVXS file, each with its loader."""
     _, g, _ = setup
@@ -123,24 +157,6 @@ def test_payload_size_mismatch_is_corrupt_file(setup, tmp_path):
         _assert_corrupt(load, path)
 
 
-class _HalfWriter:
-    """A file that writes half of what it is given, then fails."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.fh.write(data[: len(data) // 2])
-        self.fh.flush()
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
 def test_failed_write_leaves_no_partial_file(setup, tmp_path, monkeypatch):
     _, g, _ = setup
     f = GridFunction(g, np.linspace(-1.0, 1.0, 1024))
@@ -148,7 +164,7 @@ def test_failed_write_leaves_no_partial_file(setup, tmp_path, monkeypatch):
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     assert sorted(before) == ["kept.avxg", "kept.avxg.json"]
     real_open = open
-    monkeypatch.setattr(serialization, "open", lambda *a, **k: _HalfWriter(real_open(*a, **k)), raising=False)
+    monkeypatch.setattr(serialization, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)), raising=False)
     with pytest.raises(OSError):
         save_grid_function(f.with_values(2.0 * f.values), tmp_path / "kept.avxg")
     with pytest.raises(OSError):
