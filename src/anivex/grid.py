@@ -23,8 +23,8 @@ class Grid:
     def __post_init__(self):
         if any(r < 2 for r in self.resolution):
             raise ValueError("resolution must be >= 2 per axis")
-        if any(u <= l for l, u in zip(self.lower, self.upper)):
-            raise ValueError("upper must exceed lower per axis")
+        if not all(np.isfinite(u - l) and u > l for l, u in zip(self.lower, self.upper)):
+            raise ValueError("bounds must be finite, with upper exceeding lower, per axis")
 
     @property
     def n(self):

@@ -13,15 +13,18 @@ scale function (magic AVXS, version 1):
     raw values, C order, scale index first
 
 Both are written and read by one header codec.  A load checks the magic,
-version, header length, dtype code and payload size, and raises CorruptFile
-naming the file when any of them is wrong.
+version, header length, dtype code and payload size, then builds the grid
+and the function; it raises CorruptFile naming the file when any check
+fails or the constructors reject the bounds, resolution or samples.
 
 Every file gets a "<path>.json" sidecar with the same metadata.  Tent atom
 sets are stored as a JSON manifest next to one stacked AVXS block per atom.
 Every file is written atomically (write_atomic).
 """
 
+import contextlib
 import json
+import math
 import os
 import struct
 
@@ -53,9 +56,10 @@ def write_atomic(path, data):
         with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        raise
 
 
 def _write_sidecar(path, meta):
@@ -72,8 +76,8 @@ def _write_block(path, magic, kind, grid, values, **window):
     _write_sidecar(path, {**meta, "lower": list(grid.lower), "upper": list(grid.upper)})
 
 
-def _read_block(path, magic):
-    """(grid, window, values) from a file written by _write_block."""
+def _read_block(path, magic, make):
+    """make(grid, window, values) from a file written by _write_block."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:5] != magic + b"\x01":
@@ -91,10 +95,16 @@ def _read_block(path, magic):
     res = [a[0] for a in axes]
     shape = ([window[1] - window[0] + 1] if window else []) + res
     dtype = np.dtype(_DTYPES[code])
-    if len(data) - offset != int(np.prod(shape)) * dtype.itemsize:
+    if len(data) - offset != math.prod(shape) * dtype.itemsize:
         raise CorruptFile(f"{path}: {len(data) - offset} payload bytes do not fit shape {shape}")
     values = np.frombuffer(data, dtype=dtype, offset=offset).reshape(shape).copy()
-    return Grid(tuple(a[1] for a in axes), tuple(a[2] for a in axes), tuple(res)), window, values
+    # A header or payload the constructors reject (bounds, resolution,
+    # non-finite samples) is a damaged file too.
+    try:
+        grid = Grid(tuple(a[1] for a in axes), tuple(a[2] for a in axes), tuple(res))
+        return make(grid, window, values)
+    except ValueError as exc:
+        raise CorruptFile(f"{path}: {exc}") from None
 
 
 def save_grid_function(f, path):
@@ -102,8 +112,7 @@ def save_grid_function(f, path):
 
 
 def load_grid_function(path):
-    grid, _, values = _read_block(path, b"AVXG")
-    return GridFunction(grid, values)
+    return _read_block(path, b"AVXG", lambda grid, _, values: GridFunction(grid, values))
 
 
 def save_scale_function(sf, path):
@@ -114,8 +123,7 @@ def save_scale_function(sf, path):
 def load_scale_function(path):
     from .tent import ScaleFunction
 
-    grid, (l_min, l_max), values = _read_block(path, b"AVXS")
-    return ScaleFunction(grid, l_min, l_max, values)
+    return _read_block(path, b"AVXS", lambda grid, window, values: ScaleFunction(grid, *window, values))
 
 
 def save_atomic_rep(rep, path_prefix):

@@ -11,6 +11,12 @@ ball centred on a lattice point it pastes the cached offset stamp of the
 the queried nodes.  Tent masses, atom expansions and atom validation go
 through it; tent_contains asks the exact test for one off-grid point.
 
+The area function is a direct lattice sum over each layer's reach box (its
+nonzero nodes' bounding box widened by the footprint's half-widths), with
+the footprint cut into power-of-two blocks along the last axis.  It uses no
+FFT, so it is exactly 0.0 on every cell no node reaches, and atom
+validation costs what the atom's few nodes reach, not the grid.
+
 The decomposition follows dyadic level sets of the area function, dilates
 them through the maximal operator, covers them greedily with guard-expanded
 balls, and carves the function into disjointly supported atoms that rebuild
@@ -55,6 +61,8 @@ class ScaleFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.l_max < self.l_min:
+            raise ValueError(f"empty scale window [{self.l_min}, {self.l_max}]")
         self.values = np.asarray(self.values)
         want = (self.l_max - self.l_min + 1,) + tuple(self.grid.resolution)
         if self.values.shape != want:
@@ -172,17 +180,83 @@ def _binary_erode(mask, footprint):
 
 
 def lusin_area(G, d):
-    """A(G)(x) = [sum_l b^-l int_{y in x+B_l} |G(y,l)|^2 dy]^(1/2)."""
+    """A(G)(x) = [sum_l b^-l int_{y in x+B_l} |G(y,l)|^2 dy]^(1/2), summed on
+    the lattice: A(G)(x)^2 = cell * sum_l b^-l sum_{v in footprint_l} |G_l(x-v)|^2.
+
+    All-zero layers are skipped; every other layer is summed only over its
+    reach box, the bounding box of its nonzero nodes widened by the
+    footprint's half-widths and clipped to the grid.  Every value is a sum of
+    nonnegative terms, so A is exactly 0.0 wherever no node reaches.
+    """
     grid = G.grid
     acc = np.zeros(grid.resolution)
     for ell in G.scales():
-        fp = ball_footprint(d, grid, ell)
-        if not fp.any():
-            continue
+        half, blocks = _footprint_blocks(d, grid, ell)
         sq = np.abs(G.layer(ell)) ** 2
-        acc += (1.0 / d.bpow(ell)) * fftconvolve(sq, fp.astype(float), mode="same")
+        if not blocks or not sq.any():
+            continue
+        reach, total = _footprint_sum(sq, half, blocks)
+        acc[reach] += (1.0 / d.bpow(ell)) * total
     acc *= grid.cell_volume
-    return GridFunction(grid, np.sqrt(np.maximum(acc, 0.0)))
+    return GridFunction(grid, np.sqrt(acc))
+
+
+def _footprint_blocks(d, grid, scale):
+    """(half-widths, blocks) of the footprint of B_scale, cut into blocks of
+    2^k cells along the last axis.
+
+    Each run of footprint cells along the last axis splits by the binary
+    digits of its length.  blocks[k] lists, for every block of 2^k cells, its
+    corner in the source array that _footprint_sum pads by the half-widths;
+    no blocks means an empty footprint.  Cached beside the footprint.
+    """
+    cache = dilation_cache(d)
+    key = ("blocks", grid.key(), scale)
+    if key not in cache:
+        fp = ball_footprint(d, grid, scale)
+        blocks = [[] for _ in range(fp.shape[-1].bit_length())]
+        for lead in np.ndindex(fp.shape[:-1]):
+            corner = tuple(s - 1 - i for s, i in zip(fp.shape, lead))
+            edges = np.flatnonzero(np.diff(fp[lead], prepend=False, append=False))
+            for first, stop in zip(edges[0::2], edges[1::2]):
+                width, start = int(stop - first), fp.shape[-1] - int(stop)
+                for k in range(width.bit_length()):
+                    if width >> k & 1:
+                        blocks[k].append(corner + (start,))
+                        start += 1 << k
+        while blocks and not blocks[-1]:
+            blocks.pop()
+        cache[key] = ([s // 2 for s in fp.shape], blocks)
+    return cache[key]
+
+
+def _footprint_sum(sq, half, blocks):
+    """(reach, s) with s(x) = sum_{v in footprint} sq(x - v) on the reach box.
+
+    The nonzero part of sq is copied into a zero array padded by the
+    half-widths on every side, so every block of every reached cell lies
+    inside it.  Pairwise sums in place along the last axis turn entry j into
+    the sum of the 2^k cells from j on; each block then adds one shifted
+    slice.  Every addition adds nonnegative terms.
+    """
+    hit = np.nonzero(sq)
+    lo = [int(i.min()) for i in hit]
+    hi = [int(i.max()) + 1 for i in hit]
+    reach = tuple(
+        slice(max(l - h, 0), min(u + h, n)) for l, u, h, n in zip(lo, hi, half, sq.shape)
+    )
+    shape = tuple(r.stop - r.start for r in reach)
+    src = np.zeros(tuple(n + 2 * h for n, h in zip(shape, half)))
+    inner = tuple(slice(l - r.start + h, u - r.start + h) for l, u, r, h in zip(lo, hi, reach, half))
+    src[inner] = sq[tuple(slice(l, u) for l, u in zip(lo, hi))]
+    out = np.zeros(shape)
+    for k, corners in enumerate(blocks):
+        if k:  # numpy buffers the overlapping operands
+            step = 1 << (k - 1)
+            src[..., :-step] += src[..., step:]
+        for corner in corners:
+            out += src[tuple(slice(c, c + n) for c, n in zip(corner, shape))]
+    return reach, out
 
 
 def area_l2_weights(d, grid, scale_window):

@@ -1,7 +1,12 @@
 import json
+import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import HalfWriter
 
@@ -157,6 +162,14 @@ def test_payload_size_mismatch_is_corrupt_file(setup, tmp_path):
         _assert_corrupt(load, path)
 
 
+def test_empty_scale_window_is_corrupt_file(tmp_path):
+    # A header-only AVXS block whose window ends before it starts fits an
+    # empty payload; it is still not a scale function.
+    path = tmp_path / "empty.avxs"
+    path.write_bytes(struct.pack("<4sBBBii", b"AVXS", 1, 0, 1, 3, 2) + struct.pack("<Idd", 8, 0.0, 1.0))
+    _assert_corrupt(load_scale_function, path)
+
+
 def test_failed_write_leaves_no_partial_file(setup, tmp_path, monkeypatch):
     _, g, _ = setup
     f = GridFunction(g, np.linspace(-1.0, 1.0, 1024))
@@ -173,3 +186,44 @@ def test_failed_write_leaves_no_partial_file(setup, tmp_path, monkeypatch):
         write_atomic(tmp_path / "kept.avxg.json", "{}\n" * 64)
     # The old files are untouched, and no new or temporary file is left.
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+_FUZZ_GRID = uniform_grid([-1.0, -2.0], [1.0, 2.0], (4, 3))
+_FUZZ_BLOCKS = {
+    "avxg": (save_grid_function, load_grid_function,
+             GridFunction(_FUZZ_GRID, np.arange(12.0).reshape(4, 3))),
+    "avxs": (save_scale_function, load_scale_function,
+             ScaleFunction(_FUZZ_GRID, -1, 0, np.arange(24.0).reshape(2, 4, 3))),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(_FUZZ_BLOCKS)),
+    cut=st.one_of(st.just(0), st.integers(1, 250)),
+    flips=st.lists(
+        st.tuples(st.integers(0, 246), st.sampled_from([0x01, 0x08, 0x40, 0x7F, 0x80, 0xFF])),
+        max_size=3,
+    ),
+)
+def test_damaged_block_loads_or_is_corrupt_file(kind, cut, flips):
+    """A truncated or byte-flipped block either loads or raises CorruptFile
+    naming the file, never another exception."""
+    save, load, value = _FUZZ_BLOCKS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"f.{kind}")
+        save(value, path)
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
+        for at, mask in flips:
+            if at < len(data):
+                data[at] ^= mask
+        with open(path, "wb") as fh:
+            fh.write(bytes(data[: max(len(data) - cut, 0)]))
+        try:
+            loaded = load(path)
+        except CorruptFile as exc:
+            assert path in str(exc)
+        else:
+            assert isinstance(loaded, type(value))
+            assert np.all(np.isfinite(loaded.grid.lower)) and np.all(np.isfinite(loaded.grid.upper))

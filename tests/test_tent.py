@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from anivex.campanato import aggregate_norm
 from anivex.dilation import new_dilation
@@ -11,6 +12,7 @@ from anivex.grid import GridFunction, uniform_grid
 from anivex.search import BallConfiguration
 from anivex.tent import (
     ScaleFunction,
+    _paste_centered,
     area_l2_weights,
     ball_footprint,
     hl_maximal,
@@ -54,10 +56,106 @@ def blob_scale_function(grid, window, centers, widths, scale_weights, amp=1.0):
     return ScaleFunction(grid, window[0], window[1], np.stack(layers))
 
 
+def _fft_lusin_area(G, d):
+    """The area function by one full-grid FFT convolution per scale: the
+    reference the lattice sum must agree with to rounding."""
+    grid = G.grid
+    acc = np.zeros(grid.resolution)
+    for ell in G.scales():
+        fp = ball_footprint(d, grid, ell)
+        if not fp.any():
+            continue
+        sq = np.abs(G.layer(ell)) ** 2
+        acc += (1.0 / d.bpow(ell)) * fftconvolve(sq, fp.astype(float), mode="same")
+    acc *= grid.cell_volume
+    return np.sqrt(np.maximum(acc, 0.0))
+
+
+def _shifted_area_sq(G, d):
+    """A(G)^2 summed one footprint offset at a time on a zero-padded copy of
+    each layer: an oracle that shares no code with lusin_area."""
+    grid = G.grid
+    acc = np.zeros(grid.resolution)
+    for ell in G.scales():
+        fp = ball_footprint(d, grid, ell)
+        half = [s // 2 for s in fp.shape]
+        padded = np.pad(np.abs(G.layer(ell)) ** 2, [(h, h) for h in half])
+        layer = np.zeros(grid.resolution)
+        for v in np.argwhere(fp) - np.array(half):
+            layer += padded[tuple(slice(h - vi, h - vi + r) for h, vi, r in zip(half, v, grid.resolution))]
+        acc += layer / d.bpow(ell)
+    return acc * grid.cell_volume
+
+
+def _shear_blobs(grid):
+    """The two truncated Gaussian blobs of the tent benchmark, at scales -3..0."""
+    return blob_scale_function(
+        grid, (-3, 0), [[-1.5, -1.0], [1.2, 0.8]], [0.5, 0.5], {-3: 1.0, -2: 0.6, -1: 0.8, 0: 0.4}
+    )
+
+
+def _fft_agreement_case(name):
+    rng = np.random.default_rng(11)
+    shear = new_dilation([[2.0, 1.0], [0.0, 2.0]])
+    g32 = uniform_grid([-4.0, -4.0], [4.0, 4.0], (32, 32))
+    if name == "A=[2] dense 4096":
+        g = uniform_grid([-8.0], [8.0], 4096)
+        return new_dilation([[2.0]]), ScaleFunction(g, -4, 2, rng.normal(size=(7, 4096)))
+    if name == "diag(2,3) dense 48^2":
+        g = uniform_grid([-4.0, -4.0], [4.0, 4.0], (48, 48))
+        return new_dilation([[2.0, 0.0], [0.0, 3.0]]), ScaleFunction(g, -2, 1, rng.normal(size=(4, 48, 48)))
+    if name == "shear blobs 32^2":
+        return shear, _shear_blobs(g32)
+    G = zero_scale_function(g32, (-3, 0))
+    G.values[2, 16, 11] = 2.5
+    return shear, G
+
+
+# Sparse supports for the exact-zero property: (dilation, grid, scale window).
+_SPARSE_CASES = {
+    "A=[2]": (new_dilation([[2.0]]), uniform_grid([-4.0], [4.0], 64), (-3, 1)),
+    "diag(2,3)": (new_dilation([[2.0, 0.0], [0.0, 3.0]]), uniform_grid([-4.0, -4.0], [4.0, 4.0], 24), (-2, 0)),
+    "shear": (new_dilation([[2.0, 1.0], [0.0, 2.0]]), uniform_grid([-4.0, -4.0], [4.0, 4.0], 24), (-3, 0)),
+}
+
+
 class TestLusinArea:
     def test_zero(self, d1, g1):
         G = zero_scale_function(g1, (-3, 2))
         assert np.all(lusin_area(G, d1).values == 0.0)
+
+    @pytest.mark.parametrize(
+        "case", ["A=[2] dense 4096", "diag(2,3) dense 48^2", "shear blobs 32^2", "single node"]
+    )
+    def test_matches_fft_reference(self, case):
+        d, G = _fft_agreement_case(case)
+        got = lusin_area(G, d).values ** 2
+        want = _fft_lusin_area(G, d) ** 2
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    def test_matches_shifted_oracle(self):
+        d, G = _fft_agreement_case("shear blobs 32^2")
+        want = _shifted_area_sq(G, d)
+        got = lusin_area(G, d).values ** 2
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+        assert np.array_equal(got == 0.0, want == 0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(sorted(_SPARSE_CASES)), data=st.data())
+    def test_exactly_zero_off_the_reach(self, case, data):
+        d, grid, window = _SPARSE_CASES[case]
+        G = zero_scale_function(grid, window)
+        reach = np.zeros(grid.resolution, dtype=bool)
+        for _ in range(data.draw(st.integers(1, 5))):
+            ell = data.draw(st.integers(*window))
+            idx = tuple(data.draw(st.integers(0, r - 1)) for r in grid.resolution)
+            G.values[(ell - window[0],) + idx] = data.draw(
+                st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)
+            )
+            reach |= _paste_centered(grid.resolution, ball_footprint(d, grid, ell), idx)
+        area = lusin_area(G, d).values
+        assert np.all(area[~reach] == 0.0)
+        assert np.all(area[reach] > 0.0)
 
     def test_indicator_overlap_formula(self, d1, g1):
         # G = 1_{B_0}(y) at scale 0: A(G)(x)^2 = max(0, 1 - |x|).
@@ -296,6 +394,18 @@ class TestDecomposition:
             ratios.append(agg / tnorm)
         mid = np.median(ratios)
         assert np.all(np.abs(np.array(ratios) / mid - 1.0) <= 0.3)
+
+    def test_levels_start_below_the_smallest_area(self):
+        # The lowest level sits one below the smallest positive area, taken
+        # from an oracle sum: no level is spent on values no node reaches.
+        d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
+        g = uniform_grid([-4.0, -4.0], [4.0, 4.0], (32, 32))
+        G = _shear_blobs(g)
+        area_sq = _shifted_area_sq(G, d)
+        j_lo = int(np.floor(np.log2(np.sqrt(area_sq[area_sq > 0.0].min())))) - 1
+        atoms = tent_atomic_decomposition(G, constant_exponent(g, 1.0), d)
+        assert atoms.levels[0] == j_lo
+        assert min(atoms.cover_sizes) >= atoms.levels[0]
 
     def test_cover_failure_raised(self, d1, g1, p1):
         # A node at the box edge whose ball sticks outside can never be
