@@ -240,6 +240,8 @@ def sweep_config(config_path, parameter, values, out_path, seed=None, budget=Non
             *path, leaf = parameter.split(".")
             for key in path:
                 target = target.setdefault(key, {})
+                if not isinstance(target, dict):
+                    raise ConfigError(f"{key!r} does not hold an object", field=parameter)
             target[leaf] = value
         with tempfile.TemporaryDirectory() as tmp:
             point_config = os.path.join(tmp, "config.json")

@@ -5,7 +5,8 @@ Expression grammar: arithmetic over the coordinate names x (alias x0) and
 x1, ..., with + - * / ** and unary minus, numeric literals, the constants pi
 and e, and the functions sin, cos, tan, exp, log, sqrt, abs, sign, where.
 Parsed through the ast module with a strict whitelist; nothing else
-evaluates.
+evaluates.  Literals are floats.  A formula that fails to evaluate, or whose
+samples are not one finite value per point, is a ConfigError.
 """
 
 import ast
@@ -57,24 +58,30 @@ _ALLOWED_NODES = (
 )
 
 
-def compile_expression(formula, n):
+def compile_expression(formula, n, field="formula"):
     """Compile a formula string into a vectorized callable of mesh arrays."""
     try:
         tree = ast.parse(formula, mode="eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"cannot parse expression: {exc}", field="formula") from None
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        # Deep nesting overflows the parser's stack: a MemoryError with no message.
+        reason = str(exc) or "nested too deeply"
+        raise ConfigError(f"cannot parse expression: {reason}", field=field) from None
     names = {"x", *(f"x{i}" for i in range(n))}
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ConfigError(
-                f"disallowed syntax element {type(node).__name__!r}", field="formula"
+                f"disallowed syntax element {type(node).__name__!r}", field=field
             )
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
-                raise ConfigError("only whitelisted functions may be called", field="formula")
+                raise ConfigError("only whitelisted functions may be called", field=field)
         if isinstance(node, ast.Name):
             if node.id not in names and node.id not in _FUNCTIONS and node.id not in _CONSTANTS:
-                raise ConfigError(f"unknown name {node.id!r}", field="formula")
+                raise ConfigError(f"unknown name {node.id!r}", field=field)
+        if isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float) or not abs(node.value) <= np.finfo(float).max:
+                raise ConfigError(f"literal {node.value!r} is not a finite float", field=field)
+            node.value = float(node.value)
     code = compile(tree, "<formula>", "eval")
 
     def fn(*meshes):
@@ -83,9 +90,15 @@ def compile_expression(formula, n):
         env["x"] = meshes[0]
         for i, m in enumerate(meshes):
             env[f"x{i}"] = m
-        return np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float) + np.zeros_like(
-            meshes[0]
-        )
+        try:
+            with np.errstate(all="ignore"):
+                out = np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float)
+                out = out + np.zeros_like(meshes[0])
+        except (ArithmeticError, TypeError, ValueError, RecursionError) as exc:
+            raise ConfigError(f"cannot evaluate {formula!r}: {exc}", field=field) from None
+        if out.shape != np.shape(meshes[0]) or not np.all(np.isfinite(out)):
+            raise ConfigError(f"{formula!r} is not one finite value per point", field=field)
+        return out
 
     return fn
 
@@ -95,6 +108,20 @@ def _require(mapping, key, field):
         return mapping[key]
     except (KeyError, TypeError):
         raise ConfigError(f"missing key {key!r}", field=field) from None
+
+
+def _sample_formula(spec, grid, field):
+    formula = _require(spec, "formula", field)
+    return sample(grid, compile_expression(formula, grid.n, field=f"{field}.formula"))
+
+
+def _integer(value, field, lowest=None):
+    """value as an int (a JSON integer or an integral float), at least lowest."""
+    if type(value) not in (int, float) or not float(value).is_integer():
+        raise ConfigError(f"expected an integer, got {value!r}", field=field)
+    if lowest is not None and value < lowest:
+        raise ConfigError(f"expected at least {lowest}, got {value!r}", field=field)
+    return int(value)
 
 
 def build_exponent(spec, grid, field="exponent"):
@@ -114,8 +141,7 @@ def build_exponent(spec, grid, field="exponent"):
         for brk, val in zip(breaks, values[1:]):
             vals = np.where(coords >= brk, val, vals)
     elif kind == "expression":
-        fn = compile_expression(_require(spec, "formula", field), grid.n)
-        vals = fn(*grid.meshes())
+        vals = _sample_formula(spec, grid, field).values
     else:
         raise ConfigError(f"unknown exponent kind {kind!r}", field=field)
     if np.any(vals <= 0):
@@ -126,14 +152,14 @@ def build_exponent(spec, grid, field="exponent"):
 def build_function(spec, grid, d, p, field="functions"):
     kind = _require(spec, "kind", field)
     if kind == "expression":
-        return sample(grid, compile_expression(_require(spec, "formula", field), grid.n))
+        return _sample_formula(spec, grid, field)
     if kind == "piecewise":
         exp_like = build_exponent({**spec, "kind": "piecewise"}, grid, field=field)
         return exp_like.values
     if kind == "atom_seed":
         from .hardy import make_atom
 
-        seed = sample(grid, compile_expression(_require(spec, "formula", field), grid.n))
+        seed = _sample_formula(spec, grid, field)
         ball_spec = _require(spec, "ball", field)
         ball = d.ball(ball_spec["center"], int(ball_spec["scale"]))
         atom = make_atom(
@@ -168,6 +194,12 @@ class ExperimentConfig:
                 spec, self.grid, self.dilation, self.exponent, field=f"functions.{name}"
             )
         self.params = dict(raw.get("params", {}))
+        if "scale_window" in self.params:
+            window, field = self.params["scale_window"], "params.scale_window"
+            if not isinstance(window, list) or len(window) != 2:
+                raise ConfigError(f"expected two integers [lo, hi], got {window!r}", field=field)
+            lo = _integer(window[0], field)
+            self.params["scale_window"] = (lo, _integer(window[1], field, lowest=lo))
         try:
             self.campanato = CampanatoParams(
                 p=self.exponent,
@@ -185,8 +217,8 @@ class ExperimentConfig:
                     f"unknown suite {name!r}; choose from {sorted(SUITE_NAMES)}",
                     field=f"checks[{i}]",
                 )
-        self.seed = int(raw.get("seed", 0))
-        self.budget = int(raw.get("budget", 120))
+        self.seed = _integer(raw.get("seed", 0), "seed")
+        self.budget = _integer(raw.get("budget", 120), "budget", lowest=1)
 
 
 def load_raw(path):

@@ -52,8 +52,9 @@ class DilatedBall:
 class Dilation:
     """An expansive matrix together with its derived ball geometry.
 
-    Immutable after construction; all methods are pure, so instances can be
-    shared freely across threads.
+    The geometry is fixed at construction.  An instance memoizes derived
+    values on first use, without locks: the forms per scale here, and lattice
+    sets per grid in the grid and tent modules (grid.dilation_cache).
     """
 
     def __init__(self, matrix):
@@ -189,11 +190,6 @@ class Dilation:
         """|center + B_k| = b^k, analytic."""
         return self.b ** float(ball.scale)
 
-    def ball_contains(self, ball, x):
-        """Strict membership x in center + B_k; boundary points are outside."""
-        out = self.ball_contains_many(ball, np.atleast_2d(x))
-        return bool(out[0]) if np.isscalar(x) or np.asarray(x).ndim <= 1 else out
-
     def ball_contains_many(self, ball, points):
         """Strict membership of each point in center + B_k; the one place
         that decides lattice points on a ball's boundary.  Inside means a
@@ -238,12 +234,8 @@ class Dilation:
             raise ScaleOverflow("point outside B_k for every k within the level cap")
         return levels, zero
 
-    def step_quasi_norm(self, x):
-        """rho(x): 0 at the origin, else b^k on B_{k+1} \\ B_k."""
-        vals = self.step_quasi_norm_many(x)
-        return float(vals[0]) if np.ndim(x) <= 1 else vals
-
     def step_quasi_norm_many(self, points):
+        """rho at each point: 0 at the origin, else b^k on B_{k+1} \\ B_k."""
         levels, zero = self.step_levels(points)
         out = np.empty(len(levels))
         for k in np.unique(levels):
@@ -282,11 +274,6 @@ class Dilation:
         """
         vals = self.containment_max_values(inner_scale, outer_scale, offsets)
         return vals <= self.level_c * (1.0 + 1e-9)
-
-    def ball_containment(self, inner, outer):
-        """Exact test: closure(inner) inside closure(outer)."""
-        offset = (inner.center - outer.center)[None, :]
-        return bool(self.closed_containment(inner.scale, outer.scale, offset)[0])
 
     # -- quasi-triangle estimate -----------------------------------------------
 

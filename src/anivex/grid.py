@@ -1,8 +1,11 @@
-"""Uniform-lattice functions, quadrature, ball masks, and scaled convolution.
+"""Uniform-lattice functions, quadrature, lattice sets of balls, and scaled
+convolution.
 
 Lattice points sit at cell midpoints; all integrals are midpoint sums, which
 are exact for cell-aligned indicators and second order for smooth integrands.
-Functions are zero outside their box.
+Functions are zero outside their box.  This module alone decides which
+lattice points lie in a ball (ball_support): a lattice-centred ball pastes
+the cached footprint of its scale, any other centre is tested on the grid.
 """
 
 from dataclasses import dataclass
@@ -126,9 +129,9 @@ def integrate(f):
 
 
 def dilation_cache(d):
-    """The per-dilation memo of lattice sets: ball supports here, footprints
-    and tent stamps in the tent module.  Keys start with a kind tag and the
-    grid key."""
+    """The per-dilation memo of lattice sets: footprints and ball supports
+    here, tent stamps and footprint blocks in the tent module.  Keys start
+    with a kind tag and the grid key."""
     cache = getattr(d, "_lattice_cache", None)
     if cache is None:
         cache = {}
@@ -136,19 +139,60 @@ def dilation_cache(d):
     return cache
 
 
+def ball_footprint(d, grid, scale):
+    """Centred boolean array of integer offsets v with v*h inside B_scale."""
+    cache = dilation_cache(d)
+    key = ("fp", grid.key(), scale)
+    if key not in cache:
+        offsets, shape = _offset_lattice(grid, d.ball_bounding_halfwidths(scale))
+        cache[key] = d.ball_contains_many(d.ball(np.zeros(d.n), scale), offsets).reshape(shape)
+    return cache[key]
+
+
+def _lattice_index(grid, point):
+    """Multi-index of the lattice point equal to point, or None if off-lattice."""
+    if len(point) != grid.n:
+        return None
+    idx = []
+    for x, lo, h, r in zip(point, grid.lower, grid.spacing, grid.resolution):
+        i = int(np.rint((x - lo) / h - 0.5))
+        if not (0 <= i < r and lo + (i + 0.5) * h == x):
+            return None
+        idx.append(i)
+    return tuple(idx)
+
+
+def _paste_centered(mask_shape, centered, idx):
+    """Place a centered boolean stamp at a lattice index, clipped to the box."""
+    out = np.zeros(mask_shape, dtype=bool)
+    src, dst = [], []
+    for size, stamp, i in zip(mask_shape, centered.shape, idx):
+        lo = i - stamp // 2  # stamps have odd widths
+        s_lo, s_hi = max(0, -lo), min(stamp, size - lo)
+        if s_lo >= s_hi:
+            return out
+        src.append(slice(s_lo, s_hi))
+        dst.append(slice(lo + s_lo, lo + s_hi))
+    out[tuple(dst)] = centered[tuple(src)]
+    return out
+
+
 def ball_support(grid, d, ball):
     """Read-only flat C-order indices of the lattice points strictly inside
-    the dilated ball.
-
-    The membership test runs once per (grid, ball) and dilation; projection,
-    Luxemburg, aggregate and tent-mass code index the support.
+    the dilated ball, memoized per (grid, ball) and dilation: the pasted
+    footprint for a lattice centre, the full-grid test for any other.
     """
     cache = dilation_cache(d)
     key = ("support", grid.key(), ball.key())
     if key not in cache:
-        idx = np.flatnonzero(d.ball_contains_many(ball, grid.points()))
-        idx.setflags(write=False)
-        cache[key] = idx
+        idx = _lattice_index(grid, ball.center)
+        if idx is None:
+            inside = d.ball_contains_many(ball, grid.points())
+        else:
+            inside = _paste_centered(grid.resolution, ball_footprint(d, grid, ball.scale), idx)
+        support = np.flatnonzero(inside)
+        support.setflags(write=False)
+        cache[key] = support
     return cache[key]
 
 
@@ -159,10 +203,6 @@ def ball_lattice_mask(grid, d, ball):
     mask.ravel()[ball_support(grid, d, ball)] = True
     mask.setflags(write=False)
     return mask
-
-
-def indicator(grid, d, ball):
-    return GridFunction(grid, ball_lattice_mask(grid, d, ball).astype(float))
 
 
 def boundary_margin(grid, width):

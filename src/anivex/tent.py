@@ -3,13 +3,14 @@ area function, tents, the anisotropic maximal operator, and a constructive
 tent atomic decomposition.
 
 A tent over a ball B collects the nodes (y, l) whose ball y + B_l sits
-inside B.  Tents of set masks are realized by erosion with ball footprints.
-Tents of single balls have one membership primitive, tent_members: for a
-ball centred on a lattice point it pastes the cached offset stamp of the
-(l, scale) pair, computed once with the exact ellipsoid containment test
-(Dilation.closed_containment); for any other centre it runs that test on
-the queried nodes.  Tent masses, atom expansions and atom validation go
-through it; tent_contains asks the exact test for one off-grid point.
+inside B.  Tents of set masks are realized by erosion with the ball
+footprints of the grid module.  Tents of single balls have one membership
+primitive, tent_members: for a ball centred on a lattice point it pastes the
+cached offset stamp of the (l, scale) pair, computed once with the exact
+ellipsoid containment test (Dilation.closed_containment); for any other
+centre it runs that test on the queried nodes.  Tent masses, atom expansions
+and atom validation go through it.  The lattice cells of a ball, cover balls
+included, come from grid.ball_support.
 
 The area function is a direct lattice sum over each layer's reach box (its
 nonzero nodes' bounding box widened by the footprint's half-widths), with
@@ -31,14 +32,21 @@ from scipy.signal import fftconvolve
 
 from .errors import CoverFailure
 from .exponents import indicator_norm
-from .grid import GridFunction, _offset_lattice, dilation_cache
+from .grid import (
+    GridFunction,
+    _lattice_index,
+    _offset_lattice,
+    _paste_centered,
+    ball_footprint,
+    ball_support,
+    dilation_cache,
+)
 from .search import default_scale_window
 
 __all__ = [
     "ScaleFunction",
     "zero_scale_function",
     "lusin_area",
-    "tent_contains",
     "tent_members",
     "tent_offset_mask",
     "hl_maximal",
@@ -93,16 +101,6 @@ def zero_scale_function(grid, window, dtype=float):
 # -- footprints and tents ------------------------------------------------------
 
 
-def ball_footprint(d, grid, scale):
-    """Centered boolean array of integer offsets v with v*h inside B_scale."""
-    cache = dilation_cache(d)
-    key = ("fp", grid.key(), scale)
-    if key not in cache:
-        offsets, shape = _offset_lattice(grid, d.ball_bounding_halfwidths(scale))
-        cache[key] = d.ball_contains_many(d.ball(np.zeros(d.n), scale), offsets).reshape(shape)
-    return cache[key]
-
-
 def tent_offset_mask(d, grid, ell, ball_scale):
     """Centered boolean array of offsets z with z*h + B_ell inside B_ball_scale."""
     cache = dilation_cache(d)
@@ -114,17 +112,6 @@ def tent_offset_mask(d, grid, ell, ball_scale):
         else:
             cache[key] = d.closed_containment(ell, ball_scale, offsets).reshape(shape)
     return cache[key]
-
-
-def _lattice_index(grid, point):
-    """Multi-index of the lattice point equal to point, or None if off-lattice."""
-    idx = []
-    for x, lo, h, r in zip(point, grid.lower, grid.spacing, grid.resolution):
-        i = int(np.rint((x - lo) / h - 0.5))
-        if not (0 <= i < r and lo + (i + 0.5) * h == x):
-            return None
-        idx.append(i)
-    return tuple(idx)
 
 
 def tent_members(d, grid, ball, ell, flat):
@@ -139,34 +126,6 @@ def tent_members(d, grid, ball, ell, flat):
         return d.closed_containment(ell, ball.scale, offsets)
     stamp = _paste_centered(grid.resolution, tent_offset_mask(d, grid, ell, ball.scale), idx)
     return stamp.ravel()[flat]
-
-
-def tent_contains(d, ball, y, ell):
-    """Exact test: y + B_ell inside the closed dilated ball."""
-    return d.ball_containment(d.ball(np.asarray(y, dtype=float), ell), ball)
-
-
-def _paste_centered(mask_shape, centered, idx):
-    """Place a centered boolean stamp at a lattice index, clipped to the box."""
-    out = np.zeros(mask_shape, dtype=bool)
-    src = []
-    dst = []
-    for axis, (size, stamp, i) in enumerate(zip(mask_shape, centered.shape, idx)):
-        half = stamp // 2
-        lo, hi = i - half, i + half + 1
-        s_lo = max(0, -lo)
-        s_hi = stamp - max(0, hi - size)
-        if s_lo >= s_hi:
-            return out
-        src.append(slice(s_lo, s_hi))
-        dst.append(slice(lo + s_lo, lo + s_hi))
-    out[tuple(dst)] = centered[tuple(src)]
-    return out
-
-
-def _binary_dilate(mask, footprint):
-    conv = fftconvolve(mask.astype(float), footprint.astype(float), mode="same")
-    return conv > 0.5
 
 
 def _binary_erode(mask, footprint):
@@ -310,7 +269,7 @@ def maximal_dilate(mask, d, grid, scale_window, gamma):
     for fp, avg in _ball_averages(mask.astype(float), d, grid, scale_window):
         centers = avg > thr
         if centers.any():
-            out |= _binary_dilate(centers, fp)
+            out |= fftconvolve(centers.astype(float), fp, mode="same") > 0.5
     return out
 
 
@@ -319,9 +278,7 @@ def maximal_dilate(mask, d, grid, scale_window, gamma):
 
 @dataclass
 class CoverBall:
-    center_index: tuple
-    center: np.ndarray
-    scale: int
+    ball: object  # a DilatedBall centred on a lattice point
     guarded: bool
 
 
@@ -334,29 +291,20 @@ def whitney_cover(mask, d, grid, cover_window):
     window scale, flagged unguarded, when no guard fits).  Deterministic.
     """
     k_lo, k_hi = cover_window
-    best_scale = np.full(grid.resolution, -(10**9), dtype=np.int64)
-    for k in range(k_hi, k_lo - 1, -1):
-        guard_fp = ball_footprint(d, grid, k + d.omega)
-        eroded = _binary_erode(mask, guard_fp)
-        unset = best_scale < -(10**8)
-        best_scale[eroded & unset] = k
+    # Largest window scale whose guard fits around each point; k_lo - 1 if none.
+    best_scale = np.full(mask.size, k_lo - 1)
+    for k in range(k_lo, k_hi + 1):
+        best_scale[_binary_erode(mask, ball_footprint(d, grid, k + d.omega)).ravel()] = k
 
-    covered = np.zeros(grid.resolution, dtype=bool)
+    covered = np.zeros(mask.size, dtype=bool)
     balls = []
-    axes = grid.axes()
-    flat_mask = np.nonzero(mask.ravel())[0]
-    for flat in flat_mask:
-        if covered.ravel()[flat]:
+    for flat in np.flatnonzero(mask):
+        if covered[flat]:
             continue
-        idx = np.unravel_index(flat, grid.resolution)
-        k = int(best_scale[idx])
-        guarded = k > -(10**8)
-        if not guarded:
-            k = k_lo
-        fp = ball_footprint(d, grid, k)
-        covered |= _paste_centered(grid.resolution, fp, idx)
-        center = np.array([ax[i] for ax, i in zip(axes, idx)])
-        balls.append(CoverBall(tuple(int(i) for i in idx), center, k, guarded))
+        guarded = bool(best_scale[flat] >= k_lo)
+        ball = d.ball(grid.points()[flat], max(int(best_scale[flat]), k_lo))
+        covered[ball_support(grid, d, ball)] = True
+        balls.append(CoverBall(ball, guarded))
     return balls
 
 
@@ -411,12 +359,12 @@ class TentAtomSet:
         return mask.reshape(self.template.values.shape)
 
 
-def _minimal_tent_expansion(d, grid, cover, node_scales, max_extra=10):
+def _minimal_tent_expansion(d, grid, ball, node_scales, max_extra=10):
     """Smallest e such that every claimed node (y, l) satisfies
     y + B_l inside the cover ball grown to scale + e."""
-    cap = min(max_extra, d.level_cap - cover.scale - 1)
+    cap = min(max_extra, d.level_cap - ball.scale - 1)
     for extra in range(0, cap + 1):
-        grown = d.ball(cover.center, cover.scale + extra)
+        grown = d.ball(ball.center, ball.scale + extra)
         if all(tent_members(d, grid, grown, ell, layer_flat).all() for ell, layer_flat in node_scales):
             return extra
     return None
@@ -447,23 +395,12 @@ def tent_atomic_decomposition(
 
     template = G.with_values(np.zeros_like(G.values, dtype=float))
     total_mass = G.mass()
-    if total_mass == 0.0:
-        return TentAtomSet(
-            entries=[],
-            leakage_ratio=0.0,
-            levels=(0, 0),
-            gamma=gamma,
-            cover_sizes={},
-            unguarded_balls=0,
-            template=template,
-        )
-
     area = lusin_area(G, d).values
-    amax = float(area.max())
     positive = area[area > 0.0]
-    j_hi = int(np.ceil(np.log2(amax)))
-    j_lo = int(np.floor(np.log2(float(positive.min())))) - 1
-    j_lo = max(j_lo, j_hi - level_floor)
+    j_lo = j_hi = 0  # without a positive area value no level claims a node
+    if positive.size:
+        j_hi = int(np.ceil(np.log2(float(positive.max()))))
+        j_lo = max(int(np.floor(np.log2(float(positive.min())))) - 1, j_hi - level_floor)
 
     nscales = G.l_max - G.l_min + 1
     assigned = np.zeros((nscales,) + tuple(grid.resolution), dtype=bool)
@@ -480,8 +417,14 @@ def tent_atomic_decomposition(
 
     prev_tent = np.zeros((nscales,) + tuple(grid.resolution), dtype=bool)
     support = G.values != 0.0
+    # (scale, flat cell) views of the node arrays, for the sparse cover pieces.
+    flat_assigned = assigned.reshape(nscales, -1)
+    flat_values = G.values.reshape(nscales, -1)
+    ncells = flat_values.shape[1]
 
     for j in range(j_hi, j_lo - 1, -1):
+        if assigned[support].all():
+            break  # no telescope can claim a node any more
         level_mask = area > 2.0**j
         if not level_mask.any():
             prev_tent = np.zeros_like(prev_tent)
@@ -500,57 +443,52 @@ def tent_atomic_decomposition(
         # Nodes are split by the base point y across the disjointified cover
         # pieces, then each atom's ball is the cover ball expanded just
         # enough to tent every node it claims.
-        remaining = telescope & ~assigned
-        claimed_base = np.zeros(grid.resolution, dtype=bool)
+        remaining = (telescope & support & ~assigned).reshape(nscales, -1)
+        claimed_base = np.zeros(ncells, dtype=bool)
         for k_index, cover in enumerate(balls):
             if not remaining.any():
                 break
-            fp = ball_footprint(d, grid, cover.scale)
-            ball_mask = _paste_centered(grid.resolution, fp, cover.center_index)
-            piece = ball_mask & ~claimed_base
-            claimed_base |= ball_mask
-            if not piece.any():
+            cells = ball_support(grid, d, cover.ball)
+            piece = cells[~claimed_base[cells]]
+            claimed_base[cells] = True
+            if not piece.size:
                 continue
-            claim_nodes = []
-            claim_values = []
             node_scales = []
             for ell in G.scales():
-                take = remaining[ell - G.l_min] & piece & support[ell - G.l_min]
-                if not take.any():
-                    continue
-                layer_flat = np.nonzero(take.ravel())[0]
-                claim_nodes.append(layer_flat + (ell - G.l_min) * take.size)
-                claim_values.append(G.values[ell - G.l_min].ravel()[layer_flat])
-                node_scales.append((ell, layer_flat))
-                remaining[ell - G.l_min] &= ~take
-            if not claim_nodes:
+                layer = ell - G.l_min
+                layer_flat = piece[remaining[layer, piece]]
+                if layer_flat.size:
+                    node_scales.append((ell, layer_flat))
+                    remaining[layer, layer_flat] = False
+            if not node_scales:
                 continue
-            expansion = _minimal_tent_expansion(d, grid, cover, node_scales)
+            expansion = _minimal_tent_expansion(d, grid, cover.ball, node_scales)
             if expansion is None:
                 # Geometry refused a bounded expansion; give the nodes back
                 # and let them count as leakage.
                 for ell, layer_flat in node_scales:
-                    remaining[ell - G.l_min].ravel()[layer_flat] = True
+                    remaining[ell - G.l_min, layer_flat] = True
                 continue
-            ball = d.ball(cover.center, cover.scale + expansion)
+            ball = d.ball(cover.ball.center, cover.ball.scale + expansion)
             norm_1b = indicator_norm(d, ball, p)
-            for ell, layer_flat in node_scales:
-                assigned[ell - G.l_min].ravel()[layer_flat] = True
+            layers = [(ell - G.l_min, layer_flat) for ell, layer_flat in node_scales]
+            for layer, layer_flat in layers:
+                flat_assigned[layer, layer_flat] = True
             entries.append(
                 TentAtomEntry(
                     weight=float(2.0**j * norm_1b),
                     ball=ball,
                     level=j,
                     cover_index=k_index,
-                    node_indices=np.concatenate(claim_nodes),
-                    g_values=np.concatenate(claim_values),
+                    node_indices=np.concatenate([f + layer * ncells for layer, f in layers]),
+                    g_values=np.concatenate([flat_values[layer, f] for layer, f in layers]),
                     amplitude=float(2.0**-j / norm_1b),
                     template=template,
                 )
             )
 
     leaked = float(np.sum(np.abs(G.values)[support & ~assigned]) * grid.cell_volume)
-    ratio = leaked / total_mass
+    ratio = leaked / total_mass if total_mass else 0.0
     atom_set = TentAtomSet(
         entries=entries,
         leakage_ratio=ratio,

@@ -159,7 +159,7 @@ class TestVariants:
         beta = np.log(d1.lambda_minus) / np.log(d1.b)
         total = 0.0
         for x, fx in zip(g.points()[:, 0], f.values):
-            rho = d1.step_quasi_norm(np.array([x]))
+            rho = float(d1.step_quasi_norm_many([[x]])[0])
             kern = d1.b ** (eps * 0 * beta) / (
                 d1.b ** (0 * (1 + eps * beta)) + rho ** (1 + eps * beta)
             )

@@ -4,12 +4,22 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import HalfWriter
 
 from anivex import cli, hardy
 from anivex.cli import main, run_config, sweep_config
-from anivex.config import ExperimentConfig, compile_expression, load_raw
+from anivex.config import (
+    _FUNCTIONS,
+    ExperimentConfig,
+    build_exponent,
+    build_function,
+    compile_expression,
+    load_raw,
+)
+from anivex.grid import uniform_grid
 from anivex.errors import ConfigError, UnknownSuite
 from anivex.suites import run_suite
 
@@ -47,6 +57,78 @@ class TestExpressionGrammar:
     def test_where_comparison(self):
         fn = compile_expression("where(x < 0.5, 1.0, 2.0)", 1)
         assert np.allclose(fn(np.array([0.0, 1.0])), [1.0, 2.0])
+
+
+# Formulas that parse but cannot be sampled.
+_BAD_FORMULAS = ["sin()", "1/0 + x", "where(x < 0)", "x < 1 < 2"]
+
+_LEAVES = st.sampled_from(["x", "x0", "pi", "e", "0", "1", "2", "0.5", "1e308", "123456789"]) | st.floats(
+    -1e3, 1e3, allow_nan=False
+).map(repr)
+
+
+def _compound(children):
+    binary = st.tuples(
+        children, st.sampled_from(["+", "-", "*", "/", "**", "<", "<=", ">", ">="]), children
+    ).map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+    call = st.tuples(st.sampled_from(sorted(_FUNCTIONS)), st.lists(children, max_size=3)).map(
+        lambda t: f"{t[0]}({', '.join(t[1])})"
+    )
+    chain = st.tuples(children, children, children).map(lambda t: f"({t[0]} < {t[1]} < {t[2]})")
+    return binary | call | chain | children.map(lambda c: f"(-{c})")
+
+
+_FORMULAS = st.recursive(_LEAVES, _compound, max_leaves=10)
+
+
+class TestFormulaErrors:
+    @pytest.mark.parametrize("formula", _BAD_FORMULAS)
+    @pytest.mark.parametrize("where", ["functions", "exponent"])
+    def test_bad_formula_is_config_error(self, cache_env, tmp_path, formula, where):
+        raw = json.loads(open(QUICK).read())
+        if where == "functions":
+            raw["functions"]["f"]["formula"] = formula
+            field = "functions.f.formula"
+        else:
+            raw["exponent"]["formula"] = formula
+            field = "exponent.formula"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(load_raw(str(path)))
+        assert info.value.field == field
+        assert main(["run", "--config", str(path), "--out", str(cache_env / "bad.json")]) == 2
+
+    @pytest.mark.parametrize("where", ["functions", "exponent"])
+    def test_non_finite_samples_are_config_error(self, cache_env, tmp_path, where):
+        raw = json.loads(open(QUICK).read())
+        raw["grid"]["upper"] = [-1.0]  # log(x) is nan on every cell
+        spec = raw["functions"]["f"] if where == "functions" else raw["exponent"]
+        spec["formula"] = "log(x)"
+        path = tmp_path / "log.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(load_raw(str(path)))
+        assert info.value.field == ("functions.f.formula" if where == "functions" else "exponent.formula")
+        assert main(["run", "--config", str(path), "--out", str(cache_env / "log.json")]) == 2
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(formula=_FORMULAS)
+    def test_fuzzed_formula_samples_finite_or_config_error(self, formula):
+        grid = uniform_grid([-2.0], [2.0], 16)
+        spec = {"kind": "expression", "formula": formula}
+        try:
+            f = build_function(spec, grid, None, None, field="functions.f")
+        except ConfigError as exc:
+            assert exc.field == "functions.f.formula"
+        else:
+            assert f.values.shape == grid.resolution and np.all(np.isfinite(f.values))
+        try:
+            p = build_exponent(spec, grid)
+        except ConfigError as exc:
+            assert exc.field in ("exponent", "exponent.formula")
+        else:
+            assert np.all(np.isfinite(p.values.values)) and p.p_minus > 0.0
 
 
 class TestConfig:
@@ -125,6 +207,48 @@ class TestValidation:
             ExperimentConfig(load_raw(path))
         assert info.value.field == "params"
         assert main(["run", "--config", path, "--out", str(cache_env / "bad.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"budget": "many"}, "budget"),
+            ({"budget": 0}, "budget"),
+            ({"budget": 2.5}, "budget"),
+            ({"seed": [1]}, "seed"),
+            ({"seed": "7"}, "seed"),
+        ],
+    )
+    def test_scalar_fields_checked_at_load(self, cache_env, tmp_path, changes, field):
+        path = _write_config(tmp_path, **changes)
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(load_raw(path))
+        assert info.value.field == field
+        assert main(["run", "--config", path, "--out", str(cache_env / "bad.json")]) == 2
+
+    def test_budget_option_zero_is_config_error(self, cache_env):
+        with pytest.raises(ConfigError) as info:
+            run_config(QUICK, str(cache_env / "bad.json"), budget=0)
+        assert info.value.field == "budget"
+        assert main(["run", "--config", QUICK, "--out", str(cache_env / "bad.json"), "--budget", "0"]) == 2
+
+    @pytest.mark.parametrize("window", [5, [3], [2, 1], [0.5, 2], ["a", 1]])
+    def test_scale_window_checked_at_load(self, cache_env, tmp_path, window):
+        path = _write_config(
+            tmp_path,
+            params={**_quick_params(), "scale_window": window},
+            compute=[{"name": "mu", "op": "carleson_norm", "function": "f"}],
+        )
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(load_raw(path))
+        assert info.value.field == "params.scale_window"
+        assert main(["run", "--config", path, "--out", str(cache_env / "bad.json")]) == 2
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        # A sweep sets every value as a float.
+        path = _write_config(tmp_path, seed=4.0, budget=30.0,
+                             params={**_quick_params(), "scale_window": [-3.0, 1]})
+        cfg = ExperimentConfig(load_raw(path))
+        assert (cfg.seed, cfg.budget, cfg.params["scale_window"]) == (4, 30, (-3, 1))
 
     def test_failed_op_exits_nonzero(self, cache_env, tmp_path):
         path = _write_config(
@@ -289,6 +413,16 @@ class TestSweep:
             sweep_config(QUICK, "params.epsilon", [4.0], str(out))
         assert out.read_bytes() == before
         assert sorted(p.name for p in cache_env.iterdir() if p.name.startswith("sweep")) == ["sweep.csv"]
+
+    @pytest.mark.parametrize("parameter", ["grid.lower.0", "seed.x"])
+    def test_path_through_a_non_object_is_config_error(self, cache_env, parameter):
+        out = cache_env / "bad.csv"
+        with pytest.raises(ConfigError) as info:
+            sweep_config(QUICK, parameter, [1.0], str(out))
+        assert info.value.field == parameter
+        args = ["sweep", "--config", QUICK, "--parameter", parameter, "--values", "1", "--out", str(out)]
+        assert main(args) == 2
+        assert not out.exists()
 
     def test_single_value_sweep_matches_run(self, cache_env):
         out_csv = cache_env / "one.csv"

@@ -17,7 +17,12 @@ from anivex.exponents import (
     luxemburg_norm,
     modular,
 )
-from anivex.grid import GridFunction, indicator, uniform_grid
+from anivex.grid import GridFunction, ball_lattice_mask, uniform_grid
+
+
+def indicator(grid, d, ball):
+    """1_B on the lattice: the mask of the ball's lattice support."""
+    return GridFunction(grid, ball_lattice_mask(grid, d, ball).astype(float))
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import itertools
 from functools import cache
 
 import numpy as np
@@ -10,6 +11,7 @@ from anivex.dilation import new_dilation
 from anivex.errors import ScaleTooFine
 from anivex.grid import (
     GridFunction,
+    _lattice_index,
     ball_lattice_mask,
     ball_support,
     boundary_margin,
@@ -23,7 +25,7 @@ from anivex.grid import (
 )
 from anivex.polyproj import multi_indices
 from anivex.serialization import load_grid_function, save_grid_function
-from anivex.tent import _paste_centered, ball_footprint
+from anivex.search import _canonical_sweep, _random_config, default_scale_window
 
 
 @pytest.fixture(scope="module")
@@ -208,14 +210,53 @@ class TestBallSupport:
         name=st.sampled_from(["1d", "diag5", "shear"]),
         u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
         t=st.floats(0.0, 1.0),
+        edge=st.booleans(),
     )
-    def test_aligned_support_equals_pasted_footprint(self, name, u, t):
+    def test_aligned_support_equals_pasted_footprint(self, name, u, t, edge):
+        # Lattice centres take the pasted footprint; it must equal the
+        # full-grid test bitwise, also for balls clipped at the box edge.
         d, g, (k_lo, k_hi) = _support_case(name)
-        cells = tuple(min(int(ui * r), r - 1) for ui, r in zip(u, g.resolution))
+        cells = [min(int(ui * r), r - 1) for ui, r in zip(u, g.resolution)]
+        if edge:
+            cells[0] = 0 if u[0] < 0.5 else g.resolution[0] - 1
         center = [lo + (i + 0.5) * h for lo, i, h in zip(g.lower, cells, g.spacing)]
-        k = k_lo + int(t * (k_hi - k_lo))
-        pasted = _paste_centered(g.resolution, ball_footprint(d, g, k), cells)
-        assert np.array_equal(ball_support(g, d, d.ball(center, k)), np.flatnonzero(pasted))
+        assert _lattice_index(g, center) == tuple(cells)
+        ball = d.ball(center, k_lo + int(t * (k_hi - k_lo)))
+        want = np.flatnonzero(d.ball_contains_many(ball, g.points()))
+        assert np.array_equal(ball_support(g, d, ball), want)
+
+    @pytest.mark.parametrize("name", ["1d", "diag5", "shear"])
+    def test_corner_balls_are_clipped_like_the_direct_test(self, name):
+        d, g, (_, k_hi) = _support_case(name)
+        for cells in itertools.product(*[(0, r - 1) for r in g.resolution]):
+            center = [lo + (i + 0.5) * h for lo, i, h in zip(g.lower, cells, g.spacing)]
+            for k in (k_hi - 1, k_hi):
+                ball = d.ball(center, k)
+                direct = d.ball_contains_many(ball, g.points())
+                assert 0 < direct.sum() < direct.size
+                assert np.array_equal(ball_support(g, d, ball), np.flatnonzero(direct))
+
+    @pytest.mark.parametrize("name", ["1d", "diag"])
+    def test_search_centres_are_lattice_points(self, name):
+        # Every centre the search emits takes the pasted-footprint path.
+        d, g, _ = _support_case(name)
+        window = default_scale_window(d, g, min_points=1)
+        for ball in _canonical_sweep(d, g, window):
+            assert _lattice_index(g, ball.center) is not None
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            for ball, _ in _random_config(rng, d, g, window, 8).entries:
+                assert _lattice_index(g, ball.center) is not None
+
+    def test_short_centre_is_not_a_lattice_index(self):
+        # A one-coordinate centre on a 2-D grid broadcasts over both axes in
+        # the direct test; it must not be pasted as a 1-D index.
+        d, g, _ = _support_case("diag")
+        center = [g.lower[0] + 17.5 * g.spacing[0]]
+        assert _lattice_index(g, center) is None
+        ball = d.ball(center, 0)
+        want = np.flatnonzero(d.ball_contains_many(ball, g.points()))
+        assert want.size and np.array_equal(ball_support(g, d, ball), want)
 
     def test_lattice_aligned_centres_hit_lattice_points(self):
         d, g, _ = _support_case("diag")

@@ -4,23 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
+from anivex import tent as tent_module
 from anivex.campanato import aggregate_norm
 from anivex.dilation import new_dilation
 from anivex.errors import CoverFailure
 from anivex.exponents import constant_exponent, luxemburg_norm
-from anivex.grid import GridFunction, uniform_grid
+from anivex.grid import GridFunction, ball_footprint, ball_lattice_mask, uniform_grid
 from anivex.search import BallConfiguration
 from anivex.tent import (
     ScaleFunction,
-    _paste_centered,
     area_l2_weights,
-    ball_footprint,
     hl_maximal,
     lusin_area,
     maximal_dilate,
     tent_atom_validate,
     tent_atomic_decomposition,
-    tent_contains,
     tent_members,
     whitney_cover,
     zero_scale_function,
@@ -152,7 +150,8 @@ class TestLusinArea:
             G.values[(ell - window[0],) + idx] = data.draw(
                 st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)
             )
-            reach |= _paste_centered(grid.resolution, ball_footprint(d, grid, ell), idx)
+            center = [ax[i] for ax, i in zip(grid.axes(), idx)]
+            reach |= ball_lattice_mask(grid, d, d.ball(center, ell))
         area = lusin_area(G, d).values
         assert np.all(area[~reach] == 0.0)
         assert np.all(area[reach] > 0.0)
@@ -204,19 +203,25 @@ class TestLusinArea:
         assert residuals[1] <= 0.65 * residuals[0]
 
 
+def _tent_contains(d, ball, y, ell):
+    """y + B_ell inside the closed ball, by one closed_containment row."""
+    offset = np.atleast_2d(np.asarray(y, dtype=float) - ball.center)
+    return bool(d.closed_containment(ell, ball.scale, offset)[0])
+
+
 class TestTentContains:
     def test_tiny_ball_deep_inside(self, d1):
         ball = d1.ball([0.3], 1)
-        assert tent_contains(d1, ball, [0.3], -8)
+        assert _tent_contains(d1, ball, [0.3], -8)
 
     def test_interval_cases(self, d1):
         b1 = d1.ball([0.0], 1)
-        assert tent_contains(d1, b1, [0.0], 1)
-        assert not tent_contains(d1, b1, [0.9], 0)
+        assert _tent_contains(d1, b1, [0.0], 1)
+        assert not _tent_contains(d1, b1, [0.9], 0)
 
     def test_scale_exceeds_ball(self, d1):
         b1 = d1.ball([0.0], 1)
-        assert not tent_contains(d1, b1, [0.0], 2)
+        assert not _tent_contains(d1, b1, [0.0], 2)
 
 
 # The stamp path must decide every node like the point query it replaces.
@@ -299,27 +304,20 @@ class TestWhitneyCover:
         balls = whitney_cover(mask, d1, g1, (-8, 3))
         covered = np.zeros(g1.resolution, dtype=bool)
         for cb in balls:
-            fp = ball_footprint(d1, g1, cb.scale)
-            from anivex.tent import _paste_centered
-
-            covered |= _paste_centered(g1.resolution, fp, cb.center_index)
+            covered |= ball_lattice_mask(g1, d1, cb.ball)
         assert np.all(covered[mask])
         for cb in balls:
             if cb.guarded:
-                guard = ball_footprint(d1, g1, cb.scale + d1.omega)
-                stamp = _paste_centered(g1.resolution, guard, cb.center_index)
-                assert np.all(mask[stamp])
+                guard = d1.ball(cb.ball.center, cb.ball.scale + d1.omega)
+                assert np.all(mask[ball_lattice_mask(g1, d1, guard)])
 
     def test_bounded_overlap(self, d1, g1):
         x = g1.axes()[0]
         mask = np.abs(x) < 2.0
         balls = whitney_cover(mask, d1, g1, (-8, 3))
-        from anivex.tent import _paste_centered
-
         counts = np.zeros(g1.resolution)
         for cb in balls:
-            fp = ball_footprint(d1, g1, cb.scale)
-            counts += _paste_centered(g1.resolution, fp, cb.center_index)
+            counts += ball_lattice_mask(g1, d1, cb.ball)
         assert counts.max() <= 8
 
 
@@ -407,6 +405,30 @@ class TestDecomposition:
         assert atoms.levels[0] == j_lo
         assert min(atoms.cover_sizes) >= atoms.levels[0]
 
+    def test_no_level_is_dilated_once_every_node_is_claimed(self, monkeypatch):
+        d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
+        g = uniform_grid([-4.0, -4.0], [4.0, 4.0], (32, 32))
+        G = _shear_blobs(g)
+        masks = []
+        real = tent_module.maximal_dilate
+
+        def counting(mask, *args, **kwargs):
+            masks.append(mask)
+            return real(mask, *args, **kwargs)
+
+        monkeypatch.setattr(tent_module, "maximal_dilate", counting)
+        atoms = tent_atomic_decomposition(G, constant_exponent(g, 1.0), d)
+        assert np.array_equal(atoms.covered_mask(), G.values != 0.0)
+        last = min(e.level for e in atoms.entries)
+        assert atoms.levels[0] < last
+        # One dilation per nonempty level from the top down to the last
+        # atom's level, and none below it.
+        area = lusin_area(G, d).values
+        want = [area > 2.0**j for j in range(atoms.levels[1], last - 1, -1)]
+        want = [m for m in want if m.any()]
+        assert len(masks) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(masks, want))
+
     def test_cover_failure_raised(self, d1, g1, p1):
         # A node at the box edge whose ball sticks outside can never be
         # tented, so its mass must leak.
@@ -417,9 +439,7 @@ class TestDecomposition:
 
 
 def _indicator_of(ball, d, grid):
-    from anivex.grid import indicator
-
-    return indicator(grid, d, ball)
+    return GridFunction(grid, ball_lattice_mask(grid, d, ball).astype(float))
 
 
 class TestAreaFubini:
