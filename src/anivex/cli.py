@@ -3,7 +3,8 @@ execute verification suites.
 
 Reports are canonical JSON (sorted keys, repr floats), so identical
 (config, seed, version) runs produce byte-identical files; wall-clock timing
-goes to a separate .timing.json sidecar to keep the report deterministic.
+goes to a .timing.json sidecar, marked cached on cache hits, to keep the
+report deterministic.
 Completed runs are cached under a SHA-256 of the canonicalized config and
 the package source, so a code change never serves a stale report; a cache
 file that does not parse as a report for the same config is a miss, and is
@@ -185,13 +186,21 @@ def run_config(config_path, out_path, seed=None, budget=None, resolution=None, u
 
     cache_key = hashlib.sha256((digest + _source_digest()).encode()).hexdigest()
     cache_file = os.path.join(_cache_dir(), f"{cache_key}.json")
-    hit = _read_cache(cache_file, digest) if use_cache else None
-    if hit is not None:
-        text, report = hit
-        write_atomic(out_path, text)
-        return report, True
-
     started = time.time()
+    hit = _read_cache(cache_file, digest) if use_cache else None
+    text, report = hit if hit is not None else _compute_report(cfg, digest)
+    write_atomic(out_path, text)
+    # A hit writes its sidecar too, so none is left over from an earlier run.
+    timing = {"cached": hit is not None, "seconds": time.time() - started}
+    write_atomic(f"{out_path}.timing.json", json.dumps(timing))
+    if hit is None:
+        os.makedirs(_cache_dir(), exist_ok=True)
+        write_atomic(cache_file, text)
+    return report, hit is not None
+
+
+def _compute_report(cfg, digest):
+    """(canonical text, report) of running every compute spec and check."""
     values = {}
     errors = []
     for i, spec in enumerate(cfg.raw.get("compute", [])):
@@ -215,12 +224,7 @@ def run_config(config_path, out_path, seed=None, budget=None, resolution=None, u
         "errors": errors,
         "all_passed": bool(all(c["passed"] for c in checks)) and not errors,
     }
-    text = _canonical_json(report)
-    write_atomic(out_path, text)
-    write_atomic(f"{out_path}.timing.json", json.dumps({"seconds": time.time() - started}))
-    os.makedirs(_cache_dir(), exist_ok=True)
-    write_atomic(cache_file, text)
-    return report, False
+    return _canonical_json(report), report
 
 
 def sweep_config(config_path, parameter, values, out_path, seed=None, budget=None):
@@ -272,6 +276,13 @@ def sweep_config(config_path, parameter, values, out_path, seed=None, budget=Non
     return rows
 
 
+def _number_list(text):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="anivex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -287,7 +298,7 @@ def main(argv=None):
     p_sweep = sub.add_parser("sweep", help="run a config across a parameter grid")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--parameter", required=True, help="dotted path, e.g. params.epsilon")
-    p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
+    p_sweep.add_argument("--values", required=True, type=_number_list, help="comma-separated numbers")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--budget", type=int, default=None)
@@ -311,10 +322,9 @@ def main(argv=None):
         return 0 if report["all_passed"] else 1
 
     if args.command == "sweep":
-        values = [float(v) for v in args.values.split(",")]
         try:
             sweep_config(
-                args.config, args.parameter, values, args.out,
+                args.config, args.parameter, args.values, args.out,
                 seed=args.seed, budget=args.budget,
             )
         except ConfigError as exc:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .campanato import CampanatoParams
 from .dilation import new_dilation
-from .errors import ConfigError
+from .errors import ConfigError, ToolkitError
 from .exponents import Exponent
 from .grid import GridFunction, sample, uniform_grid
 from .suites import SUITE_NAMES
@@ -115,9 +115,16 @@ def _sample_formula(spec, grid, field):
     return sample(grid, compile_expression(formula, grid.n, field=f"{field}.formula"))
 
 
+def _number(value, field):
+    """value as a float, from a finite JSON number."""
+    if type(value) not in (int, float) or not abs(value) <= np.finfo(float).max:
+        raise ConfigError(f"expected a finite number, got {value!r}", field=field)
+    return float(value)
+
+
 def _integer(value, field, lowest=None):
     """value as an int (a JSON integer or an integral float), at least lowest."""
-    if type(value) not in (int, float) or not float(value).is_integer():
+    if type(value) not in (int, float) or not (abs(value) < 2**63 and float(value).is_integer()):
         raise ConfigError(f"expected an integer, got {value!r}", field=field)
     if lowest is not None and value < lowest:
         raise ConfigError(f"expected at least {lowest}, got {value!r}", field=field)
@@ -127,8 +134,10 @@ def _integer(value, field, lowest=None):
 def build_exponent(spec, grid, field="exponent"):
     kind = _require(spec, "kind", field)
     p_inf = spec.get("p_infinity")
+    if p_inf is not None:
+        p_inf = _number(p_inf, f"{field}.p_infinity")
     if kind == "constant":
-        value = float(_require(spec, "value", field))
+        value = _number(_require(spec, "value", field), f"{field}.value")
         vals = np.full(grid.resolution, value)
     elif kind == "piecewise":
         axis = int(spec.get("axis", 0))
@@ -160,12 +169,19 @@ def build_function(spec, grid, d, p, field="functions"):
         from .hardy import make_atom
 
         seed = _sample_formula(spec, grid, field)
-        ball_spec = _require(spec, "ball", field)
-        ball = d.ball(ball_spec["center"], int(ball_spec["scale"]))
-        atom = make_atom(
-            seed, d, ball, float(spec.get("q", 2.0)), p, int(spec.get("s", 0))
-        )
-        return atom.values
+        ball_spec = _require(spec, "ball", f"{field}.ball")
+        cfield, sfield = f"{field}.ball.center", f"{field}.ball.scale"
+        center = _require(ball_spec, "center", cfield)
+        if not isinstance(center, list) or len(center) != grid.n:
+            raise ConfigError(f"expected {grid.n} coordinates, got {center!r}", field=cfield)
+        center = [_number(c, cfield) for c in center]
+        ball = d.ball(center, _integer(_require(ball_spec, "scale", sfield), sfield))
+        q = _number(spec.get("q", 2.0), f"{field}.q")
+        s = _integer(spec.get("s", 0), f"{field}.s", lowest=0)
+        try:
+            return make_atom(seed, d, ball, q, p, s).values
+        except ToolkitError as exc:  # a seed that is a polynomial on the ball, too few cells
+            raise ConfigError(f"{type(exc).__name__}: {exc}", field=field) from None
     raise ConfigError(f"unknown function kind {kind!r}", field=field)
 
 

@@ -1,11 +1,13 @@
-"""Uniform-lattice functions, quadrature, lattice sets of balls, and scaled
-convolution.
+"""Uniform-lattice functions, quadrature, lattice sets of balls, footprint
+sums, and scaled convolution.
 
 Lattice points sit at cell midpoints; all integrals are midpoint sums, which
 are exact for cell-aligned indicators and second order for smooth integrands.
 Functions are zero outside their box.  This module alone decides which
 lattice points lie in a ball (ball_support): a lattice-centred ball pastes
 the cached footprint of its scale, any other centre is tested on the grid.
+footprint_sum is the one, exact, correlation with a ball footprint; only
+convolve_scaled uses an FFT.
 """
 
 from dataclasses import dataclass
@@ -28,20 +30,15 @@ class Grid:
             raise ValueError("resolution must be >= 2 per axis")
         if not all(np.isfinite(u - l) and u > l for l, u in zip(self.lower, self.upper)):
             raise ValueError("bounds must be finite, with upper exceeding lower, per axis")
+        # Derived once, outside the fields, so equality and hashing stay on them.
+        spacing = np.array([(u - l) / r for l, u, r in zip(self.lower, self.upper, self.resolution)])
+        spacing.setflags(write=False)
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "cell_volume", float(np.prod(spacing)))
 
     @property
     def n(self):
         return len(self.resolution)
-
-    @property
-    def spacing(self):
-        return np.array(
-            [(u - l) / r for l, u, r in zip(self.lower, self.upper, self.resolution)]
-        )
-
-    @property
-    def cell_volume(self):
-        return float(np.prod(self.spacing))
 
     def axes(self):
         return [
@@ -129,9 +126,9 @@ def integrate(f):
 
 
 def dilation_cache(d):
-    """The per-dilation memo of lattice sets: footprints and ball supports
-    here, tent stamps and footprint blocks in the tent module.  Keys start
-    with a kind tag and the grid key."""
+    """The per-dilation memo of lattice sets: footprints, footprint blocks
+    and ball supports here, tent stamps in the tent module.  Keys start with
+    a kind tag and the grid key."""
     cache = getattr(d, "_lattice_cache", None)
     if cache is None:
         cache = {}
@@ -147,6 +144,68 @@ def ball_footprint(d, grid, scale):
         offsets, shape = _offset_lattice(grid, d.ball_bounding_halfwidths(scale))
         cache[key] = d.ball_contains_many(d.ball(np.zeros(d.n), scale), offsets).reshape(shape)
     return cache[key]
+
+
+def _footprint_blocks(d, grid, scale):
+    """(half-widths, blocks) of the footprint of B_scale, cut into blocks of
+    2^k cells along the last axis.
+
+    Each run of footprint cells along the last axis splits by the binary
+    digits of its length.  blocks[k] lists, for every block of 2^k cells, its
+    corner in the source array that footprint_sum pads by the half-widths.
+    The centre (form value 0) is in every footprint.  Cached beside it.
+    """
+    cache = dilation_cache(d)
+    key = ("blocks", grid.key(), scale)
+    if key not in cache:
+        fp = ball_footprint(d, grid, scale)
+        blocks = [[] for _ in range(fp.shape[-1].bit_length())]
+        for lead in np.ndindex(fp.shape[:-1]):
+            corner = tuple(s - 1 - i for s, i in zip(fp.shape, lead))
+            edges = np.flatnonzero(np.diff(fp[lead], prepend=False, append=False))
+            for first, stop in zip(edges[0::2], edges[1::2]):
+                width, start = int(stop - first), fp.shape[-1] - int(stop)
+                for k in range(width.bit_length()):
+                    if width >> k & 1:
+                        blocks[k].append(corner + (start,))
+                        start += 1 << k
+        while not blocks[-1]:
+            blocks.pop()
+        cache[key] = ([s // 2 for s in fp.shape], blocks)
+    return cache[key]
+
+
+def footprint_sum(values, d, grid, scale):
+    """s(x) = sum_{v in footprint(B_scale)} values(x - v) for nonnegative
+    grid values, zero beyond the box, and exactly 0.0 outside the reach box
+    (the nonzero values' bounding box widened by the footprint's half-widths).
+
+    The nonzero part is copied into a zero array padded by the half-widths,
+    so every block of every reached cell lies inside it.  Pairwise sums in
+    place along the last axis turn entry j into the sum of the 2^k cells
+    from j on; each block then adds one shifted slice.  Only nonnegative
+    terms are added, so integer values give exact counts.
+    """
+    out = np.zeros(grid.resolution)
+    hit = np.nonzero(values)
+    if not hit[0].size:
+        return out
+    half, blocks = _footprint_blocks(d, grid, scale)
+    lo = [int(i.min()) for i in hit]
+    hi = [int(i.max()) + 1 for i in hit]
+    reach = tuple(slice(max(l - h, 0), min(u + h, n)) for l, u, h, n in zip(lo, hi, half, out.shape))
+    shape = tuple(r.stop - r.start for r in reach)
+    src = np.zeros(tuple(n + 2 * h for n, h in zip(shape, half)))
+    inner = tuple(slice(l - r.start + h, u - r.start + h) for l, u, r, h in zip(lo, hi, reach, half))
+    src[inner] = values[tuple(slice(l, u) for l, u in zip(lo, hi))]
+    total = out[reach]  # a view: the blocks add into out
+    for k, corners in enumerate(blocks):
+        if k:  # numpy buffers the overlapping operands
+            step = 1 << (k - 1)
+            src[..., :-step] += src[..., step:]
+        for corner in corners:
+            total += src[tuple(slice(c, c + n) for c, n in zip(corner, shape))]
+    return out
 
 
 def _lattice_index(grid, point):

@@ -12,11 +12,11 @@ centre it runs that test on the queried nodes.  Tent masses, atom expansions
 and atom validation go through it.  The lattice cells of a ball, cover balls
 included, come from grid.ball_support.
 
-The area function is a direct lattice sum over each layer's reach box (its
-nonzero nodes' bounding box widened by the footprint's half-widths), with
-the footprint cut into power-of-two blocks along the last axis.  It uses no
-FFT, so it is exactly 0.0 on every cell no node reaches, and atom
-validation costs what the atom's few nodes reach, not the grid.
+Every footprint correlation (the area function and its Fubini weights,
+ball averages, erosions and dilations) is an exact grid.footprint_sum over
+the input's reach box, with no FFT: every mask and count is an exact
+lattice count, the area function is exactly 0.0 on every cell no node
+reaches, and atom validation costs what the atom's few nodes reach.
 
 The decomposition follows dyadic level sets of the area function, dilates
 them through the maximal operator, covers them greedily with guard-expanded
@@ -28,7 +28,7 @@ for the construction's null set) is reported as leakage mass.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.ndimage import maximum_filter
 
 from .errors import CoverFailure
 from .exponents import indicator_norm
@@ -40,6 +40,7 @@ from .grid import (
     ball_footprint,
     ball_support,
     dilation_cache,
+    footprint_sum,
 )
 from .search import default_scale_window
 
@@ -128,11 +129,13 @@ def tent_members(d, grid, ball, ell, flat):
     return stamp.ravel()[flat]
 
 
-def _binary_erode(mask, footprint):
-    # Cells beyond the box contribute zero, so balls sticking out never pass.
-    count = float(footprint.sum())
-    conv = fftconvolve(mask.astype(float), footprint.astype(float), mode="same")
-    return conv > count - 0.5
+def _binary_erode(mask, d, grid, scale):
+    """Cells x whose footprint x + B_scale lies in mask.  Cells beyond the
+    box are outside, so balls sticking out never pass."""
+    count = ball_footprint(d, grid, scale).sum()
+    if count > mask.sum():  # no footprint fits: skip the sum
+        return np.zeros(mask.shape, dtype=bool)
+    return footprint_sum(mask, d, grid, scale) == count
 
 
 # -- area function and maximal operator ---------------------------------------
@@ -142,80 +145,14 @@ def lusin_area(G, d):
     """A(G)(x) = [sum_l b^-l int_{y in x+B_l} |G(y,l)|^2 dy]^(1/2), summed on
     the lattice: A(G)(x)^2 = cell * sum_l b^-l sum_{v in footprint_l} |G_l(x-v)|^2.
 
-    All-zero layers are skipped; every other layer is summed only over its
-    reach box, the bounding box of its nonzero nodes widened by the
-    footprint's half-widths and clipped to the grid.  Every value is a sum of
-    nonnegative terms, so A is exactly 0.0 wherever no node reaches.
+    Each layer is one footprint_sum, so A is exactly 0.0 wherever no node reaches.
     """
     grid = G.grid
     acc = np.zeros(grid.resolution)
     for ell in G.scales():
-        half, blocks = _footprint_blocks(d, grid, ell)
-        sq = np.abs(G.layer(ell)) ** 2
-        if not blocks or not sq.any():
-            continue
-        reach, total = _footprint_sum(sq, half, blocks)
-        acc[reach] += (1.0 / d.bpow(ell)) * total
+        acc += (1.0 / d.bpow(ell)) * footprint_sum(np.abs(G.layer(ell)) ** 2, d, grid, ell)
     acc *= grid.cell_volume
     return GridFunction(grid, np.sqrt(acc))
-
-
-def _footprint_blocks(d, grid, scale):
-    """(half-widths, blocks) of the footprint of B_scale, cut into blocks of
-    2^k cells along the last axis.
-
-    Each run of footprint cells along the last axis splits by the binary
-    digits of its length.  blocks[k] lists, for every block of 2^k cells, its
-    corner in the source array that _footprint_sum pads by the half-widths;
-    no blocks means an empty footprint.  Cached beside the footprint.
-    """
-    cache = dilation_cache(d)
-    key = ("blocks", grid.key(), scale)
-    if key not in cache:
-        fp = ball_footprint(d, grid, scale)
-        blocks = [[] for _ in range(fp.shape[-1].bit_length())]
-        for lead in np.ndindex(fp.shape[:-1]):
-            corner = tuple(s - 1 - i for s, i in zip(fp.shape, lead))
-            edges = np.flatnonzero(np.diff(fp[lead], prepend=False, append=False))
-            for first, stop in zip(edges[0::2], edges[1::2]):
-                width, start = int(stop - first), fp.shape[-1] - int(stop)
-                for k in range(width.bit_length()):
-                    if width >> k & 1:
-                        blocks[k].append(corner + (start,))
-                        start += 1 << k
-        while blocks and not blocks[-1]:
-            blocks.pop()
-        cache[key] = ([s // 2 for s in fp.shape], blocks)
-    return cache[key]
-
-
-def _footprint_sum(sq, half, blocks):
-    """(reach, s) with s(x) = sum_{v in footprint} sq(x - v) on the reach box.
-
-    The nonzero part of sq is copied into a zero array padded by the
-    half-widths on every side, so every block of every reached cell lies
-    inside it.  Pairwise sums in place along the last axis turn entry j into
-    the sum of the 2^k cells from j on; each block then adds one shifted
-    slice.  Every addition adds nonnegative terms.
-    """
-    hit = np.nonzero(sq)
-    lo = [int(i.min()) for i in hit]
-    hi = [int(i.max()) + 1 for i in hit]
-    reach = tuple(
-        slice(max(l - h, 0), min(u + h, n)) for l, u, h, n in zip(lo, hi, half, sq.shape)
-    )
-    shape = tuple(r.stop - r.start for r in reach)
-    src = np.zeros(tuple(n + 2 * h for n, h in zip(shape, half)))
-    inner = tuple(slice(l - r.start + h, u - r.start + h) for l, u, r, h in zip(lo, hi, reach, half))
-    src[inner] = sq[tuple(slice(l, u) for l, u in zip(lo, hi))]
-    out = np.zeros(shape)
-    for k, corners in enumerate(blocks):
-        if k:  # numpy buffers the overlapping operands
-            step = 1 << (k - 1)
-            src[..., :-step] += src[..., step:]
-        for corner in corners:
-            out += src[tuple(slice(c, c + n) for c, n in zip(corner, shape))]
-    return reach, out
 
 
 def area_l2_weights(d, grid, scale_window):
@@ -224,20 +161,9 @@ def area_l2_weights(d, grid, scale_window):
     for each box point x with y in x + B_l (box indicator * footprint)."""
     box = np.ones(grid.resolution)
     return np.concatenate([
-        np.rint(fftconvolve(box, ball_footprint(d, grid, ell).astype(float), mode="same")).ravel()
-        / d.bpow(ell)
+        footprint_sum(box, d, grid, ell).ravel() / d.bpow(ell)
         for ell in range(scale_window[0], scale_window[1] + 1)
     ])
-
-
-def _ball_averages(values, d, grid, scale_window):
-    """(footprint, count-normalized ball mean of values at every lattice
-    point) for each window scale whose footprint holds a lattice point."""
-    for k in range(scale_window[0], scale_window[1] + 1):
-        fp = ball_footprint(d, grid, k).astype(float)
-        count = fp.sum()
-        if count >= 1.0:
-            yield fp, fftconvolve(values, fp, mode="same") / count
 
 
 def hl_maximal(f, d, scale_window):
@@ -247,17 +173,13 @@ def hl_maximal(f, d, scale_window):
     the box; the pointwise value |f|(x) itself enters as the degenerate
     small-ball limit.
     """
-    from scipy.ndimage import maximum_filter
-
     grid = f.grid
     absf = np.abs(np.asarray(f.values, dtype=float))
-    cap = float(absf.max()) if absf.size else 0.0
     out = absf.copy()
-    for fp, avg in _ball_averages(absf, d, grid, scale_window):
-        # Ball averages of |f| cannot exceed max |f|; clipping removes FFT noise.
-        avg = np.clip(avg, 0.0, cap)
-        dil = maximum_filter(avg, footprint=fp.astype(bool), mode="constant", cval=0.0)
-        out = np.maximum(out, dil)
+    for k in range(scale_window[0], scale_window[1] + 1):
+        fp = ball_footprint(d, grid, k)
+        avg = footprint_sum(absf, d, grid, k) / fp.sum()
+        out = np.maximum(out, maximum_filter(avg, footprint=fp, mode="constant", cval=0.0))
     return GridFunction(grid, out)
 
 
@@ -266,10 +188,9 @@ def maximal_dilate(mask, d, grid, scale_window, gamma):
     f = 1_mask, including mask itself (the degenerate point scale)."""
     out = mask.copy()
     thr = (1.0 - gamma) * (1.0 + 1e-12) + 1e-12
-    for fp, avg in _ball_averages(mask.astype(float), d, grid, scale_window):
-        centers = avg > thr
-        if centers.any():
-            out |= fftconvolve(centers.astype(float), fp, mode="same") > 0.5
+    for k in range(scale_window[0], scale_window[1] + 1):
+        centers = footprint_sum(mask, d, grid, k) / ball_footprint(d, grid, k).sum() > thr
+        out |= footprint_sum(centers, d, grid, k) > 0.0
     return out
 
 
@@ -294,7 +215,7 @@ def whitney_cover(mask, d, grid, cover_window):
     # Largest window scale whose guard fits around each point; k_lo - 1 if none.
     best_scale = np.full(mask.size, k_lo - 1)
     for k in range(k_lo, k_hi + 1):
-        best_scale[_binary_erode(mask, ball_footprint(d, grid, k + d.omega)).ravel()] = k
+        best_scale[_binary_erode(mask, d, grid, k + d.omega).ravel()] = k
 
     covered = np.zeros(mask.size, dtype=bool)
     balls = []
@@ -408,13 +329,6 @@ def tent_atomic_decomposition(
     cover_sizes = {}
     unguarded = 0
 
-    def tent_of_set(mask):
-        out = np.zeros((nscales,) + tuple(grid.resolution), dtype=bool)
-        for ell in G.scales():
-            fp = ball_footprint(d, grid, ell)
-            out[ell - G.l_min] = _binary_erode(mask, fp)
-        return out
-
     prev_tent = np.zeros((nscales,) + tuple(grid.resolution), dtype=bool)
     support = G.values != 0.0
     # (scale, flat cell) views of the node arrays, for the sparse cover pieces.
@@ -430,7 +344,7 @@ def tent_atomic_decomposition(
             prev_tent = np.zeros_like(prev_tent)
             continue
         dilated = maximal_dilate(level_mask, d, grid, hl_window, gamma)
-        tent_j = tent_of_set(dilated)
+        tent_j = np.stack([_binary_erode(dilated, d, grid, ell) for ell in G.scales()])
         telescope = tent_j & ~prev_tent
         prev_tent = tent_j
         if not (telescope & support).any():

@@ -7,6 +7,7 @@ database between runs.  A test's own @settings still overrides the rest.
 
 import errno
 
+import numpy as np
 from hypothesis import settings
 
 settings.register_profile("anivex", derandomize=True, deadline=None, database=None)
@@ -29,3 +30,15 @@ class HalfWriter:
         self.fh.write(data[: len(data) // 2])
         self.fh.flush()
         raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def shifted_footprint_sum(values, footprint):
+    """sum_{v in footprint} values(x - v), one offset at a time on a
+    zero-padded copy of values: an oracle that shares no code with
+    grid.footprint_sum."""
+    half = [s // 2 for s in footprint.shape]
+    padded = np.pad(np.asarray(values, dtype=float), [(h, h) for h in half])
+    out = np.zeros(np.shape(values))
+    for v in np.argwhere(footprint) - np.array(half):
+        out += padded[tuple(slice(h - vi, h - vi + r) for h, vi, r in zip(half, v, out.shape))]
+    return out

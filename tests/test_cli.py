@@ -25,6 +25,7 @@ from anivex.suites import run_suite
 
 
 QUICK = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.json")
+PAPER_SUITE = os.path.join(os.path.dirname(__file__), "..", "configs", "paper_suite.json")
 
 
 @pytest.fixture()
@@ -216,6 +217,7 @@ class TestValidation:
             ({"budget": 2.5}, "budget"),
             ({"seed": [1]}, "seed"),
             ({"seed": "7"}, "seed"),
+            ({"seed": 10**400}, "seed"),
         ],
     )
     def test_scalar_fields_checked_at_load(self, cache_env, tmp_path, changes, field):
@@ -224,6 +226,40 @@ class TestValidation:
             ExperimentConfig(load_raw(path))
         assert info.value.field == field
         assert main(["run", "--config", path, "--out", str(cache_env / "bad.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda raw: raw["functions"]["a"]["ball"].pop("center"), "functions.a.ball.center"),
+            (lambda raw: raw["functions"]["a"]["ball"].pop("scale"), "functions.a.ball.scale"),
+            (lambda raw: raw["functions"]["a"]["ball"].update(center=[0.0, 1.0]), "functions.a.ball.center"),
+            (lambda raw: raw["functions"]["a"]["ball"].update(center=["0"]), "functions.a.ball.center"),
+            (lambda raw: raw["functions"]["a"]["ball"].update(scale=0.5), "functions.a.ball.scale"),
+            (lambda raw: raw["functions"]["a"].pop("ball"), "functions.a.ball"),
+            (lambda raw: raw["functions"]["a"].update(q="two"), "functions.a.q"),
+            (lambda raw: raw["functions"]["a"].update(s=-1), "functions.a.s"),
+            # A seed that is a polynomial on its ball has no atom.
+            (lambda raw: raw["functions"]["a"].update(formula="1.0"), "functions.a"),
+            (lambda raw: raw["exponent"].update(p_infinity="abc"), "exponent.p_infinity"),
+            (lambda raw: raw["exponent"].update(p_infinity=float("nan")), "exponent.p_infinity"),
+            (lambda raw: raw["exponent"].update(value="abc"), "exponent.value"),
+        ],
+        ids=[
+            "no-center", "no-scale", "center-length", "center-string", "scale-fraction", "no-ball",
+            "q-string", "s-negative", "polynomial-seed", "p_infinity-string", "p_infinity-nan", "value-string",
+        ],
+    )
+    def test_paper_suite_fields_checked_at_load(self, cache_env, tmp_path, capsys, edit, field):
+        raw = json.loads(open(PAPER_SUITE).read())
+        edit(raw)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(load_raw(str(path)))
+        assert info.value.field == field
+        assert main(["run", "--config", str(path), "--out", str(cache_env / "bad.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}:" in err and "Traceback" not in err
 
     def test_budget_option_zero_is_config_error(self, cache_env):
         with pytest.raises(ConfigError) as info:
@@ -289,8 +325,21 @@ class TestRun:
         changed, cached = run_config(QUICK, str(out / "r3.json"))
         assert not cached and changed["values"] == report["values"]
         # Atomic writes leave no temporary files behind.
-        assert sorted(os.listdir(out)) == ["r1.json", "r1.json.timing.json", "r2.json", "r3.json", "r3.json.timing.json"]
+        assert sorted(os.listdir(out)) == [
+            "r1.json", "r1.json.timing.json", "r2.json", "r2.json.timing.json", "r3.json", "r3.json.timing.json",
+        ]
         assert len(os.listdir(cache_env / "cache")) == 3
+
+    def test_cache_hit_replaces_the_timing_sidecar(self, cache_env):
+        out = cache_env / "r.json"
+        sidecar = cache_env / "r.json.timing.json"
+        run_config(QUICK, str(out))
+        assert json.loads(sidecar.read_text())["cached"] is False
+        # A sidecar left by an earlier run must not describe the cached one.
+        sidecar.write_text(json.dumps({"seconds": 1e9}))
+        _, cached = run_config(QUICK, str(out))
+        timing = json.loads(sidecar.read_text())
+        assert cached and timing["cached"] is True and 0.0 <= timing["seconds"] < 1e9
 
     def test_corrupt_cache_is_a_miss(self, cache_env, capsys):
         out = cache_env / "out"
@@ -422,6 +471,17 @@ class TestSweep:
         assert info.value.field == parameter
         args = ["sweep", "--config", QUICK, "--parameter", parameter, "--values", "1", "--out", str(out)]
         assert main(args) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["abc", "1,x", ""])
+    def test_values_that_are_not_numbers_are_a_usage_error(self, cache_env, capsys, values):
+        out = cache_env / "bad.csv"
+        args = ["sweep", "--config", QUICK, "--parameter", "params.epsilon", "--values", values, "--out", str(out)]
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --values" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_single_value_sweep_matches_run(self, cache_env):

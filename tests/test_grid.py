@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from functools import cache
 
@@ -6,17 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shifted_footprint_sum
+
 from anivex import grid as gr
 from anivex.dilation import new_dilation
 from anivex.errors import ScaleTooFine
 from anivex.grid import (
+    Grid,
     GridFunction,
     _lattice_index,
+    ball_footprint,
     ball_lattice_mask,
     ball_support,
     boundary_margin,
     constant,
     convolve_scaled,
+    footprint_sum,
     integrate,
     kernel_grid,
     sample,
@@ -263,6 +269,74 @@ class TestBallSupport:
         center = [lo + (i + 0.5) * h for lo, i, h in zip(g.lower, (17, 30), g.spacing)]
         support = ball_support(g, d, d.ball(center, -3))
         assert np.array_equal(support, [17 * 48 + 30])
+
+
+class TestFootprintSum:
+    @settings(max_examples=90)
+    @given(
+        name=st.sampled_from(["1d", "diag", "shear"]),
+        data=st.data(),
+        integral=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_shifted_oracle(self, name, data, integral, seed):
+        # Values on a random sub-box, often flush with an edge of the grid,
+        # so that the footprint is clipped there.  Integer values sum
+        # exactly in any order, so those must agree bitwise.
+        d, g, (k_lo, k_hi) = _support_case(name)
+        scale = data.draw(st.integers(k_lo, k_hi))
+        box = []
+        for r in g.resolution:
+            lo = data.draw(st.integers(0, r - 1) | st.just(0))
+            hi = data.draw(st.integers(lo + 1, r) | st.just(r))
+            box.append(slice(lo, hi))
+        rng = np.random.default_rng(seed)
+        values = np.zeros(g.resolution)
+        sub = values[tuple(box)]
+        sub[...] = rng.integers(0, 4, sub.shape) if integral else rng.random(sub.shape)
+        sub[rng.random(sub.shape) < 0.5] = 0.0
+        got = footprint_sum(values, d, g, scale)
+        want = shifted_footprint_sum(values, ball_footprint(d, g, scale))
+        assert got.shape == g.resolution
+        if integral:
+            assert np.array_equal(got, want)
+        else:
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(want), 1.0)
+
+    @pytest.mark.parametrize("name", ["1d", "diag", "shear"])
+    def test_every_footprint_holds_its_centre(self, name):
+        # Offset 0 has form value 0, below every level: no footprint is
+        # empty, however fine the scale.
+        d, g, (k_lo, k_hi) = _support_case(name)
+        for k in range(k_lo - 12, k_hi + 4):
+            fp = ball_footprint(d, g, k)
+            assert fp[tuple(s // 2 for s in fp.shape)]
+        assert ball_footprint(d, g, k_lo - 12).sum() == 1
+
+    def test_zero_input_is_zero(self):
+        d, g, _ = _support_case("shear")
+        assert np.all(footprint_sum(np.zeros(g.resolution), d, g, 2) == 0.0)
+
+
+class TestGridDerivedValues:
+    def test_spacing_computed_once_and_read_only(self):
+        g = uniform_grid([-4.0, -3.0], [4.0, 6.0], (40, 56))
+        assert g.spacing is g.spacing
+        assert not g.spacing.flags.writeable
+        with pytest.raises(ValueError):
+            g.spacing[0] = 1.0
+        assert np.array_equal(g.spacing, [8.0 / 40, 9.0 / 56])
+        assert g.cell_volume == float(np.prod(g.spacing))
+
+    def test_equality_and_hash_stay_on_the_fields(self):
+        a = uniform_grid([-4.0, -3.0], [4.0, 6.0], (40, 56))
+        b = uniform_grid([-4.0, -3.0], [4.0, 6.0], (40, 56))
+        a.spacing, a.points()  # derived values on one grid only
+        assert [f.name for f in dataclasses.fields(Grid)] == ["lower", "upper", "resolution"]
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a != uniform_grid([-4.0, -3.0], [4.0, 6.0], (40, 57))
+        assert hash(a) == hash(((-4.0, -3.0), (4.0, 6.0), (40, 56)))
 
 
 class TestConvolveScaled:

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter
 from scipy.signal import fftconvolve
+
+from conftest import shifted_footprint_sum
 
 from anivex import tent as tent_module
 from anivex.campanato import aggregate_norm
@@ -76,13 +79,62 @@ def _shifted_area_sq(G, d):
     acc = np.zeros(grid.resolution)
     for ell in G.scales():
         fp = ball_footprint(d, grid, ell)
-        half = [s // 2 for s in fp.shape]
-        padded = np.pad(np.abs(G.layer(ell)) ** 2, [(h, h) for h in half])
-        layer = np.zeros(grid.resolution)
-        for v in np.argwhere(fp) - np.array(half):
-            layer += padded[tuple(slice(h - vi, h - vi + r) for h, vi, r in zip(half, v, grid.resolution))]
-        acc += layer / d.bpow(ell)
+        acc += shifted_footprint_sum(np.abs(G.layer(ell)) ** 2, fp) / d.bpow(ell)
     return acc * grid.cell_volume
+
+
+# The FFT forms the tent layer used before grid.footprint_sum, kept as
+# references: each count was an FFT value rounded back to an integer.
+
+
+def _fft_erode(mask, fp):
+    conv = fftconvolve(mask.astype(float), fp.astype(float), mode="same")
+    return conv > fp.sum() - 0.5
+
+
+def _fft_area_l2_weights(d, grid, window):
+    box = np.ones(grid.resolution)
+    return np.concatenate([
+        np.rint(fftconvolve(box, ball_footprint(d, grid, ell).astype(float), mode="same")).ravel()
+        / d.bpow(ell)
+        for ell in range(window[0], window[1] + 1)
+    ])
+
+
+def _fft_averages(values, d, grid, window):
+    for k in range(window[0], window[1] + 1):
+        fp = ball_footprint(d, grid, k).astype(float)
+        yield fp, fftconvolve(values, fp, mode="same") / fp.sum()
+
+
+def _fft_hl_maximal(f, d, window):
+    absf = np.abs(f.values)
+    out = absf.copy()
+    for fp, avg in _fft_averages(absf, d, f.grid, window):
+        avg = np.clip(avg, 0.0, absf.max())
+        out = np.maximum(out, maximum_filter(avg, footprint=fp.astype(bool), mode="constant", cval=0.0))
+    return out
+
+
+def _fft_maximal_dilate(mask, d, grid, window, gamma):
+    out = mask.copy()
+    thr = (1.0 - gamma) * (1.0 + 1e-12) + 1e-12
+    for fp, avg in _fft_averages(mask.astype(float), d, grid, window):
+        centers = avg > thr
+        if centers.any():
+            out |= fftconvolve(centers.astype(float), fp, mode="same") > 0.5
+    return out
+
+
+def _shifted_hl_maximal(f, d, window):
+    """hl_maximal with every ball sum taken one offset at a time."""
+    absf = np.abs(f.values)
+    out = absf.copy()
+    for k in range(window[0], window[1] + 1):
+        fp = ball_footprint(d, f.grid, k)
+        avg = shifted_footprint_sum(absf, fp) / fp.sum()
+        out = np.maximum(out, maximum_filter(avg, footprint=fp, mode="constant", cval=0.0))
+    return out
 
 
 def _shear_blobs(grid):
@@ -207,6 +259,62 @@ def _tent_contains(d, ball, y, ell):
     """y + B_ell inside the closed ball, by one closed_containment row."""
     offset = np.atleast_2d(np.asarray(y, dtype=float) - ball.center)
     return bool(d.closed_containment(ell, ball.scale, offset)[0])
+
+
+# (dilation, grid, window, dense input) for the FFT-reference comparisons.
+_REFERENCE_CASES = {
+    "A=[2] 4096": (new_dilation([[2.0]]), uniform_grid([-8.0], [8.0], 4096), (-4, 2)),
+    "diag(2,3) 48^2": (new_dilation([[2.0, 0.0], [0.0, 3.0]]), uniform_grid([-4.0, -4.0], [4.0, 4.0], 48), (-2, 1)),
+    "shear 32^2": (new_dilation([[2.0, 1.0], [0.0, 2.0]]), uniform_grid([-4.0, -4.0], [4.0, 4.0], 32), (-3, 0)),
+    "shear 64^2": (new_dilation([[2.0, 1.0], [0.0, 2.0]]), uniform_grid([-4.0, -4.0], [4.0, 4.0], 64), (-3, 0)),
+}
+
+
+def _reference_inputs(grid):
+    """A sparse function, a blob-shaped mask and a mask flush with the box edge."""
+    rng = np.random.default_rng(8)
+    f = rng.normal(size=grid.resolution) * (rng.random(grid.resolution) < 0.05)
+    r2 = sum(m**2 for m in grid.meshes())
+    edge = np.zeros(grid.resolution, dtype=bool)
+    edge[(slice(0, grid.resolution[0] // 3),) + (slice(None),) * (grid.n - 1)] = True
+    return GridFunction(grid, f), r2 < 4.0, edge
+
+
+class TestFFTReferences:
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_erosion_equals_fft_form(self, case):
+        d, g, (k_lo, k_hi) = _REFERENCE_CASES[case]
+        _, blob, edge = _reference_inputs(g)
+        # Guard scales up to k + omega: the largest footprints fit nowhere.
+        for mask in (blob, edge, blob | edge):
+            for k in range(k_lo, k_hi + d.omega + 1):
+                got = tent_module._binary_erode(mask, d, g, k)
+                assert np.array_equal(got, _fft_erode(mask, ball_footprint(d, g, k)))
+
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_dilation_equals_fft_form(self, case):
+        d, g, window = _REFERENCE_CASES[case]
+        _, blob, edge = _reference_inputs(g)
+        for mask in (blob, edge):
+            for gamma in (0.25, 0.5, 0.9):
+                got = maximal_dilate(mask, d, g, window, gamma)
+                assert np.array_equal(got, _fft_maximal_dilate(mask, d, g, window, gamma))
+
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_area_weights_equal_fft_form(self, case):
+        d, g, window = _REFERENCE_CASES[case]
+        assert np.array_equal(area_l2_weights(d, g, window), _fft_area_l2_weights(d, g, window))
+
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_hl_maximal_near_fft_form_and_exact_zeros(self, case):
+        d, g, window = _REFERENCE_CASES[case]
+        f, blob, _ = _reference_inputs(g)
+        for fn in (f, GridFunction(g, blob * f.values), GridFunction(g, blob.astype(float))):
+            got = hl_maximal(fn, d, window).values
+            peak = np.max(np.abs(fn.values))
+            assert np.max(np.abs(got - _fft_hl_maximal(fn, d, window))) <= 1e-15 * peak
+            # Exact ball sums: a cell is 0.0 exactly when no ball through it meets the support.
+            assert np.array_equal(got == 0.0, _shifted_hl_maximal(fn, d, window) == 0.0)
 
 
 class TestTentContains:
