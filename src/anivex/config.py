@@ -131,6 +131,35 @@ def _integer(value, field, lowest=None):
     return int(value)
 
 
+def _numbers(value, field, length=None):
+    """value as a list of floats, from a JSON list of finite numbers."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        count = "" if length is None else f"{length} "
+        raise ConfigError(f"expected a list of {count}finite numbers, got {value!r}", field=field)
+    return [_number(v, field) for v in value]
+
+
+def _per_axis(spec, key, n, parse):
+    """One parsed value per axis from grid.<key>; a bare value stands for
+    that value on every axis."""
+    field = f"grid.{key}"
+    value = _require(spec, key, field)
+    value = value if isinstance(value, list) else [value] * n
+    if len(value) != n:
+        raise ConfigError(f"expected one value per axis ({n}), got {value!r}", field=field)
+    return [parse(v, field) for v in value]
+
+
+def build_grid(spec, n):
+    """The n-dimensional grid of a "grid" object."""
+    lower, upper = (_per_axis(spec, key, n, _number) for key in ("lower", "upper"))
+    resolution = _per_axis(spec, "resolution", n, lambda r, field: _integer(r, field, lowest=2))
+    try:
+        return uniform_grid(lower, upper, resolution)
+    except ValueError as exc:  # upper not above lower, or a span beyond the float range
+        raise ConfigError(str(exc), field="grid.upper") from None
+
+
 def build_exponent(spec, grid, field="exponent"):
     kind = _require(spec, "kind", field)
     p_inf = spec.get("p_infinity")
@@ -140,11 +169,11 @@ def build_exponent(spec, grid, field="exponent"):
         value = _number(_require(spec, "value", field), f"{field}.value")
         vals = np.full(grid.resolution, value)
     elif kind == "piecewise":
-        axis = int(spec.get("axis", 0))
-        breaks = [float(v) for v in _require(spec, "breakpoints", field)]
-        values = [float(v) for v in _require(spec, "values", field)]
-        if len(values) != len(breaks) + 1:
-            raise ConfigError("piecewise needs len(values) == len(breakpoints)+1", field=field)
+        axis = _integer(spec.get("axis", 0), f"{field}.axis", lowest=0)
+        if axis >= grid.n:
+            raise ConfigError(f"expected an axis below {grid.n}, got {axis}", field=f"{field}.axis")
+        breaks = _numbers(_require(spec, "breakpoints", field), f"{field}.breakpoints")
+        values = _numbers(_require(spec, "values", field), f"{field}.values", len(breaks) + 1)
         coords = grid.meshes()[axis]
         vals = np.full(grid.resolution, values[0])
         for brk, val in zip(breaks, values[1:]):
@@ -171,10 +200,7 @@ def build_function(spec, grid, d, p, field="functions"):
         seed = _sample_formula(spec, grid, field)
         ball_spec = _require(spec, "ball", f"{field}.ball")
         cfield, sfield = f"{field}.ball.center", f"{field}.ball.scale"
-        center = _require(ball_spec, "center", cfield)
-        if not isinstance(center, list) or len(center) != grid.n:
-            raise ConfigError(f"expected {grid.n} coordinates, got {center!r}", field=cfield)
-        center = [_number(c, cfield) for c in center]
+        center = _numbers(_require(ball_spec, "center", cfield), cfield, grid.n)
         ball = d.ball(center, _integer(_require(ball_spec, "scale", sfield), sfield))
         q = _number(spec.get("q", 2.0), f"{field}.q")
         s = _integer(spec.get("s", 0), f"{field}.s", lowest=0)
@@ -197,12 +223,7 @@ class ExperimentConfig:
             raise
         except Exception as exc:
             raise ConfigError(str(exc), field="dilation") from None
-        gspec = _require(raw, "grid", "grid")
-        self.grid = uniform_grid(
-            _require(gspec, "lower", "grid.lower"),
-            _require(gspec, "upper", "grid.upper"),
-            _require(gspec, "resolution", "grid.resolution"),
-        )
+        self.grid = build_grid(_require(raw, "grid", "grid"), self.dilation.n)
         self.exponent = build_exponent(_require(raw, "exponent", "exponent"), self.grid)
         self.functions = {}
         for name, spec in raw.get("functions", {}).items():

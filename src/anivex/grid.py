@@ -6,15 +6,15 @@ are exact for cell-aligned indicators and second order for smooth integrands.
 Functions are zero outside their box.  This module alone decides which
 lattice points lie in a ball (ball_support): a lattice-centred ball pastes
 the cached footprint of its scale, any other centre is tested on the grid.
-footprint_sum is the one, exact, correlation with a ball footprint; only
-convolve_scaled uses an FFT.
+footprint_sum is the one, exact, correlation with a ball footprint;
+fftconvolve_same, called by convolve_scaled alone, is the one FFT.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.ndimage import map_coordinates
-from scipy.signal import fftconvolve
 
 from .errors import ScaleTooFine
 
@@ -385,6 +385,26 @@ def scaled_kernel_samples(kernel, d, k, grid, moment_cancel=None):
     return vals
 
 
+def fftconvolve_same(a, b):
+    """Linear convolution of real arrays a and b, centre-cropped to a's shape.
+
+    It makes the calls scipy.signal.fftconvolve(a, b, mode="same") makes, so
+    its bits are the same: an axis where either operand has length 1 is
+    multiplied by broadcasting, the others go through rfftn and irfftn at
+    next_fast_len sizes, then the full product is cropped.
+    """
+    axes = [i for i in range(a.ndim) if a.shape[i] != 1 and b.shape[i] != 1]
+    full = [m + n - 1 if i in axes else max(m, n) for i, (m, n) in enumerate(zip(a.shape, b.shape))]
+    if axes:
+        fshape = [sp_fft.next_fast_len(full[i], True) for i in axes]
+        spectrum = sp_fft.rfftn(a, fshape, axes=axes) * sp_fft.rfftn(b, fshape, axes=axes)
+        ret = sp_fft.irfftn(spectrum, fshape, axes=axes)[tuple(slice(m) for m in full)]
+    else:
+        ret = a * b
+    start = [(m - n) // 2 for m, n in zip(full, a.shape)]
+    return ret[tuple(slice(s, s + n) for s, n in zip(start, a.shape))].copy()
+
+
 def convolve_scaled(f, kernel, d, k, moment_cancel=None):
     """Discrete f * phi_k with phi_k(x) = b^k * kernel(A^k x).
 
@@ -394,5 +414,5 @@ def convolve_scaled(f, kernel, d, k, moment_cancel=None):
     polynomials of degree <= s exactly.
     """
     vals = scaled_kernel_samples(kernel, d, k, f.grid, moment_cancel=moment_cancel)
-    conv = fftconvolve(f.values, vals, mode="same") * f.grid.cell_volume
+    conv = fftconvolve_same(f.values, vals) * f.grid.cell_volume
     return GridFunction(f.grid, conv)

@@ -11,7 +11,6 @@ from itertools import product
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize_scalar
 
 from .errors import InsufficientSamples, SingularGram
 from .grid import GridFunction, ball_support
@@ -123,6 +122,7 @@ def refine_lq(f, d, ball, s, q, start=None, sweeps=REFINE_SWEEPS):
     poly = start if start is not None else minimizing_polynomial(f, d, ball, s)
     if q == 2.0:
         return poly, lq_error(f, d, ball, poly, q)
+    from scipy.optimize import minimize_scalar  # deferred: only q != 2 needs it, and it slows start-up
 
     idx, indices, design = _ball_design(f, d, ball, s)
     fvals = f.values.ravel()[idx]

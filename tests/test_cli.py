@@ -1,6 +1,8 @@
 import builtins
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,6 +172,10 @@ def _quick_params():
     return json.loads(open(QUICK).read())["params"]
 
 
+def _piecewise(**changes):
+    return {"kind": "piecewise", "breakpoints": [0.0], "values": [1.0, 2.0], **changes}
+
+
 def _write_config(tmp_path, **changes):
     raw = json.loads(open(QUICK).read())
     raw.update(changes)
@@ -243,10 +249,22 @@ class TestValidation:
             (lambda raw: raw["exponent"].update(p_infinity="abc"), "exponent.p_infinity"),
             (lambda raw: raw["exponent"].update(p_infinity=float("nan")), "exponent.p_infinity"),
             (lambda raw: raw["exponent"].update(value="abc"), "exponent.value"),
+            (lambda raw: raw["grid"].update(resolution=["a"]), "grid.resolution"),
+            (lambda raw: raw["grid"].update(resolution=[1]), "grid.resolution"),
+            (lambda raw: raw["grid"].update(resolution=[64, 64]), "grid.resolution"),
+            (lambda raw: raw["grid"].update(lower=["a"]), "grid.lower"),
+            (lambda raw: raw["grid"].update(lower=[9.0]), "grid.upper"),
+            (lambda raw: raw["dilation"].update(matrix=[[2.0, 0.0], [0.0, 3.0]]), "grid.lower"),
+            (lambda raw: raw.update(exponent=_piecewise(breakpoints=1.0)), "exponent.breakpoints"),
+            (lambda raw: raw.update(exponent=_piecewise(axis=0.5)), "exponent.axis"),
+            (lambda raw: raw.update(exponent=_piecewise(axis=1)), "exponent.axis"),
+            (lambda raw: raw.update(exponent=_piecewise(values=[1.0, "x"])), "exponent.values"),
         ],
         ids=[
             "no-center", "no-scale", "center-length", "center-string", "scale-fraction", "no-ball",
             "q-string", "s-negative", "polynomial-seed", "p_infinity-string", "p_infinity-nan", "value-string",
+            "resolution-string", "resolution-one", "resolution-length", "lower-string", "lower-above-upper",
+            "grid-dimension", "breakpoints-number", "axis-fraction", "axis-range", "values-string",
         ],
     )
     def test_paper_suite_fields_checked_at_load(self, cache_env, tmp_path, capsys, edit, field):
@@ -383,6 +401,23 @@ class TestRun:
         report, _ = run_config(QUICK, str(cache_env / "echo.json"))
         assert report["checks"] == []
         assert report["all_passed"]
+
+
+def test_cli_loads_no_scipy_signal(tmp_path):
+    # scipy.signal imports scipy.stats: most of a process's start-up.
+    out = str(tmp_path / "quick.json")
+    code = (
+        "import sys\n"
+        "import anivex.cli\n"
+        "unused = {'scipy.signal', 'scipy.stats'}\n"
+        "assert not unused.union({'scipy.optimize'}) & sys.modules.keys()\n"
+        f"assert anivex.cli.main(['run', '--config', {os.path.abspath(QUICK)!r}, '--out', {out!r}, '--no-cache']) == 0\n"
+        "assert not unused & sys.modules.keys()\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env["ANIVEX_CACHE_DIR"] = str(tmp_path / "cache")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def _hardy_2d_config(tmp_path, params):

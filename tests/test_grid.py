@@ -4,8 +4,9 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from conftest import shifted_footprint_sum
 
@@ -22,6 +23,7 @@ from anivex.grid import (
     boundary_margin,
     constant,
     convolve_scaled,
+    fftconvolve_same,
     footprint_sum,
     integrate,
     kernel_grid,
@@ -337,6 +339,30 @@ class TestGridDerivedValues:
         assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
         assert a != uniform_grid([-4.0, -3.0], [4.0, 6.0], (40, 57))
         assert hash(a) == hash(((-4.0, -3.0), (4.0, 6.0), (40, 56)))
+
+
+class TestFftconvolveSame:
+    @settings(max_examples=200)
+    @given(
+        shapes=st.integers(1, 2).flatmap(
+            lambda n: st.tuples(*[st.lists(st.just(1) | st.integers(1, 70), min_size=n, max_size=n)] * 2)
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    # Length-1 axes in either operand (multiplied, not transformed) and
+    # kernels larger than the input.
+    @example(shapes=([1, 37], [5, 9]), seed=0)
+    @example(shapes=([12, 13], [5, 1]), seed=0)
+    @example(shapes=([1], [9]), seed=0)
+    @example(shapes=([9, 1], [1, 9]), seed=0)
+    @example(shapes=([20, 7], [45, 31]), seed=0)
+    def test_bitwise_equal_to_scipy_signal(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.standard_normal(s) for s in shapes)
+        got = fftconvolve_same(a, b)
+        want = fftconvolve(a, b, mode="same")
+        assert got.shape == want.shape == a.shape
+        assert np.array_equal(got, want)
 
 
 class TestConvolveScaled:
