@@ -113,10 +113,10 @@ def config_quotient(config, term, p, eta, d):
     return sum(w * term(ball) for ball, w in config.entries if w != 0.0) / denom
 
 
-def prefix_quotients(entries, term, p, eta, d, tail_window):
+def prefix_quotients(entries, term, p, eta, d):
     """config_quotient of every prefix of a truncated countable family (0.0
     while the numerator is zero), and the largest fluctuation of the last
-    tail_window values about the final one."""
+    20 values about the final one."""
     term = per_ball_cache(term)
     acc = np.zeros(p.grid.resolution)
     numer = 0.0
@@ -127,7 +127,7 @@ def prefix_quotients(entries, term, p, eta, d, tail_window):
             _aggregate(acc, ball, weight, p, eta, d)
         values.append(numer / _aggregate_value(acc, p, eta) if numer != 0.0 else 0.0)
     values = np.array(values)
-    tail = float(np.max(np.abs(values[-tail_window:] - values[-1]))) if len(values) else 0.0
+    tail = float(np.max(np.abs(values[-20:] - values[-1]))) if len(values) else 0.0
     return values, tail
 
 
@@ -237,18 +237,16 @@ def variant_eps_functional(f, config, prm, d):
     )
 
 
-def campanato_type_norm(f, prm, d, budget=200, seed=0, scale_window=None, max_balls=8):
+def campanato_type_norm(f, prm, d, budget=200, seed=0):
     """Certified lower bound of the configuration supremum.
 
     Canonical single-ball sweep, random small configurations, and greedy
     weight ascent, deterministic for a fixed seed; doubling the budget can
     only grow the record.
     """
-    if scale_window is None:
-        scale_window = default_scale_window(d, f.grid, min_points=4 + 2 * prm.s)
-
+    scale_window = default_scale_window(d, f.grid, min_points=4 + 2 * prm.s)
     config_value = search_objective(_oscillation_term(f, prm, d), prm.p, prm.eta, d)
-    return supremum_search(config_value, d, f.grid, budget, seed, scale_window, max_balls)
+    return supremum_search(config_value, d, f.grid, budget, seed, scale_window)
 
 
 @dataclass
@@ -259,16 +257,14 @@ class LimitReport:
     stabilized_at: int | None
 
 
-def countable_limit_check(f, entries, prm, d, tol=1e-6, tail_window=20):
+def countable_limit_check(f, entries, prm, d, tol=1e-6):
     """Prefix values of the functional along a countable configuration.
 
     entries is a finite truncation [(ball, weight), ...] of the family; the
     report carries every prefix value, the largest fluctuation over the last
-    tail_window prefixes, and the first index after which nothing changes.
+    20 prefixes, and the first index after which nothing changes.
     """
-    values, tail = prefix_quotients(
-        entries, _oscillation_term(f, prm, d), prm.p, prm.eta, d, tail_window
-    )
+    values, tail = prefix_quotients(entries, _oscillation_term(f, prm, d), prm.p, prm.eta, d)
     stabilized = None
     for m in range(len(values)):
         if np.all(values[m:] == values[-1]):

@@ -76,25 +76,25 @@ def _carleson_term(mu, p, d):
     return term
 
 
-def carleson_functional(mu, p, d, eta=None, budget=200, seed=0, scale_window=None, max_balls=8):
+def carleson_functional(mu, p, d, eta=None, budget=200, seed=0):
     """Certified lower bound of the Carleson configuration supremum for a
     nonnegative density mu."""
     if np.any(mu.values < 0.0):
         raise ValueError("carleson density must be nonnegative")
     if eta is None:
         eta = p.underline_p
-    if scale_window is None:
-        scale_window = default_scale_window(d, mu.grid, min_points=1)
+    scale_window = default_scale_window(d, mu.grid, min_points=1)
     config_value = search_objective(_carleson_term(mu, p, d), p, eta, d)
-    return supremum_search(config_value, d, mu.grid, budget, seed, scale_window, max_balls)
+    return supremum_search(config_value, d, mu.grid, budget, seed, scale_window)
 
 
-def carleson_prefix_check(mu, entries, p, d, eta=None, tol=1e-6, tail_window=20):
-    """Finite-vs-countable agreement along a truncated configuration family."""
+def carleson_prefix_check(mu, entries, p, d, eta=None):
+    """Finite-vs-countable agreement along a truncated configuration family:
+    converged when the last 20 prefix values stay within 1e-6 of the final one."""
     if eta is None:
         eta = p.underline_p
-    values, tail = prefix_quotients(entries, _carleson_term(mu, p, d), p, eta, d, tail_window)
-    return values, bool(tail < tol), tail
+    values, tail = prefix_quotients(entries, _carleson_term(mu, p, d), p, eta, d)
+    return values, bool(tail < 1e-6), tail
 
 
 # -- analyzing functions --------------------------------------------------------
@@ -142,9 +142,10 @@ def _fourier_at(phi, freqs):
     return acc * np.exp(-2j * np.pi * (freqs @ x0)) * grid.cell_volume
 
 
-def build_analyzing_function(d, s, grid, width_factor=0.9, annulus_samples=64, seed=77):
+def build_analyzing_function(d, s, grid):
     """Compactly supported kernel with s vanishing moments and a measured
-    Fourier lower bound on the step-norm annulus.
+    Fourier lower bound on the step-norm annulus, the minimum over 64 seeded
+    annulus samples.
 
     The kernel is a tensor product of (s+1)-fold bump derivatives scaled
     into the unit ball B_0; moments through order s vanish analytically per
@@ -155,7 +156,7 @@ def build_analyzing_function(d, s, grid, width_factor=0.9, annulus_samples=64, s
     rho_lo = 1.0 / (2.0 * a_norm)
 
     lam_max = float(np.linalg.eigvalsh(d.shape).max())
-    base_width = width_factor * np.sqrt(d.level_c / (d.n * lam_max))
+    base_width = 0.9 * np.sqrt(d.level_c / (d.n * lam_max))
 
     last_error = None
     for shrink in (1.0, 0.7):
@@ -167,15 +168,15 @@ def build_analyzing_function(d, s, grid, width_factor=0.9, annulus_samples=64, s
         phi = phi.with_values(phi.values / peak)
         phi = phi.with_values(_cancel_discrete_moments(phi.values, phi.grid.points(), s))
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(77)
         half1 = d.ball_bounding_halfwidths(1)
         # Batches of draws, kept in order: the same samples as one draw each.
         kept = []
-        while sum(map(len, kept)) < annulus_samples:
-            xi = rng.uniform(-1.0, 1.0, size=(annulus_samples, d.n)) * half1
+        while sum(map(len, kept)) < 64:
+            xi = rng.uniform(-1.0, 1.0, size=(64, d.n)) * half1
             rho = d.step_quasi_norm_many(xi)
             kept.append(xi[(rho_lo <= rho) & (rho <= 1.0)])
-        samples = np.concatenate(kept)[:annulus_samples]
+        samples = np.concatenate(kept)[:64]
         c_measured = float(np.min(np.abs(_fourier_at(phi, samples))))
         if c_measured >= 1e-6:
             report = AnalyzingReport(
@@ -235,8 +236,9 @@ def _synthesize(grid, coefficients):
     return np.fft.ifftn(shaped) / grid.cell_volume
 
 
-def band_limited_pair(grid, seed=0, mode_span=(0.3, 1.0), width=1.8, correlated=False):
-    """Two modulated bumps with spectra concentrated in a mid band.
+def band_limited_pair(grid, seed=0, mode_span=(0.3, 1.0), correlated=False):
+    """Two modulated Gaussian bumps (standard deviation 1.8) with spectra
+    concentrated in a mid band.
 
     With correlated=True the second function shares the first one's carrier,
     which keeps the pairing itself well away from zero.
@@ -249,7 +251,7 @@ def band_limited_pair(grid, seed=0, mode_span=(0.3, 1.0), width=1.8, correlated=
 
     def envelope(meshes, center):
         r2 = sum((m - c) ** 2 for m, c in zip(meshes, center))
-        return np.exp(-r2 / (2.0 * width**2))
+        return np.exp(-r2 / (2.0 * 1.8**2))
 
     def make(center, freq, phase):
         def fn(*meshes):
@@ -288,26 +290,15 @@ class ReproducingReport:
         )
 
 
-def carleson_duality_check(
-    f_rep,
-    b,
-    phi,
-    d,
-    p,
-    scale_window,
-    moment_cancel=None,
-    gamma=0.5,
-    level_floor=40,
-    denominator_floor=1e-8,
-):
+def carleson_duality_check(f_rep, b, phi, d, p, scale_window, moment_cancel=None):
     """Reproducing defect and pairing-vs-tent-mass chain for a pair (f, b).
 
     The synthesis partner is built in the discrete frequency domain as
-    conj(phi-hat) over the windowed squared sum, zero where that sum is
-    negligible, so the measured defect is exactly the truncation error of
-    the window.  The chain steps asserted with signed slack are the ones
-    that are identities or finite-sum inequalities on the lattice; Fubini
-    and atom-size ratios are measured and reported.
+    conj(phi-hat) over the windowed squared sum, zero where that sum is at
+    most 1e-8 of its maximum, so the measured defect is exactly the
+    truncation error of the window.  The chain steps asserted with signed
+    slack are the ones that are identities or finite-sum inequalities on the
+    lattice; Fubini and atom-size ratios are measured and reported.
     """
     grid = b.grid
     f = f_rep.function()
@@ -336,7 +327,7 @@ def carleson_duality_check(
     )
     phi_hat = _fourier_at(phi, scaled).reshape(l_max - l_min + 1, len(freqs))
     window_sq = np.sum(np.abs(phi_hat) ** 2, axis=0)
-    floor = denominator_floor * float(window_sq.max())
+    floor = 1e-8 * float(window_sq.max())
     usable = window_sq > floor
 
     psi_layers = []
@@ -361,14 +352,7 @@ def carleson_duality_check(
     s1 = float(np.sum(np.abs(psi_side.values) * np.abs(phi_side.values)) * cv)
     triangle_slack = s1 - abs(truncated)
 
-    atoms = tent_atomic_decomposition(
-        psi_side,
-        p,
-        d,
-        gamma=gamma,
-        level_floor=level_floor,
-        leakage_bound=np.inf,
-    )
+    atoms = tent_atomic_decomposition(psi_side, p, d, level_floor=40, leakage_bound=np.inf)
     covered = atoms.covered_mask()
     recon = atoms.reconstruction().values
     reconstruction_residual = float(

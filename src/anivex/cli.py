@@ -255,7 +255,7 @@ def sweep_config(config_path, parameter, values, out_path, seed=None, budget=Non
                 point_config, os.path.join(tmp, "report.json"),
                 seed=seed, budget=budget, resolution=resolution,
             )
-        flat = {"parameter": parameter, "value": value}
+        flat = {"parameter": parameter, "value": value, "all_passed": report["all_passed"]}
         for name, val in report["values"].items():
             if isinstance(val, dict):
                 for k, v in val.items():
@@ -323,7 +323,7 @@ def main(argv=None):
 
     if args.command == "sweep":
         try:
-            sweep_config(
+            rows = sweep_config(
                 args.config, args.parameter, args.values, args.out,
                 seed=args.seed, budget=args.budget,
             )
@@ -331,7 +331,7 @@ def main(argv=None):
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         print(f"wrote {args.out}")
-        return 0
+        return 0 if all(row["all_passed"] for row in rows) else 1
 
     # verify: the only other subcommand
     results = run_suite(args.suite)

@@ -237,15 +237,19 @@ class ExperimentConfig:
                 raise ConfigError(f"expected two integers [lo, hi], got {window!r}", field=field)
             lo = _integer(window[0], field)
             self.params["scale_window"] = (lo, _integer(window[1], field, lowest=lo))
+        eta, epsilon = (
+            None if self.params.get(key) is None else _number(self.params[key], f"params.{key}")
+            for key in ("eta", "epsilon")
+        )
         try:
             self.campanato = CampanatoParams(
                 p=self.exponent,
-                q=float(self.params.get("q", 2.0)),
-                s=int(self.params.get("s", 0)),
-                eta=self.params.get("eta"),
-                epsilon=self.params.get("epsilon"),
+                q=_number(self.params.get("q", 2.0), "params.q"),
+                s=_integer(self.params.get("s", 0), "params.s", lowest=0),
+                eta=eta,
+                epsilon=epsilon,
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:  # q below 1 or eta not positive
             raise ConfigError(str(exc), field="params") from None
         self.checks = list(raw.get("checks", []))
         for i, name in enumerate(self.checks):

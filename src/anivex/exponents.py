@@ -23,7 +23,6 @@ class LogHolderReport:
     shell_constants: dict
     unstable: bool
     sample_pairs: int
-    truncated_domain: bool = True
 
 
 class Exponent:
@@ -45,14 +44,11 @@ class Exponent:
         self.p_plus = float(arr.max())
         self.p_infinity = None if p_infinity is None else float(p_infinity)
         self.underline_p = min(self.p_minus, 1.0)
-        self.log_holder_report = None
         self._indicator_cache = {}
 
 
-def constant_exponent(grid, q, p_infinity=None):
-    if p_infinity is None:
-        p_infinity = q
-    return Exponent(GridFunction(grid, np.full(grid.resolution, float(q))), p_infinity)
+def constant_exponent(grid, q):
+    return Exponent(GridFunction(grid, np.full(grid.resolution, float(q))), q)
 
 
 def exponent_from_callable(grid, fn, p_infinity=None):
@@ -205,12 +201,10 @@ def check_log_holder(p, d, sample_pairs=4000, seed=20):
         rho_x = d.step_quasi_norm_many(pts)
         c_inf = float(np.max(np.abs(vals - p.p_infinity) * np.log(np.e + rho_x)))
 
-    report = LogHolderReport(
+    return LogHolderReport(
         c_log=c_log,
         c_infinity=c_inf,
         shell_constants=shells,
         unstable=bool(unstable),
         sample_pairs=int(sample_pairs),
     )
-    p.log_holder_report = report
-    return report

@@ -28,7 +28,8 @@ class Grid:
     def __post_init__(self):
         if any(r < 2 for r in self.resolution):
             raise ValueError("resolution must be >= 2 per axis")
-        if not all(np.isfinite(u - l) and u > l for l, u in zip(self.lower, self.upper)):
+        # The span in Python floats: numpy's subtraction warns when it overflows.
+        if not all(np.isfinite(float(u) - float(l)) and u > l for l, u in zip(self.lower, self.upper)):
             raise ValueError("bounds must be finite, with upper exceeding lower, per axis")
         # Derived once, outside the fields, so equality and hashing stay on them.
         spacing = np.array([(u - l) / r for l, u, r in zip(self.lower, self.upper, self.resolution)])

@@ -168,14 +168,15 @@ class ChainReport:
         )
 
 
-def duality_chain_check(rep, g, prm, d, poly_samples=5, seed=0):
+def duality_chain_check(rep, g, prm, d, seed=0):
     """Step-by-step audit of the pairing bound for a finite atomic sum.
 
-    For f = sum lambda_j a_j the chain is: polynomial shifts leave each atom
-    pairing unchanged (vanishing moments); the Holder inequality bounds each
-    pairing by the atom size times the local oscillation of g; summing gives
-    the oscillation functional times the atomic aggregation norm.  Slacks are
-    signed so that anything below -1e-8 is a violation.
+    For f = sum lambda_j a_j the chain is: polynomial shifts (5 seeded ones
+    per atom) leave each atom pairing unchanged (vanishing moments); the
+    Holder inequality bounds each pairing by the atom size times the local
+    oscillation of g; summing gives the oscillation functional times the
+    atomic aggregation norm.  Slacks are signed so that anything below -1e-8
+    is a violation.
     """
     rng = np.random.default_rng(seed)
     q = prm.q
@@ -210,7 +211,7 @@ def duality_chain_check(rep, g, prm, d, poly_samples=5, seed=0):
 
         # (a) shifting g by any polynomial of degree <= s leaves the pairing.
         design = _design_matrix(pts, indices)
-        for _ in range(poly_samples):
+        for _ in range(5):
             shift = design @ rng.uniform(-10.0, 10.0, size=len(indices))
             shifted = np.sum(a_vals * (g_vals - shift)) * cell_volume
             moment_slack = min(moment_slack, 1e-8 - abs(abs(shifted) - abs(pair)))

@@ -15,8 +15,6 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import InsufficientSamples, SingularGram
 from .grid import GridFunction, ball_support
 
-REFINE_SWEEPS = 20
-
 
 def multi_indices(n, s):
     """Multi-indices |gamma| <= s in graded lexicographic order."""
@@ -40,8 +38,6 @@ def _design_matrix(local_pts, indices):
 
 @dataclass
 class Polynomial:
-    dimension: int
-    degree: int
     center: np.ndarray
     transform: np.ndarray  # A^-k, maps global offsets to local coordinates
     indices: tuple
@@ -83,8 +79,6 @@ def minimizing_polynomial(f, d, ball, s):
         except np.linalg.LinAlgError:
             raise SingularGram("Gram matrix singular even with ridge") from None
     return Polynomial(
-        dimension=f.grid.n,
-        degree=s,
         center=ball.center,
         transform=d.power(-ball.scale),
         indices=indices,
@@ -113,8 +107,9 @@ def lq_error(f, d, ball, poly, q):
     return float((np.sum(resid**q) * f.grid.cell_volume) ** (1.0 / q))
 
 
-def refine_lq(f, d, ball, s, q, start=None, sweeps=REFINE_SWEEPS):
-    """Coordinate-descent approximation of inf_P ||f - P||_{L^q(B)}.
+def refine_lq(f, d, ball, s, q, start=None):
+    """Coordinate-descent approximation of inf_P ||f - P||_{L^q(B)}, at most
+    20 sweeps over the coefficients.
 
     Starts at the L^2 projection (already the exact infimum when q == 2) and
     returns the refined polynomial with its error value.
@@ -133,7 +128,7 @@ def refine_lq(f, d, ball, s, q, start=None, sweeps=REFINE_SWEEPS):
         return float(np.sum(np.abs(fvals - design @ c) ** q) * cell_volume)
 
     best = objective(coef)
-    for _ in range(sweeps):
+    for _ in range(20):
         improved = 0.0
         for j in range(len(coef)):
 

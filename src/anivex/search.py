@@ -50,12 +50,12 @@ def default_scale_window(d, grid, min_points):
     return (k_min, k_max)
 
 
-def _canonical_sweep(d, grid, scale_window, strides=16):
-    """Grid-aligned single-ball candidates in a fixed scan order."""
+def _canonical_sweep(d, grid, scale_window):
+    """Grid-aligned single-ball candidates, about 16 per axis, in a fixed scan order."""
     axes = grid.axes()
     picks = []
     for ax in axes:
-        step = max(len(ax) // strides, 1)
+        step = max(len(ax) // 16, 1)
         picks.append(ax[step // 2 :: step])
     meshes = np.meshgrid(*picks, indexing="ij")
     centers = np.stack([m.ravel() for m in meshes], axis=1)
@@ -98,7 +98,7 @@ def _ascent_variant(best_config, step_index):
         return None
 
 
-def supremum_search(config_value, d, grid, budget, seed, scale_window, max_balls=8):
+def supremum_search(config_value, d, grid, budget, seed, scale_window):
     """Maximize config_value over a deterministic candidate stream.
 
     config_value(BallConfiguration) -> float, raising EmptyMask /
@@ -135,7 +135,7 @@ def supremum_search(config_value, d, grid, budget, seed, scale_window, max_balls
         for _ in range(3):
             if seen >= budget:
                 break
-            consider(_random_config(rng, d, grid, scale_window, max_balls))
+            consider(_random_config(rng, d, grid, scale_window, max_balls=8))
         if seen >= budget:
             break
         if best_config is not None:

@@ -186,7 +186,7 @@ def suite_projection(cases=20):
     ]
 
 
-def suite_campanato(random_configs=30):
+def suite_campanato():
     d, g = _desk_1d()
     p = constant_exponent(g, 1.0)
     results = []
@@ -210,7 +210,7 @@ def suite_campanato(random_configs=30):
 
     fr = sample(g, lambda t: np.sin(1.3 * t) + 0.2 * t**2)
     worst_iv = np.inf
-    for _ in range(random_configs):
+    for _ in range(30):
         ball = d.ball([rng.uniform(-3, 3)], int(rng.integers(-2, 3)))
         iv = camp.eps_kernel_summand(fr, d, ball, p, 0, 4.0)
         ii = camp.plain_summand(fr, d, ball, p, 0)
@@ -245,7 +245,7 @@ def suite_campanato(random_configs=30):
     return results
 
 
-def suite_duality(chains=10):
+def suite_duality():
     d, g = _desk_1d()
     p = constant_exponent(g, 1.0)
     results = []
@@ -262,7 +262,7 @@ def suite_duality(chains=10):
 
     rng = np.random.default_rng(71)
     worst_slack = np.inf
-    for i in range(chains):
+    for i in range(10):
         atoms = []
         for _ in range(int(rng.integers(1, 4))):
             seed = sample(g, lambda t: np.sin(rng.uniform(0.5, 3) * t) + 0.2 * t)
@@ -308,7 +308,7 @@ def suite_duality(chains=10):
     return results
 
 
-def suite_tent(cases=4):
+def suite_tent():
     d, g = _desk_1d(2048)
     p = constant_exponent(g, 1.0)
     results = []
@@ -326,7 +326,7 @@ def suite_tent(cases=4):
     recon_exact = True
     disjoint = True
     supports = True
-    for case in range(cases):
+    for _ in range(4):
         centers = rng.uniform(-3, 3, size=2)
         G = _blobs(
             g,
@@ -364,7 +364,7 @@ def suite_tent(cases=4):
     return results
 
 
-def _blobs(grid, window, centers, widths, scale_weights, amp=1.0):
+def _blobs(grid, window, centers, widths, scale_weights):
     """Multi-scale Gaussian blobs cut off at 3 sd; a scalar centre applies to every axis."""
     xs = grid.meshes()
     layers = []
@@ -374,7 +374,7 @@ def _blobs(grid, window, centers, widths, scale_weights, amp=1.0):
         if w != 0.0:
             for c, sd in zip(centers, widths):
                 r2 = sum((m - ci) ** 2 for m, ci in zip(xs, np.broadcast_to(c, (grid.n,))))
-                layer += amp * w * np.exp(-r2 / (2 * sd**2)) * (np.sqrt(r2) < 3 * sd)
+                layer += w * np.exp(-r2 / (2 * sd**2)) * (np.sqrt(r2) < 3 * sd)
         layers.append(layer)
     return tent.ScaleFunction(grid, window[0], window[1], np.stack(layers))
 
@@ -408,7 +408,7 @@ def density_homogeneity(mu1, mu3, p, d):
     return CheckResult("density-homogeneity", hom <= 1e-8, hom)
 
 
-def suite_carleson(pairs=5):
+def suite_carleson():
     d, g = _desk_1d(2048)
     p = constant_exponent(g, 1.0)
     results = []
@@ -447,7 +447,7 @@ def suite_carleson(pairs=5):
 
     worst_defect = 0.0
     worst_slack = np.inf
-    for seed in range(pairs):
+    for seed in range(5):
         f_fn, b_fn = carl.band_limited_pair(g, seed=seed, correlated=True)
         atom = hardy.make_atom(f_fn, d, d.ball([0.0], 3), 2.0, p, 0)
         rep = hardy.FiniteAtomicRep([(1.0, atom)])

@@ -93,10 +93,10 @@ class ScaleFunction:
         return float(np.sum(np.abs(self.values)) * self.grid.cell_volume)
 
 
-def zero_scale_function(grid, window, dtype=float):
+def zero_scale_function(grid, window):
     l_min, l_max = window
     shape = (l_max - l_min + 1,) + tuple(grid.resolution)
-    return ScaleFunction(grid, l_min, l_max, np.zeros(shape, dtype=dtype))
+    return ScaleFunction(grid, l_min, l_max, np.zeros(shape))
 
 
 # -- footprints and tents ------------------------------------------------------
@@ -260,7 +260,6 @@ class TentAtomSet:
     entries: list
     leakage_ratio: float
     levels: tuple
-    gamma: float
     cover_sizes: dict
     unguarded_balls: int
     template: ScaleFunction = field(repr=False, default=None)
@@ -280,10 +279,10 @@ class TentAtomSet:
         return mask.reshape(self.template.values.shape)
 
 
-def _minimal_tent_expansion(d, grid, ball, node_scales, max_extra=10):
-    """Smallest e such that every claimed node (y, l) satisfies
+def _minimal_tent_expansion(d, grid, ball, node_scales):
+    """Smallest e <= 10 such that every claimed node (y, l) satisfies
     y + B_l inside the cover ball grown to scale + e."""
-    cap = min(max_extra, d.level_cap - ball.scale - 1)
+    cap = min(10, d.level_cap - ball.scale - 1)
     for extra in range(0, cap + 1):
         grown = d.ball(ball.center, ball.scale + extra)
         if all(tent_members(d, grid, grown, ell, layer_flat).all() for ell, layer_flat in node_scales):
@@ -291,28 +290,18 @@ def _minimal_tent_expansion(d, grid, ball, node_scales, max_extra=10):
     return None
 
 
-def tent_atomic_decomposition(
-    G,
-    p,
-    d,
-    gamma=0.5,
-    cover_window=None,
-    hl_window=None,
-    level_floor=60,
-    leakage_bound=0.01,
-):
+def tent_atomic_decomposition(G, p, d, level_floor=60, leakage_bound=0.01):
     """Split G into weighted tent atoms along dyadic area-function levels.
 
-    Atoms are 2^-j ||1_B||^-1 G restricted to disjoint tent pieces; weights
-    are 2^j ||1_B||, so the weighted sum rebuilds G exactly on covered nodes
-    and the weighted absolute sum rebuilds |G|.  Mass on uncovered nodes is
-    returned as the leakage ratio and must stay below leakage_bound.
+    Level sets are dilated at gamma = 1/2 and covered over one scale window,
+    default_scale_window(min_points=1).  Atoms are 2^-j ||1_B||^-1 G
+    restricted to disjoint tent pieces; weights are 2^j ||1_B||, so the
+    weighted sum rebuilds G exactly on covered nodes and the weighted
+    absolute sum rebuilds |G|.  Mass on uncovered nodes is returned as the
+    leakage ratio and must stay below leakage_bound.
     """
     grid = G.grid
-    if cover_window is None:
-        cover_window = default_scale_window(d, grid, min_points=1)
-    if hl_window is None:
-        hl_window = cover_window
+    window = default_scale_window(d, grid, min_points=1)
 
     template = G.with_values(np.zeros_like(G.values, dtype=float))
     total_mass = G.mass()
@@ -343,14 +332,14 @@ def tent_atomic_decomposition(
         if not level_mask.any():
             prev_tent = np.zeros_like(prev_tent)
             continue
-        dilated = maximal_dilate(level_mask, d, grid, hl_window, gamma)
+        dilated = maximal_dilate(level_mask, d, grid, window, gamma=0.5)
         tent_j = np.stack([_binary_erode(dilated, d, grid, ell) for ell in G.scales()])
         telescope = tent_j & ~prev_tent
         prev_tent = tent_j
         if not (telescope & support).any():
             continue
 
-        balls = whitney_cover(dilated, d, grid, cover_window)
+        balls = whitney_cover(dilated, d, grid, window)
         cover_sizes[j] = len(balls)
         unguarded += sum(1 for cb in balls if not cb.guarded)
 
@@ -407,7 +396,6 @@ def tent_atomic_decomposition(
         entries=entries,
         leakage_ratio=ratio,
         levels=(j_lo, j_hi),
-        gamma=gamma,
         cover_sizes=cover_sizes,
         unguarded_balls=unguarded,
         template=template,
@@ -429,12 +417,13 @@ class TentAtomReport:
     infinity_atom: bool
 
 
-def tent_atom_validate(a, ball, p, d, q_list=(2.0, 4.0), tol=1e-8):
+def tent_atom_validate(a, ball, p, d):
     """Support and size checks against the tent of the ball.
 
-    The size bound ||A(a)||_{L^q} <= |B|^(1/q) / ||1_B|| is witnessed on the
-    finite q list; passing every listed q is reported as infinity-atom
-    status.  Support is checked node by node with tent_members.
+    The size bound ||A(a)||_{L^q} <= |B|^(1/q) / ||1_B|| is witnessed at
+    q = 2 and q = 4; exact support with both ratios at most 1 + 1e-8 is
+    reported as infinity-atom status.  Support is checked node by node with
+    tent_members.
     """
     grid = a.grid
     support_exact = True
@@ -447,11 +436,11 @@ def tent_atom_validate(a, ball, p, d, q_list=(2.0, 4.0), tol=1e-8):
     area = lusin_area(a, d).values
     ratios = {}
     norm_1b = indicator_norm(d, ball, p)
-    for q in q_list:
+    for q in (2.0, 4.0):
         lq = (np.sum(area**q) * grid.cell_volume) ** (1.0 / q)
         bound = d.ball_volume(ball) ** (1.0 / q) / norm_1b
         ratios[q] = float(lq / bound)
-    infinity = support_exact and all(r <= 1.0 + tol for r in ratios.values())
+    infinity = support_exact and all(r <= 1.0 + 1e-8 for r in ratios.values())
     return TentAtomReport(
         support_exact=bool(support_exact), size_ratios=ratios, infinity_atom=bool(infinity)
     )

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -259,12 +260,17 @@ class TestValidation:
             (lambda raw: raw.update(exponent=_piecewise(axis=0.5)), "exponent.axis"),
             (lambda raw: raw.update(exponent=_piecewise(axis=1)), "exponent.axis"),
             (lambda raw: raw.update(exponent=_piecewise(values=[1.0, "x"])), "exponent.values"),
+            (lambda raw: raw["params"].update(q="abc"), "params.q"),
+            (lambda raw: raw["params"].update(s=1.5), "params.s"),
+            (lambda raw: raw["params"].update(eta="x"), "params.eta"),
+            (lambda raw: raw["params"].update(epsilon="abc"), "params.epsilon"),
         ],
         ids=[
             "no-center", "no-scale", "center-length", "center-string", "scale-fraction", "no-ball",
             "q-string", "s-negative", "polynomial-seed", "p_infinity-string", "p_infinity-nan", "value-string",
             "resolution-string", "resolution-one", "resolution-length", "lower-string", "lower-above-upper",
             "grid-dimension", "breakpoints-number", "axis-fraction", "axis-range", "values-string",
+            "params-q-string", "params-s-fraction", "params-eta-string", "params-epsilon-string",
         ],
     )
     def test_paper_suite_fields_checked_at_load(self, cache_env, tmp_path, capsys, edit, field):
@@ -278,6 +284,14 @@ class TestValidation:
         assert main(["run", "--config", str(path), "--out", str(cache_env / "bad.json")]) == 2
         err = capsys.readouterr().err
         assert f"config error: {field}:" in err and "Traceback" not in err
+
+    def test_grid_span_overflow_is_config_error_without_warning(self, tmp_path):
+        path = _write_config(tmp_path, grid={"lower": [-1e308], "upper": [1e308], "resolution": [1024]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as info:
+                ExperimentConfig(load_raw(path))
+        assert info.value.field == "grid.upper"
 
     def test_budget_option_zero_is_config_error(self, cache_env):
         with pytest.raises(ConfigError) as info:
@@ -518,6 +532,17 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "argument --values" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_failed_point_exits_nonzero_after_writing_the_csv(self, cache_env, tmp_path):
+        far = {"center": [100.0], "scale": -9}
+        path = _write_config(tmp_path, compute=[
+            {"name": "far", "op": "campanato_functional", "function": "f", "configuration": [far]}
+        ])
+        out = cache_env / "fail.csv"
+        args = ["sweep", "--config", path, "--parameter", "params.epsilon", "--values", "4", "--out", str(out)]
+        assert main(args) == 1
+        header, row = out.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["all_passed"] == "False"
 
     def test_single_value_sweep_matches_run(self, cache_env):
         out_csv = cache_env / "one.csv"
