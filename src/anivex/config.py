@@ -115,10 +115,15 @@ def _sample_formula(spec, grid, field):
     return sample(grid, compile_expression(formula, grid.n, field=f"{field}.formula"))
 
 
-def _number(value, field):
-    """value as a float, from a finite JSON number."""
+def _number(value, field, lowest=None, above=None):
+    """value as a float, from a finite JSON number, at least lowest and
+    strictly above above."""
     if type(value) not in (int, float) or not abs(value) <= np.finfo(float).max:
         raise ConfigError(f"expected a finite number, got {value!r}", field=field)
+    if lowest is not None and value < lowest:
+        raise ConfigError(f"expected at least {lowest}, got {value!r}", field=field)
+    if above is not None and value <= above:
+        raise ConfigError(f"expected a number above {above}, got {value!r}", field=field)
     return float(value)
 
 
@@ -238,19 +243,18 @@ class ExperimentConfig:
             lo = _integer(window[0], field)
             self.params["scale_window"] = (lo, _integer(window[1], field, lowest=lo))
         eta, epsilon = (
-            None if self.params.get(key) is None else _number(self.params[key], f"params.{key}")
-            for key in ("eta", "epsilon")
+            None if self.params.get(key) is None else _number(self.params[key], f"params.{key}", above=bound)
+            for key, bound in (("eta", 0.0), ("epsilon", None))
         )
-        try:
-            self.campanato = CampanatoParams(
-                p=self.exponent,
-                q=_number(self.params.get("q", 2.0), "params.q"),
-                s=_integer(self.params.get("s", 0), "params.s", lowest=0),
-                eta=eta,
-                epsilon=epsilon,
-            )
-        except ValueError as exc:  # q below 1 or eta not positive
-            raise ConfigError(str(exc), field="params") from None
+        # CampanatoParams refuses none of these: a default eta is the
+        # exponent's underline_p, which is positive.
+        self.campanato = CampanatoParams(
+            p=self.exponent,
+            q=_number(self.params.get("q", 2.0), "params.q", lowest=1.0),
+            s=_integer(self.params.get("s", 0), "params.s", lowest=0),
+            eta=eta,
+            epsilon=epsilon,
+        )
         self.checks = list(raw.get("checks", []))
         for i, name in enumerate(self.checks):
             if not isinstance(name, str) or name not in SUITE_NAMES:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from math import gamma, pi
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import NotExpansive, ScaleOverflow, SeriesDivergence
 
@@ -116,9 +115,12 @@ class Dilation:
 
     @staticmethod
     def _lyapunov_shape(A, s):
-        # P = I + s^2 A^-T P A^-1, the sum of s^2k A^-kT A^-k, solved directly
-        # (Bartels-Stewart); so A'PA - s^2 P = A'A.
-        P = solve_discrete_lyapunov(s * np.linalg.inv(A).T, np.eye(A.shape[0]))
+        # P = I + a P a' with a = s A^-T, the sum of s^2k A^-kT A^-k, solved
+        # directly as the Kronecker system (I - a (x) a) vec P = vec I; so
+        # A'PA - s^2 P = A'A.
+        n = A.shape[0]
+        a = s * np.linalg.inv(A).T
+        P = np.linalg.solve(np.eye(n * n) - np.kron(a, a), np.eye(n).ravel()).reshape(n, n)
         return 0.5 * (P + P.T)
 
     @staticmethod

@@ -7,14 +7,15 @@ Functions are zero outside their box.  This module alone decides which
 lattice points lie in a ball (ball_support): a lattice-centred ball pastes
 the cached footprint of its scale, any other centre is tested on the grid.
 footprint_sum is the one, exact, correlation with a ball footprint;
-fftconvolve_same, called by convolve_scaled alone, is the one FFT.
+fftconvolve_same, called by convolve_scaled alone, is the one FFT, on
+numpy.fft.
 """
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.ndimage import map_coordinates
 
 from .errors import ScaleTooFine
 
@@ -379,31 +380,86 @@ def scaled_kernel_samples(kernel, d, k, grid, moment_cancel=None):
         (mapped[:, i] - kernel.grid.lower[i]) / kernel.grid.spacing[i] - 0.5
         for i in range(grid.n)
     ]
-    vals = map_coordinates(kernel.values, np.stack(idx), order=1, cval=0.0)
-    vals = (d.bpow(k) * vals).reshape(shape)
+    vals = (d.bpow(k) * _interpolate_linear(kernel.values, np.stack(idx))).reshape(shape)
     if moment_cancel is not None:
         vals = _cancel_discrete_moments(vals, offsets, moment_cancel)
     return vals
 
 
+def _interpolate_linear(values, coords):
+    """Multilinear interpolation of values at the fractional indices coords
+    (one row per axis), 0.0 where a coordinate lies outside [0, len - 1].
+
+    Each point adds up its 2^n corner terms ((value * w_0) * w_1) ... in
+    product((0, 1), ...) order from 0.0, as
+    scipy.ndimage.map_coordinates(order=1, cval=0.0) does, so the bits are
+    the same.
+    """
+    top = np.array(values.shape) - 1
+    inside = np.all((coords >= 0.0) & (coords <= top[:, None]), axis=0)
+    coords = coords[:, inside]
+    base = np.floor(coords)
+    frac = coords - base
+    base = base.astype(int)
+    total = np.zeros(coords.shape[1])
+    for corner in product((0, 1), repeat=values.ndim):
+        # The upper neighbour of an index on the top edge has weight 0.
+        term = values[tuple(np.minimum(b + c, t) for b, c, t in zip(base, corner, top))]
+        for w, c in zip(frac, corner):
+            term = term * (w if c else 1.0 - w)
+        total += term
+    out = np.zeros(inside.shape)
+    out[inside] = total
+    return out
+
+
+def _fast_len(n):
+    """Smallest 5-smooth integer 2^i 3^j 5^k >= n: scipy.fft.next_fast_len(n, real=True)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fftconvolve_same(a, b):
     """Linear convolution of real arrays a and b, centre-cropped to a's shape.
 
-    It makes the calls scipy.signal.fftconvolve(a, b, mode="same") makes, so
-    its bits are the same: an axis where either operand has length 1 is
-    multiplied by broadcasting, the others go through rfftn and irfftn at
-    next_fast_len sizes, then the full product is cropped.
+    An axis where either operand has length 1 is multiplied by broadcasting;
+    the others are transformed at 5-smooth sizes, then the full product is
+    cropped.  The transforms are the one-axis numpy.fft calls that
+    scipy.signal.fftconvolve(a, b, mode="same") makes through scipy.fft, in
+    its order, so the bits are the same (numpy's rfftn and irfftn, which
+    differ in order and scaling, move the last bits): rfft on the last axis,
+    then fft on the others ascending; unscaled ifft on all but the last
+    ascending, unscaled irfft on the last, then one multiply by 1/size.
     """
     axes = [i for i in range(a.ndim) if a.shape[i] != 1 and b.shape[i] != 1]
     full = [m + n - 1 if i in axes else max(m, n) for i, (m, n) in enumerate(zip(a.shape, b.shape))]
-    if axes:
-        fshape = [sp_fft.next_fast_len(full[i], True) for i in axes]
-        spectrum = sp_fft.rfftn(a, fshape, axes=axes) * sp_fft.rfftn(b, fshape, axes=axes)
-        ret = sp_fft.irfftn(spectrum, fshape, axes=axes)[tuple(slice(m) for m in full)]
-    else:
-        ret = a * b
     start = [(m - n) // 2 for m, n in zip(full, a.shape)]
-    return ret[tuple(slice(s, s + n) for s, n in zip(start, a.shape))].copy()
+    crop = tuple(slice(s, s + n) for s, n in zip(start, a.shape))
+    if not axes:
+        return (a * b)[crop].copy()
+    fshape = [_fast_len(full[i]) for i in axes]
+
+    def spectrum(x):
+        x = np.fft.rfft(x, fshape[-1], axis=axes[-1])
+        for i, n in zip(axes[:-1], fshape[:-1]):
+            x = np.fft.fft(x, n, axis=i)
+        return x
+
+    ret = spectrum(a) * spectrum(b)
+    for i in axes[:-1]:
+        ret = np.fft.ifft(ret, axis=i, norm="forward")
+    ret = np.fft.irfft(ret, fshape[-1], axis=axes[-1], norm="forward")
+    return ret[crop] * (1.0 / prod(fshape))
 
 
 def convolve_scaled(f, kernel, d, k, moment_cancel=None):

@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InsufficientSamples, SingularGram
 from .grid import GridFunction, ball_support
@@ -70,14 +69,17 @@ def minimizing_polynomial(f, d, ball, s):
     fvals = f.values.ravel()[idx]
     gram = design.T @ design
     rhs = design.T @ fvals
+    # The Cholesky factor is the positive-definiteness test: a Gram matrix
+    # that fails it gets a small ridge, and one that fails again is singular.
     try:
-        coef = cho_solve(cho_factor(gram), rhs)
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        ridge = 1e-12 * np.trace(gram)
+        gram = gram + 1e-12 * np.trace(gram) * np.eye(gram.shape[0])
         try:
-            coef = cho_solve(cho_factor(gram + ridge * np.eye(gram.shape[0])), rhs)
+            np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             raise SingularGram("Gram matrix singular even with ridge") from None
+    coef = np.linalg.solve(gram, rhs)
     return Polynomial(
         center=ball.center,
         transform=d.power(-ball.scale),

@@ -28,7 +28,6 @@ for the construction's null set) is reported as leakage mass.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .errors import CoverFailure
 from .exponents import indicator_norm
@@ -179,8 +178,18 @@ def hl_maximal(f, d, scale_window):
     for k in range(scale_window[0], scale_window[1] + 1):
         fp = ball_footprint(d, grid, k)
         avg = footprint_sum(absf, d, grid, k) / fp.sum()
-        out = np.maximum(out, maximum_filter(avg, footprint=fp, mode="constant", cval=0.0))
+        out = np.maximum(out, _footprint_max(avg, fp))
     return GridFunction(grid, out)
+
+
+def _footprint_max(values, fp):
+    """m(x) = max over offsets v in the centred footprint of values(x + v),
+    with 0.0 beyond the box: the elementwise max of the shifted copies."""
+    padded = np.pad(values, [(s // 2, s // 2) for s in fp.shape])
+    out = np.full(values.shape, -np.inf)
+    for offset in np.argwhere(fp):
+        np.maximum(out, padded[tuple(slice(o, o + n) for o, n in zip(offset, values.shape))], out=out)
+    return out
 
 
 def maximal_dilate(mask, d, grid, scale_window, gamma):

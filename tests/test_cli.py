@@ -213,7 +213,7 @@ class TestValidation:
         path = _write_config(tmp_path, params={**_quick_params(), "q": 0.5})
         with pytest.raises(ConfigError) as info:
             ExperimentConfig(load_raw(path))
-        assert info.value.field == "params"
+        assert info.value.field == "params.q"
         assert main(["run", "--config", path, "--out", str(cache_env / "bad.json")]) == 2
 
     @pytest.mark.parametrize(
@@ -263,6 +263,7 @@ class TestValidation:
             (lambda raw: raw["params"].update(q="abc"), "params.q"),
             (lambda raw: raw["params"].update(s=1.5), "params.s"),
             (lambda raw: raw["params"].update(eta="x"), "params.eta"),
+            (lambda raw: raw["params"].update(eta=0.0), "params.eta"),
             (lambda raw: raw["params"].update(epsilon="abc"), "params.epsilon"),
         ],
         ids=[
@@ -270,7 +271,8 @@ class TestValidation:
             "q-string", "s-negative", "polynomial-seed", "p_infinity-string", "p_infinity-nan", "value-string",
             "resolution-string", "resolution-one", "resolution-length", "lower-string", "lower-above-upper",
             "grid-dimension", "breakpoints-number", "axis-fraction", "axis-range", "values-string",
-            "params-q-string", "params-s-fraction", "params-eta-string", "params-epsilon-string",
+            "params-q-string", "params-s-fraction", "params-eta-string", "params-eta-zero",
+            "params-epsilon-string",
         ],
     )
     def test_paper_suite_fields_checked_at_load(self, cache_env, tmp_path, capsys, edit, field):
@@ -427,6 +429,24 @@ def test_cli_loads_no_scipy_signal(tmp_path):
         "assert not unused.union({'scipy.optimize'}) & sys.modules.keys()\n"
         f"assert anivex.cli.main(['run', '--config', {os.path.abspath(QUICK)!r}, '--out', {out!r}, '--no-cache']) == 0\n"
         "assert not unused & sys.modules.keys()\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env["ANIVEX_CACHE_DIR"] = str(tmp_path / "cache")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    # The whole of anivex runs on numpy; scipy's import is most of a start-up.
+    out = str(tmp_path / "quick.json")
+    code = (
+        "import sys\n"
+        "import anivex.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded(), loaded()\n"
+        f"assert anivex.cli.main(['run', '--config', {os.path.abspath(QUICK)!r}, '--out', {out!r}, '--no-cache']) == 0\n"
+        "assert not loaded(), loaded()\n"
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_discrete_lyapunov
 
 from anivex.dilation import _max_shifted_quadratic, new_dilation, unit_ball_volume
 from anivex.errors import NotExpansive, ScaleOverflow
@@ -51,6 +52,26 @@ class TestConstruction:
         residual = A.T @ d.shape @ A - d.r**2 * d.shape - A.T @ A
         assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(A.T @ A)
         assert np.array_equal(d.shape, d.shape.T)
+
+    @pytest.mark.parametrize(
+        "mat, ulps",
+        [
+            ([[2.0]], 0),
+            ([[3.0]], 0),
+            ([[2.0, 0.0], [0.0, 3.0]], 0),
+            ([[2.0, 1.0], [0.0, 2.0]], 0),
+            ([[2.5, 0.7], [-0.3, 1.9]], 0),
+            ([[1.5, -1.0], [1.0, 1.5]], 0),
+            ([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]], 4),
+            ([[3.0, 0.2, 0.1], [0.4, 2.5, 0.0], [0.0, 0.3, 2.2]], 4),
+        ],
+    )
+    def test_shape_matches_scipy_lyapunov(self, mat, ulps):
+        # Bitwise in 1-D and 2-D; the 3x3 solve may round differently.
+        d = new_dilation(mat)
+        want = solve_discrete_lyapunov(d.r * np.linalg.inv(d.matrix).T, np.eye(d.n))
+        want = 0.5 * (want + want.T)
+        assert np.all(np.abs(d.shape - want) <= ulps * np.spacing(np.abs(want)))
 
     def test_not_expansive(self):
         with pytest.raises(NotExpansive):

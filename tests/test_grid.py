@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
+from scipy.ndimage import map_coordinates
 from scipy.signal import fftconvolve
 
 from conftest import shifted_footprint_sum
@@ -16,6 +18,8 @@ from anivex.errors import ScaleTooFine
 from anivex.grid import (
     Grid,
     GridFunction,
+    _fast_len,
+    _interpolate_linear,
     _lattice_index,
     ball_footprint,
     ball_lattice_mask,
@@ -344,8 +348,11 @@ class TestGridDerivedValues:
 class TestFftconvolveSame:
     @settings(max_examples=200)
     @given(
-        shapes=st.integers(1, 2).flatmap(
-            lambda n: st.tuples(*[st.lists(st.just(1) | st.integers(1, 70), min_size=n, max_size=n)] * 2)
+        # At most 16 cells per axis in 3-D keeps the transforms small.
+        shapes=st.integers(1, 3).flatmap(
+            lambda n: st.tuples(
+                *[st.lists(st.just(1) | st.integers(1, 70 if n < 3 else 16), min_size=n, max_size=n)] * 2
+            )
         ),
         seed=st.integers(0, 2**16),
     )
@@ -356,6 +363,10 @@ class TestFftconvolveSame:
     @example(shapes=([1], [9]), seed=0)
     @example(shapes=([9, 1], [1, 9]), seed=0)
     @example(shapes=([20, 7], [45, 31]), seed=0)
+    # Three transformed axes, where numpy's rfftn and irfftn move the last bits.
+    @example(shapes=([5, 6, 7], [3, 4, 5]), seed=0)
+    @example(shapes=([12, 11, 10], [7, 5, 3]), seed=1)
+    @example(shapes=([4, 1, 9], [3, 6, 2]), seed=2)
     def test_bitwise_equal_to_scipy_signal(self, shapes, seed):
         rng = np.random.default_rng(seed)
         a, b = (rng.standard_normal(s) for s in shapes)
@@ -363,6 +374,30 @@ class TestFftconvolveSame:
         want = fftconvolve(a, b, mode="same")
         assert got.shape == want.shape == a.shape
         assert np.array_equal(got, want)
+
+    def test_fast_len_is_scipy_next_fast_len(self):
+        assert [_fast_len(n) for n in range(1, 5001)] == [next_fast_len(n, True) for n in range(1, 5001)]
+
+
+class TestInterpolateLinear:
+    @settings(max_examples=60)
+    @given(
+        shape=st.lists(st.integers(2, 9), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_equal_to_map_coordinates(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(shape)
+        coords = np.stack([rng.uniform(-1.5, n + 0.5, 300) for n in shape])
+        # Integer coordinates, both edges, and the nearest floats on either side of them.
+        for axis, n in enumerate(shape):
+            edges = [0.0, n - 1.0, np.nextafter(0.0, -1.0), np.nextafter(n - 1.0, n), np.nextafter(n - 1.0, 0.0), -1e-300]
+            picks = rng.permutation(300)[: 10 + 5 * len(edges)]
+            coords[axis, picks[:10]] = rng.integers(0, n, 10)
+            for j, edge in enumerate(edges):
+                coords[axis, picks[10 + 5 * j : 15 + 5 * j]] = edge
+        got = _interpolate_linear(values, coords)
+        assert np.array_equal(got, map_coordinates(values, coords, order=1, cval=0.0))
 
 
 class TestConvolveScaled:

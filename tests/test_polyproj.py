@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from anivex.dilation import new_dilation
-from anivex.errors import InsufficientSamples
-from anivex.grid import GridFunction, ball_lattice_mask, sample, uniform_grid
+from anivex.errors import InsufficientSamples, SingularGram
+from anivex.grid import GridFunction, ball_lattice_mask, ball_support, sample, uniform_grid
 from anivex.polyproj import (
+    _ball_design,
     lq_error,
     minimizing_polynomial,
     moments,
@@ -110,6 +111,37 @@ class TestProjection:
         pts = np.random.default_rng(1).uniform(-0.5, 0.5, size=(20, 2))
         want = 1.0 + 2.0 * pts[:, 0] - pts[:, 1] + 0.5 * pts[:, 0] * pts[:, 1]
         assert np.allclose(poly.evaluate(pts), want, atol=1e-9)
+
+
+def _one_row_ball(d2):
+    """A function linear in x and y, and a ball whose five lattice points lie
+    on one row: the y column of the degree-1 design is zero, so the Gram
+    matrix is singular."""
+    g = uniform_grid([-4.0, -4.0], [4.0, 4.0], (64, 8))
+    ball = d2.ball([g.spacing[0] / 2, g.spacing[1] / 2], -1)
+    assert len(set(g.points()[ball_support(g, d2, ball)][:, 1])) == 1
+    return sample(g, lambda x, y: 1.0 + 2.0 * x + 3.0 * y), ball
+
+
+class TestSingularGram:
+    def test_ridge_fits_the_row(self, d2):
+        f, ball = _one_row_ball(d2)
+        idx, _, design = _ball_design(f, d2, ball, 1)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(design.T @ design)
+        poly = minimizing_polynomial(f, d2, ball, 1)
+        # The ridge leaves the unseen y coefficient at zero and fits the row.
+        assert poly.coefficients[2] == 0.0
+        pts = f.grid.points()[idx]
+        assert np.allclose(poly.evaluate(pts), f.values.ravel()[idx], rtol=0.0, atol=1e-9)
+
+    def test_singular_even_with_ridge(self, d2, monkeypatch):
+        # A finite Gram matrix passes once ridged: the ridge outweighs its
+        # rounding.  Scaled to nothing, it leaves the matrix singular.
+        f, ball = _one_row_ball(d2)
+        monkeypatch.setattr(np, "trace", lambda a: 0.0)
+        with pytest.raises(SingularGram):
+            minimizing_polynomial(f, d2, ball, 1)
 
 
 def _eval_coeffs(poly, coeffs, pts):

@@ -316,6 +316,19 @@ class TestFFTReferences:
             # Exact ball sums: a cell is 0.0 exactly when no ball through it meets the support.
             assert np.array_equal(got == 0.0, _shifted_hl_maximal(fn, d, window) == 0.0)
 
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_footprint_max_equals_maximum_filter(self, case):
+        d, g, window = _REFERENCE_CASES[case]
+        rng = np.random.default_rng(5)
+        # Signed values: the 0.0 beyond the box wins near the edges.
+        values = rng.standard_normal(g.resolution)
+        footprints = [ball_footprint(d, g, k) for k in range(window[0], window[1] + 1)]
+        # A lopsided footprint pins the direction of the shifts.
+        footprints.append(rng.random((5,) * g.n) < 0.4)
+        for fp in footprints:
+            want = maximum_filter(values, footprint=fp, mode="constant", cval=0.0)
+            assert np.array_equal(tent_module._footprint_max(values, fp), want)
+
 
 class TestTentContains:
     def test_tiny_ball_deep_inside(self, d1):
