@@ -155,8 +155,7 @@ def _oscillation(f, d, ball, q, s, refine=False):
     out = proj_err * vol ** (-1.0 / q)
     if not refine:
         return out, out
-    _, ref_err = refine_lq(f, d, ball, s, q, start=poly)
-    ref_err = min(ref_err, proj_err)
+    _, ref_err = refine_lq(f, d, ball, s, q, start=poly)  # never above proj_err
     return out, ref_err * vol ** (-1.0 / q)
 
 
@@ -164,7 +163,7 @@ def classic_functional(f, d, ball, p, q, s):
     """Single-ball Campanato value (|B|/||1_B||) (avg_B |f-P|^q)^(1/q).
 
     Reports both the minimizing-polynomial value (the primary one) and the
-    coordinate-descent refined infimum.
+    IRLS-refined infimum.
     """
     proj_avg, ref_avg = _oscillation(f, d, ball, q, s, refine=True)
     factor = d.ball_volume(ball) / indicator_norm(d, ball, p)

@@ -49,7 +49,6 @@ __all__ = [
     "lusin_area",
     "tent_members",
     "tent_offset_mask",
-    "hl_maximal",
     "maximal_dilate",
     "whitney_cover",
     "tent_atomic_decomposition",
@@ -163,33 +162,6 @@ def area_l2_weights(d, grid, scale_window):
         footprint_sum(box, d, grid, ell).ravel() / d.bpow(ell)
         for ell in range(scale_window[0], scale_window[1] + 1)
     ])
-
-
-def hl_maximal(f, d, scale_window):
-    """Max over window scales and ball positions of the ball average of |f|.
-
-    Averages are count-normalized lattice means with zero extension beyond
-    the box; the pointwise value |f|(x) itself enters as the degenerate
-    small-ball limit.
-    """
-    grid = f.grid
-    absf = np.abs(np.asarray(f.values, dtype=float))
-    out = absf.copy()
-    for k in range(scale_window[0], scale_window[1] + 1):
-        fp = ball_footprint(d, grid, k)
-        avg = footprint_sum(absf, d, grid, k) / fp.sum()
-        out = np.maximum(out, _footprint_max(avg, fp))
-    return GridFunction(grid, out)
-
-
-def _footprint_max(values, fp):
-    """m(x) = max over offsets v in the centred footprint of values(x + v),
-    with 0.0 beyond the box: the elementwise max of the shifted copies."""
-    padded = np.pad(values, [(s // 2, s // 2) for s in fp.shape])
-    out = np.full(values.shape, -np.inf)
-    for offset in np.argwhere(fp):
-        np.maximum(out, padded[tuple(slice(o, o + n) for o, n in zip(offset, values.shape))], out=out)
-    return out
 
 
 def maximal_dilate(mask, d, grid, scale_window, gamma):

@@ -447,6 +447,9 @@ def test_cli_loads_no_scipy(tmp_path):
         "assert not loaded(), loaded()\n"
         f"assert anivex.cli.main(['run', '--config', {os.path.abspath(QUICK)!r}, '--out', {out!r}, '--no-cache']) == 0\n"
         "assert not loaded(), loaded()\n"
+        # The campanato suite refines at q = 4.
+        "assert anivex.cli.main(['verify', '--suite', 'campanato']) == 0\n"
+        "assert not loaded(), loaded()\n"
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -2,6 +2,9 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from anivex.dilation import new_dilation
 from anivex.errors import InsufficientSamples, SingularGram
@@ -195,3 +198,90 @@ class TestRefinement:
         med = np.median(f.values[mask])
         med_err = np.sum(np.abs(f.values[mask] - med)) * g1.cell_volume
         assert err <= med_err * (1 + 1e-6)
+
+    def test_overflowing_residuals_return(self, d1):
+        # sum |r|^6 overflows to inf, so no move lowers it: the halvings end
+        # at their cap and the refinement keeps the projection.
+        g = uniform_grid([-8.0], [8.0], 256)
+        f = sample(g, lambda x: 1e160 * np.sin(3.0 * x))
+        ball = d1.ball([0.03125], 1)
+        with np.errstate(over="ignore"):
+            poly = minimizing_polynomial(f, d1, ball, 1)
+            _, err = refine_lq(f, d1, ball, 1, 6.0, start=poly)
+            assert err <= lq_error(f, d1, ball, poly, 6.0)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 4.0])
+    def test_polynomial_on_the_ball(self, d2, q):
+        g = uniform_grid([-4.0, -4.0], [4.0, 4.0], (48, 48))
+        f = sample(g, lambda x, y: 1.0 - 2.0 * x + 0.5 * x * y + y**2)
+        _, err = refine_lq(f, d2, d2.ball([0.3, -0.2], 1), 2, q)
+        assert err <= 1e-10
+
+
+def _brent_refine_lq(f, d, ball, s, q, start):
+    """The error value of the coordinate descent refine_lq replaced, kept as
+    the reference: up to 20 sweeps of a Brent line search over each
+    coefficient in turn."""
+    idx, _, design = _ball_design(f, d, ball, s)
+    fvals = f.values.ravel()[idx]
+    coef = start.coefficients.copy()
+
+    def objective(c):
+        return float(np.sum(np.abs(fvals - design @ c) ** q) * f.grid.cell_volume)
+
+    best = objective(coef)
+    for _ in range(20):
+        improved = 0.0
+        for j in range(len(coef)):
+
+            def along(t, j=j):
+                trial = coef.copy()
+                trial[j] = t
+                return objective(trial)
+
+            step = 1.0 + abs(coef[j])
+            res = minimize_scalar(along, bracket=(coef[j] - step, coef[j] + step))
+            if res.fun < best:
+                improved += best - res.fun
+                best = res.fun
+                coef[j] = res.x
+        if improved <= 1e-13 * max(best, 1e-300):
+            break
+    return best ** (1.0 / q)
+
+
+# Grids whose balls at the drawn scales hold enough lattice points for s <= 2.
+_REFINE_CASES = {
+    "[2]": (new_dilation([[2.0]]), uniform_grid([-8.0], [8.0], 1024), (-1, 3)),
+    "diag(2,3)": (new_dilation([[2.0, 0.0], [0.0, 3.0]]), uniform_grid([-4.0, -4.0], [4.0, 4.0], (48, 48)), (0, 2)),
+    "shear": (new_dilation([[2.0, 1.0], [0.0, 2.0]]), uniform_grid([-4.0, -4.0], [4.0, 4.0], (48, 48)), (0, 2)),
+}
+
+_FAMILIES = {
+    "wave": lambda x, a, c: np.sin(a * x[0] + c) + 0.3 * x[-1] ** 2,
+    "bump": lambda x, a, c: np.exp(-a * sum((xi - c) ** 2 for xi in x)) * (1.0 + x[0]) ** 3,
+    "jump": lambda x, a, c: np.where(x[0] + 0.5 * x[-1] > c, 1.0, 0.0) + 0.2 * a * x[0],
+}
+
+
+class TestRefinementAgainstReference:
+    @settings(max_examples=60)
+    @given(
+        case=st.sampled_from(sorted(_REFINE_CASES)),
+        family=st.sampled_from(sorted(_FAMILIES)),
+        s=st.integers(0, 2),
+        q=st.sampled_from([1.0, 1.25, 1.5, 3.0, 4.0, 6.0]),
+        a=st.floats(0.5, 3.0),
+        c=st.floats(-0.5, 0.5),
+        data=st.data(),
+    )
+    def test_never_above_projection_or_reference(self, case, family, s, q, a, c, data):
+        d, g, (k_lo, k_hi) = _REFINE_CASES[case]
+        f = GridFunction(g, _FAMILIES[family](g.meshes(), a, c))
+        center = [data.draw(st.floats(-1.0, 1.0)) for _ in range(g.n)]
+        ball = d.ball(center, data.draw(st.integers(k_lo, k_hi)))
+        start = minimizing_polynomial(f, d, ball, s)
+        poly, err = refine_lq(f, d, ball, s, q, start=start)
+        assert err <= lq_error(f, d, ball, start, q)
+        assert err <= _brent_refine_lq(f, d, ball, s, q, start) * (1.0 + 1e-6)
+        assert err == pytest.approx(lq_error(f, d, ball, poly, q), rel=1e-12)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.ndimage import maximum_filter
 from scipy.signal import fftconvolve
 
 from conftest import shifted_footprint_sum
@@ -17,7 +16,6 @@ from anivex.search import BallConfiguration
 from anivex.tent import (
     ScaleFunction,
     area_l2_weights,
-    hl_maximal,
     lusin_area,
     maximal_dilate,
     tent_atom_validate,
@@ -107,15 +105,6 @@ def _fft_averages(values, d, grid, window):
         yield fp, fftconvolve(values, fp, mode="same") / fp.sum()
 
 
-def _fft_hl_maximal(f, d, window):
-    absf = np.abs(f.values)
-    out = absf.copy()
-    for fp, avg in _fft_averages(absf, d, f.grid, window):
-        avg = np.clip(avg, 0.0, absf.max())
-        out = np.maximum(out, maximum_filter(avg, footprint=fp.astype(bool), mode="constant", cval=0.0))
-    return out
-
-
 def _fft_maximal_dilate(mask, d, grid, window, gamma):
     out = mask.copy()
     thr = (1.0 - gamma) * (1.0 + 1e-12) + 1e-12
@@ -123,17 +112,6 @@ def _fft_maximal_dilate(mask, d, grid, window, gamma):
         centers = avg > thr
         if centers.any():
             out |= fftconvolve(centers.astype(float), fp, mode="same") > 0.5
-    return out
-
-
-def _shifted_hl_maximal(f, d, window):
-    """hl_maximal with every ball sum taken one offset at a time."""
-    absf = np.abs(f.values)
-    out = absf.copy()
-    for k in range(window[0], window[1] + 1):
-        fp = ball_footprint(d, f.grid, k)
-        avg = shifted_footprint_sum(absf, fp) / fp.sum()
-        out = np.maximum(out, maximum_filter(avg, footprint=fp, mode="constant", cval=0.0))
     return out
 
 
@@ -261,7 +239,7 @@ def _tent_contains(d, ball, y, ell):
     return bool(d.closed_containment(ell, ball.scale, offset)[0])
 
 
-# (dilation, grid, window, dense input) for the FFT-reference comparisons.
+# (dilation, grid, window) for the FFT-reference comparisons.
 _REFERENCE_CASES = {
     "A=[2] 4096": (new_dilation([[2.0]]), uniform_grid([-8.0], [8.0], 4096), (-4, 2)),
     "diag(2,3) 48^2": (new_dilation([[2.0, 0.0], [0.0, 3.0]]), uniform_grid([-4.0, -4.0], [4.0, 4.0], 48), (-2, 1)),
@@ -270,21 +248,19 @@ _REFERENCE_CASES = {
 }
 
 
-def _reference_inputs(grid):
-    """A sparse function, a blob-shaped mask and a mask flush with the box edge."""
-    rng = np.random.default_rng(8)
-    f = rng.normal(size=grid.resolution) * (rng.random(grid.resolution) < 0.05)
+def _reference_masks(grid):
+    """A blob-shaped mask and a mask flush with the box edge."""
     r2 = sum(m**2 for m in grid.meshes())
     edge = np.zeros(grid.resolution, dtype=bool)
     edge[(slice(0, grid.resolution[0] // 3),) + (slice(None),) * (grid.n - 1)] = True
-    return GridFunction(grid, f), r2 < 4.0, edge
+    return r2 < 4.0, edge
 
 
 class TestFFTReferences:
     @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
     def test_erosion_equals_fft_form(self, case):
         d, g, (k_lo, k_hi) = _REFERENCE_CASES[case]
-        _, blob, edge = _reference_inputs(g)
+        blob, edge = _reference_masks(g)
         # Guard scales up to k + omega: the largest footprints fit nowhere.
         for mask in (blob, edge, blob | edge):
             for k in range(k_lo, k_hi + d.omega + 1):
@@ -294,7 +270,7 @@ class TestFFTReferences:
     @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
     def test_dilation_equals_fft_form(self, case):
         d, g, window = _REFERENCE_CASES[case]
-        _, blob, edge = _reference_inputs(g)
+        blob, edge = _reference_masks(g)
         for mask in (blob, edge):
             for gamma in (0.25, 0.5, 0.9):
                 got = maximal_dilate(mask, d, g, window, gamma)
@@ -304,30 +280,6 @@ class TestFFTReferences:
     def test_area_weights_equal_fft_form(self, case):
         d, g, window = _REFERENCE_CASES[case]
         assert np.array_equal(area_l2_weights(d, g, window), _fft_area_l2_weights(d, g, window))
-
-    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
-    def test_hl_maximal_near_fft_form_and_exact_zeros(self, case):
-        d, g, window = _REFERENCE_CASES[case]
-        f, blob, _ = _reference_inputs(g)
-        for fn in (f, GridFunction(g, blob * f.values), GridFunction(g, blob.astype(float))):
-            got = hl_maximal(fn, d, window).values
-            peak = np.max(np.abs(fn.values))
-            assert np.max(np.abs(got - _fft_hl_maximal(fn, d, window))) <= 1e-15 * peak
-            # Exact ball sums: a cell is 0.0 exactly when no ball through it meets the support.
-            assert np.array_equal(got == 0.0, _shifted_hl_maximal(fn, d, window) == 0.0)
-
-    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
-    def test_footprint_max_equals_maximum_filter(self, case):
-        d, g, window = _REFERENCE_CASES[case]
-        rng = np.random.default_rng(5)
-        # Signed values: the 0.0 beyond the box wins near the edges.
-        values = rng.standard_normal(g.resolution)
-        footprints = [ball_footprint(d, g, k) for k in range(window[0], window[1] + 1)]
-        # A lopsided footprint pins the direction of the shifts.
-        footprints.append(rng.random((5,) * g.n) < 0.4)
-        for fp in footprints:
-            want = maximum_filter(values, footprint=fp, mode="constant", cval=0.0)
-            assert np.array_equal(tent_module._footprint_max(values, fp), want)
 
 
 class TestTentContains:
@@ -379,27 +331,6 @@ class TestTentMembers:
         # Interval oracle: |y - 0.01| + 1/4 <= 1 for B_-1 inside B_1.
         want = np.abs(grid.axes()[0] - 0.01) + 0.25 <= 1.0
         assert np.array_equal(got, want)
-
-
-class TestHLMaximal:
-    def test_zero(self, d1, g1):
-        f = GridFunction(g1, np.zeros(g1.resolution))
-        assert np.all(hl_maximal(f, d1, (-3, 2)).values == 0.0)
-
-    def test_indicator_center_and_satellite(self, d1, g1):
-        x = g1.axes()[0]
-        f = GridFunction(g1, (np.abs(x) < 0.5).astype(float))
-        out = hl_maximal(f, d1, (-3, 2))
-        center = np.argmin(np.abs(x))
-        at_one = np.argmin(np.abs(x - 1.0))
-        assert out.values[center] == pytest.approx(1.0, rel=1e-12)
-        assert out.values[at_one] == pytest.approx(0.5, abs=0.02)
-
-    def test_equals_one_on_level_set(self, d1, g1):
-        x = g1.axes()[0]
-        mask = (np.abs(x - 0.5) < 1.2).astype(float)
-        out = hl_maximal(GridFunction(g1, mask), d1, (-3, 2))
-        assert np.all(out.values[mask > 0] == 1.0)
 
 
 class TestMaximalDilate:
