@@ -10,6 +10,14 @@ together with its classical single-ball reduction, the per-ball
 infimum-over-polynomials variant, and the global kernel variant whose
 summands dominate half of the plain ones.  Ball measures |B| = b^k are
 analytic; only integrals are lattice quadrature.
+
+A configuration with one nonzero weight lambda has denominator exactly
+lambda, since the Luxemburg norm is positively homogeneous, and
+aggregate_norm returns lambda without a solve.  The single-ball quotient is
+then |B| osc / N_B with N_B the computed indicator_norm, which is the value
+classic_functional reports.  N_B passed the unit-modular guard, so
+N_B >= ||1_B|| up to the rounding of the modular sum, and the value stays a
+lower bound of the true quotient.
 """
 
 import warnings
@@ -21,7 +29,7 @@ import numpy as np
 from .errors import ZeroDenominator
 from .exponents import indicator_norm, luxemburg_norm
 from .grid import GridFunction, ball_support
-from .polyproj import lq_error, minimizing_polynomial, refine_lq
+from .polyproj import _project, lq_norm, minimizing_polynomial, refine_lq
 from .search import BallConfiguration, default_scale_window, supremum_search
 
 __all__ = [
@@ -83,11 +91,16 @@ def _aggregate_value(acc, p, eta):
 
 
 def aggregate_norm(config, p, eta, d):
-    """Luxemburg norm of the eta-aggregated weighted indicator sum."""
+    """Luxemburg norm of the eta-aggregated weighted indicator sum; exactly
+    the weight when only one weight is nonzero."""
+    live = [(ball, weight) for ball, weight in config.entries if weight != 0.0]
+    if len(live) == 1:
+        ball, weight = live[0]
+        indicator_norm(d, ball, p)  # raises EmptyMask for a ball with no lattice point
+        return weight
     acc = np.zeros(p.grid.resolution)
-    for ball, weight in config.entries:
-        if weight != 0.0:
-            _aggregate(acc, ball, weight, p, eta, d)
+    for ball, weight in live:
+        _aggregate(acc, ball, weight, p, eta, d)
     return _aggregate_value(acc, p, eta)
 
 
@@ -149,13 +162,12 @@ class ClassicResult:
 
 def _oscillation(f, d, ball, q, s, refine=False):
     """(avg_B |f - P|^q)^(1/q) with analytic |B|; optionally the refined inf."""
-    poly = minimizing_polynomial(f, d, ball, s)
+    poly, resid = _project(f, d, ball, s)
     vol = d.ball_volume(ball)
-    proj_err = lq_error(f, d, ball, poly, q)
-    out = proj_err * vol ** (-1.0 / q)
+    out = lq_norm(resid, q, f.grid.cell_volume) * vol ** (-1.0 / q)
     if not refine:
         return out, out
-    _, ref_err = refine_lq(f, d, ball, s, q, start=poly)  # never above proj_err
+    _, ref_err = refine_lq(f, d, ball, s, q, start=poly)  # never above the projection's
     return out, ref_err * vol ** (-1.0 / q)
 
 
@@ -172,8 +184,8 @@ def classic_functional(f, d, ball, p, q, s):
 
 def plain_summand(f, d, ball, p, s):
     """(1/||1_B||) int_B |f - P_B^s f|, the q = 1 per-ball term."""
-    poly = minimizing_polynomial(f, d, ball, s)
-    return lq_error(f, d, ball, poly, 1.0) / indicator_norm(d, ball, p)
+    _, resid = _project(f, d, ball, s)
+    return lq_norm(resid, 1.0, f.grid.cell_volume) / indicator_norm(d, ball, p)
 
 
 def _oscillation_term(f, prm, d, refine=False):

@@ -2,12 +2,16 @@
 
 P_B^s f is the L^2(B) orthogonal projection of f onto polynomials of degree
 at most s, computed in ball-local coordinates u = A^-k (x - center) so the
-Gram matrix stays well conditioned across scales.  Iteratively reweighted
-least squares on the same normal equations refines the projection towards
-the q != 2 infimum.  The module needs numpy only.
+Gram matrix stays well conditioned across scales.  A projection returns
+its residual |f - P| on the ball's lattice points with the polynomial, taken
+from the same design matrix, so an L^q error needs no second pass over the
+ball.  Iteratively reweighted least squares on the same normal equations
+refines the projection towards the q != 2 infimum.  The module needs numpy
+only.
 """
 
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -16,6 +20,7 @@ from .errors import InsufficientSamples, SingularGram
 from .grid import GridFunction, ball_support
 
 
+@cache
 def multi_indices(n, s):
     """Multi-indices |gamma| <= s in graded lexicographic order."""
     out = []
@@ -66,6 +71,12 @@ def _ball_design(f, d, ball, s):
 
 def minimizing_polynomial(f, d, ball, s):
     """Solve the Gram normal equations for the degree-<=s projection on B."""
+    return _project(f, d, ball, s)[0]
+
+
+def _project(f, d, ball, s):
+    """minimizing_polynomial together with |f - P| on the ball's lattice
+    points, from the design matrix the solve used."""
     idx, indices, design = _ball_design(f, d, ball, s)
     fvals = f.values.ravel()[idx]
     gram = design.T @ design
@@ -81,12 +92,13 @@ def minimizing_polynomial(f, d, ball, s):
         except np.linalg.LinAlgError:
             raise SingularGram("Gram matrix singular even with ridge") from None
     coef = np.linalg.solve(gram, rhs)
-    return Polynomial(
+    poly = Polynomial(
         center=ball.center,
         transform=d.power(-ball.scale),
         indices=indices,
         coefficients=coef,
     )
+    return poly, np.abs(fvals - design @ coef)
 
 
 def moments(f, s, d=None, ball=None):
@@ -103,11 +115,24 @@ def moments(f, s, d=None, ball=None):
     return design.T @ vals * f.grid.cell_volume
 
 
+def lq_norm(resid, q, cell):
+    """(sum |r|^q cell)^(1/q) of the residuals |r|; only when that sum is
+    not finite, m (sum (|r|/m)^q cell)^(1/q) with m = max |r|."""
+    with np.errstate(over="ignore"):
+        total = np.sum(resid**q) * cell
+    if np.isfinite(total):
+        return float(total ** (1.0 / q))
+    top = resid.max()
+    if not np.isfinite(top):  # an inf or nan residual has no finite error
+        return float(total)
+    return float(top * (np.sum((resid / top) ** q) * cell) ** (1.0 / q))
+
+
 def lq_error(f, d, ball, poly, q):
     """||f - poly||_{L^q(B)} by lattice quadrature."""
     idx = ball_support(f.grid, d, ball)
     resid = np.abs(f.values.ravel()[idx] - poly.evaluate(f.grid.points()[idx]))
-    return float((np.sum(resid**q) * f.grid.cell_volume) ** (1.0 / q))
+    return lq_norm(resid, q, f.grid.cell_volume)
 
 
 def refine_lq(f, d, ball, s, q, start=None):
@@ -121,7 +146,7 @@ def refine_lq(f, d, ball, s, q, start=None):
     falls and doubling it while it falls further.  Only such steps are kept,
     so the value never exceeds the start's; a singular or non-finite solve
     ends the refinement at the best polynomial so far.  Returns the refined
-    polynomial with its error value.
+    polynomial with its error value, lq_norm of its residual.
     """
     poly = start if start is not None else minimizing_polynomial(f, d, ball, s)
     if q == 2.0:
@@ -133,7 +158,9 @@ def refine_lq(f, d, ball, s, q, start=None):
     rate = 1.0 / (q - 1.0) if q > 2.0 else 1.0
 
     def objective(c):
-        return float(np.sum(np.abs(fvals - design @ c) ** q))
+        # A sum that overflows is inf, which no move lowers.
+        with np.errstate(over="ignore"):
+            return float(np.sum(np.abs(fvals - design @ c) ** q))
 
     best = objective(coef)
     for _ in range(100):
@@ -169,4 +196,4 @@ def refine_lq(f, d, ball, s, q, start=None):
         if gain < 1e-15 * best:
             break
 
-    return replace(poly, coefficients=coef), (best * f.grid.cell_volume) ** (1.0 / q)
+    return replace(poly, coefficients=coef), lq_norm(np.abs(fvals - design @ coef), q, f.grid.cell_volume)

@@ -126,61 +126,6 @@ def load_scale_function(path):
     return _read_block(path, b"AVXS", lambda grid, window, values: ScaleFunction(grid, *window, values))
 
 
-def save_atomic_rep(rep, path_prefix):
-    """Manifest plus one AVXG block per atom of a finite atomic sum.
-
-    The manifest records each ball, weight, and the atom's validation
-    residuals (support, size ratio, worst moment)."""
-    manifest = {"kind": "finite_atomic_rep", "entries": []}
-    for i, (weight, atom) in enumerate(rep.terms):
-        blob = f"{path_prefix}.atom{i:04d}.avxg"
-        save_grid_function(atom.values, blob)
-        manifest["entries"].append(
-            {
-                "weight": weight,
-                "ball_center": list(atom.ball.center),
-                "ball_scale": atom.ball.scale,
-                "r_exponent": atom.r_exponent,
-                "s": atom.s,
-                "validation": {
-                    "support_exact": atom.validation.support_exact,
-                    "size_ratio": atom.validation.size_ratio,
-                    "max_moment_residual": atom.validation.max_moment_residual,
-                },
-                "values": blob,
-            }
-        )
-    _write_sidecar(f"{path_prefix}.manifest", manifest)
-
-
-def load_atomic_rep(path_prefix, d, p):
-    """Rebuild a finite atomic sum from a manifest; atoms are revalidated."""
-    from .hardy import Atom, FiniteAtomicRep, validate_atom
-
-    path = f"{path_prefix}.manifest.json"
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CorruptFile(f"{path}: not JSON ({exc})") from None
-    if not isinstance(manifest, dict) or manifest.get("kind") != "finite_atomic_rep":
-        raise CorruptFile(f"{path}: not a finite_atomic_rep manifest")
-    try:
-        fields = [
-            (e["values"], e["ball_center"], int(e["ball_scale"]), float(e["r_exponent"]),
-             int(e["s"]), float(e["weight"]))
-            for e in manifest["entries"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptFile(f"{path}: bad or missing manifest field {exc}") from None
-    terms = []
-    for blob, center, scale, r_exponent, s, weight in fields:
-        atom = Atom(d.ball(center, scale), load_grid_function(blob), r_exponent, s, validation=None)
-        atom.validation = validate_atom(atom, d, p)
-        terms.append((weight, atom))
-    return FiniteAtomicRep(terms)
-
-
 def save_tent_atoms(atom_set, path_prefix):
     """Manifest JSON plus one AVXS block per atom under a shared prefix."""
     manifest = {

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anivex.campanato import (
     BallConfiguration,
@@ -17,8 +19,9 @@ from anivex.campanato import (
     variant_inf_functional,
 )
 from anivex.dilation import new_dilation
-from anivex.exponents import constant_exponent
-from anivex.grid import sample, uniform_grid
+from anivex.errors import EmptyMask
+from anivex.exponents import constant_exponent, exponent_from_callable, indicator_norm, luxemburg_norm
+from anivex.grid import GridFunction, ball_support, sample, uniform_grid
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +48,7 @@ class TestAggregateNorm:
     @pytest.mark.parametrize("lam", [0.3, 1.0, 4.0])
     def test_single_ball_reduces_to_weight(self, d1, g1, p1, eta, lam):
         cfg = single(d1, [0.0], 0, lam)
-        assert aggregate_norm(cfg, p1, eta, d1) == pytest.approx(lam, rel=1e-9)
+        assert aggregate_norm(cfg, p1, eta, d1) == lam
 
     def test_two_disjoint_balls(self, d1, g1, p1):
         lam = 0.7
@@ -59,6 +62,77 @@ class TestAggregateNorm:
             [(d1.ball([0.0], 0), 2.5), (d1.ball([1.0], 1), 0.0)]
         )
         assert aggregate_norm(cfg, p1, 1.0, d1) == pytest.approx(2.5, rel=1e-9)
+
+    def test_empty_ball_raises(self, d1, g1, p1):
+        ball = d1.ball([0.0], -10)  # between the lattice points at +-2^-9
+        assert ball_support(g1, d1, ball).size == 0
+        cfg = BallConfiguration([(ball, 1.0), (d1.ball([1.0], 0), 0.0)])
+        with pytest.raises(EmptyMask):
+            aggregate_norm(cfg, p1, 1.0, d1)
+        with pytest.raises(EmptyMask):
+            campanato_type_functional(sample(g1, np.sin), cfg, CampanatoParams(p=p1), d1)
+
+
+def _grid_aggregate(config, p, eta, d):
+    """The aggregate as one Luxemburg solve on the grid, for any number of
+    balls: the reference for the single-ball identity."""
+    acc = np.zeros(p.grid.resolution)
+    for ball, weight in config.entries:
+        if weight != 0.0:
+            acc.ravel()[ball_support(p.grid, d, ball)] += (weight / indicator_norm(d, ball, p)) ** eta
+    return luxemburg_norm(GridFunction(p.grid, acc ** (1.0 / eta)), p)
+
+
+def _exponents(g):
+    """p = 1, p = 0.6, and variable exponents below and above 1."""
+    return [
+        constant_exponent(g, 1.0),
+        constant_exponent(g, 0.6),
+        exponent_from_callable(g, lambda x, *_: 0.6 + 0.35 * np.sin(x) ** 2),
+        exponent_from_callable(g, lambda x, *_: 1.5 + 0.25 * np.sin(x) ** 2),
+    ]
+
+
+def _case(matrix, grid, scales):
+    return new_dilation(matrix), grid, _exponents(grid), scales
+
+
+_SINGLE_BALL_CASES = {
+    "[2]": _case([[2.0]], uniform_grid([-8.0], [8.0], 1024), (-9, 4)),
+    "diag(2,3)": _case([[2.0, 0.0], [0.0, 3.0]], uniform_grid([-4.0, -4.0], [4.0, 4.0], (48, 48)), (-4, 2)),
+    "shear": _case([[2.0, 1.0], [0.0, 2.0]], uniform_grid([-4.0, -4.0], [4.0, 4.0], (48, 48)), (-5, 3)),
+}
+
+
+class TestSingleBallDenominator:
+    @settings(max_examples=200)
+    @given(
+        case=st.sampled_from(sorted(_SINGLE_BALL_CASES)),
+        which_p=st.integers(0, 3),
+        eta=st.sampled_from([0.5, 1.0, 2.0]),
+        weight=st.floats(1e-3, 1e3),
+        dead=st.integers(0, 2),
+        data=st.data(),
+    )
+    def test_weight_is_exact(self, case, which_p, eta, weight, dead, data):
+        d, g, ps, (k_lo, k_hi) = _SINGLE_BALL_CASES[case]
+        p = ps[which_p]
+        if data.draw(st.booleans(), label="on lattice"):
+            # Lattice centres, the edge cells among them, so balls are clipped.
+            index = [data.draw(st.one_of(st.sampled_from([0, r - 1]), st.integers(0, r - 1))) for r in g.resolution]
+            center = [lo + (i + 0.5) * h for lo, i, h in zip(g.lower, index, g.spacing)]
+        else:
+            center = [data.draw(st.floats(lo, hi)) for lo, hi in zip(g.lower, g.upper)]
+        ball = d.ball(center, data.draw(st.integers(k_lo, k_hi)))
+        entries = [(d.ball(center, k_hi), 0.0)] * dead
+        entries.insert(data.draw(st.integers(0, dead)), (ball, weight))
+        cfg = BallConfiguration(entries)
+        if ball_support(g, d, ball).size == 0:
+            with pytest.raises(EmptyMask):
+                aggregate_norm(cfg, p, eta, d)
+            return
+        assert aggregate_norm(cfg, p, eta, d) == weight
+        assert _grid_aggregate(cfg, p, eta, d) == pytest.approx(weight, rel=1e-14, abs=0.0)
 
 
 class TestClassicFunctional:

@@ -419,23 +419,6 @@ class TestRun:
         assert report["all_passed"]
 
 
-def test_cli_loads_no_scipy_signal(tmp_path):
-    # scipy.signal imports scipy.stats: most of a process's start-up.
-    out = str(tmp_path / "quick.json")
-    code = (
-        "import sys\n"
-        "import anivex.cli\n"
-        "unused = {'scipy.signal', 'scipy.stats'}\n"
-        "assert not unused.union({'scipy.optimize'}) & sys.modules.keys()\n"
-        f"assert anivex.cli.main(['run', '--config', {os.path.abspath(QUICK)!r}, '--out', {out!r}, '--no-cache']) == 0\n"
-        "assert not unused & sys.modules.keys()\n"
-    )
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    env["ANIVEX_CACHE_DIR"] = str(tmp_path / "cache")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
 def test_cli_loads_no_scipy(tmp_path):
     # The whole of anivex runs on numpy; scipy's import is most of a start-up.
     out = str(tmp_path / "quick.json")

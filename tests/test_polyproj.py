@@ -1,3 +1,4 @@
+import warnings
 from math import comb
 
 import numpy as np
@@ -6,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from anivex.campanato import classic_functional
 from anivex.dilation import new_dilation
 from anivex.errors import InsufficientSamples, SingularGram
+from anivex.exponents import constant_exponent
 from anivex.grid import GridFunction, ball_lattice_mask, ball_support, sample, uniform_grid
 from anivex.polyproj import (
     _ball_design,
+    _project,
     lq_error,
+    lq_norm,
     minimizing_polynomial,
     moments,
     multi_indices,
@@ -38,6 +43,7 @@ def test_multi_index_count():
     assert len(multi_indices(1, 3)) == comb(1 + 3, 3) == 4
     assert len(multi_indices(2, 2)) == comb(2 + 2, 2) == 6
     assert multi_indices(2, 1)[0] == (0, 0)
+    assert multi_indices(2, 2) is multi_indices(2, 2)
 
 
 class TestProjection:
@@ -200,15 +206,24 @@ class TestRefinement:
         assert err <= med_err * (1 + 1e-6)
 
     def test_overflowing_residuals_return(self, d1):
-        # sum |r|^6 overflows to inf, so no move lowers it: the halvings end
-        # at their cap and the refinement keeps the projection.
+        # sum |r|^6 overflows, so the error is scaled by max |r|; no move
+        # lowers an infinite objective, so the refinement keeps the projection.
         g = uniform_grid([-8.0], [8.0], 256)
-        f = sample(g, lambda x: 1e160 * np.sin(3.0 * x))
         ball = d1.ball([0.03125], 1)
-        with np.errstate(over="ignore"):
+        small = sample(g, lambda x: np.sin(3.0 * x))
+        f = small.with_values(1e160 * small.values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             poly = minimizing_polynomial(f, d1, ball, 1)
+            proj_err = lq_error(f, d1, ball, poly, 6.0)
             _, err = refine_lq(f, d1, ball, 1, 6.0, start=poly)
-            assert err <= lq_error(f, d1, ball, poly, 6.0)
+            classic = classic_functional(f, d1, ball, constant_exponent(g, 1.0), 6.0, 1)
+        small_err = lq_error(small, d1, ball, minimizing_polynomial(small, d1, ball, 1), 6.0)
+        assert np.isfinite(proj_err)
+        assert proj_err == pytest.approx(1e160 * small_err, rel=1e-12)
+        assert err <= proj_err
+        assert np.isfinite(classic.projection_value)
+        assert classic.refined_value <= classic.projection_value
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 4.0])
     def test_polynomial_on_the_ball(self, d2, q):
@@ -285,3 +300,28 @@ class TestRefinementAgainstReference:
         assert err <= lq_error(f, d, ball, start, q)
         assert err <= _brent_refine_lq(f, d, ball, s, q, start) * (1.0 + 1e-6)
         assert err == pytest.approx(lq_error(f, d, ball, poly, q), rel=1e-12)
+
+
+class TestProjectionResidual:
+    @settings(max_examples=60)
+    @given(
+        case=st.sampled_from(sorted(_REFINE_CASES)),
+        family=st.sampled_from(sorted(_FAMILIES)),
+        s=st.integers(0, 2),
+        q=st.sampled_from([1.0, 1.5, 2.0, 6.0]),
+        a=st.floats(0.5, 3.0),
+        c=st.floats(-0.5, 0.5),
+        data=st.data(),
+    )
+    def test_residual_is_lq_errors(self, case, family, s, q, a, c, data):
+        """The residual a projection returns is, bitwise, the one lq_error
+        takes from the polynomial, and so gives the same L^q error."""
+        d, g, (k_lo, k_hi) = _REFINE_CASES[case]
+        f = GridFunction(g, _FAMILIES[family](g.meshes(), a, c))
+        center = [data.draw(st.floats(-1.0, 1.0)) for _ in range(g.n)]
+        ball = d.ball(center, data.draw(st.integers(k_lo, k_hi)))
+        poly, resid = _project(f, d, ball, s)
+        assert np.array_equal(poly.coefficients, minimizing_polynomial(f, d, ball, s).coefficients)
+        idx = ball_support(g, d, ball)
+        assert np.array_equal(resid, np.abs(f.values.ravel()[idx] - poly.evaluate(g.points()[idx])))
+        assert lq_norm(resid, q, g.cell_volume) == lq_error(f, d, ball, poly, q)

@@ -67,63 +67,6 @@ def test_tent_atom_manifest(setup, tmp_path):
     assert first["weight"] == atoms.entries[0].weight
 
 
-def test_atomic_rep_roundtrip(setup, tmp_path):
-    from anivex.grid import sample
-    from anivex.hardy import FiniteAtomicRep, make_atom
-    from anivex.serialization import load_atomic_rep, save_atomic_rep
-
-    d, g, p = setup
-    a1 = make_atom(sample(g, lambda x: x), d, d.ball([0.0], 0), 2.0, p, 0)
-    a2 = make_atom(sample(g, lambda x: np.sin(x)), d, d.ball([2.0], 1), 2.0, p, 1)
-    rep = FiniteAtomicRep([(0.4, a1), (1.1, a2)])
-    prefix = str(tmp_path / "rep")
-    save_atomic_rep(rep, prefix)
-
-    with open(prefix + ".manifest.json") as fh:
-        manifest = json.load(fh)
-    assert manifest["kind"] == "finite_atomic_rep"
-    assert manifest["entries"][0]["validation"]["support_exact"]
-
-    back = load_atomic_rep(prefix, d, p)
-    assert len(back.terms) == 2
-    assert back.terms[0][0] == 0.4
-    assert np.array_equal(back.terms[1][1].values.values, a2.values.values)
-    assert back.terms[1][1].validation.passed
-
-
-def _damaged_manifest(setup, tmp_path, damage):
-    """Save a one-atom rep, rewrite its manifest text with damage, and check
-    that loading it raises CorruptFile naming the manifest."""
-    from anivex.grid import sample
-    from anivex.hardy import FiniteAtomicRep, make_atom
-    from anivex.serialization import load_atomic_rep, save_atomic_rep
-
-    d, g, p = setup
-    atom = make_atom(sample(g, lambda x: x), d, d.ball([0.0], 0), 2.0, p, 0)
-    prefix = str(tmp_path / "rep")
-    save_atomic_rep(FiniteAtomicRep([(1.0, atom)]), prefix)
-    manifest = tmp_path / "rep.manifest.json"
-    manifest.write_text(damage(manifest.read_text()))
-    _assert_corrupt(lambda _: load_atomic_rep(prefix, d, p), manifest)
-
-
-def test_manifest_not_json_is_corrupt_file(setup, tmp_path):
-    _damaged_manifest(setup, tmp_path, lambda text: text[: len(text) // 2])
-
-
-def test_manifest_of_another_kind_is_corrupt_file(setup, tmp_path):
-    _damaged_manifest(setup, tmp_path, lambda text: text.replace("finite_atomic_rep", "tent_atom_set"))
-
-
-def test_manifest_missing_key_is_corrupt_file(setup, tmp_path):
-    def drop_scale(text):
-        manifest = json.loads(text)
-        del manifest["entries"][0]["ball_scale"]
-        return json.dumps(manifest)
-
-    _damaged_manifest(setup, tmp_path, drop_scale)
-
-
 def _saved_blocks(setup, tmp_path):
     """One saved AVXG and one saved AVXS file, each with its loader."""
     _, g, _ = setup
