@@ -4,8 +4,14 @@ The Luxemburg norm inf{lam > 0: modular(f/lam) <= 1} is found by Newton's
 method on g(t) = log modular(f/e^t), a log-sum-exp of decreasing lines:
 convex for every p(.) > 0, p < 1 included, and a line for constant p.  Only
 the cells where f != 0 enter, and a guard sums the modular over those cells,
-as modular() does, so the unit-modular property is exact.  Log-Holder
-checking is diagnostic only and never gates any other operation.
+as modular() does, so the unit-modular property is exact.
+
+The solver takes a stack of equal-length rows and solves each row as it
+would alone, bit for bit: luxemburg_norm and indicator_norm pass it one row,
+and the Campanato search's sweep a scale's balls at a time
+(cache_indicator_norms), so the search's candidate order and counters are
+unchanged.
+Log-Holder checking is diagnostic only and never gates any other operation.
 """
 
 from dataclasses import dataclass
@@ -61,7 +67,7 @@ def modular(f, p):
     if f.grid.key() != p.grid.key():
         raise ValueError("function and exponent live on different grids")
     a, q = _nonzero_cells(f, p)
-    return _modular_of_scaled(a, q, f.grid.cell_volume, 1.0)
+    return float(_modular_of_scaled(a, q, f.grid.cell_volume, 1.0))
 
 
 def _nonzero_cells(f, p):
@@ -72,8 +78,10 @@ def _nonzero_cells(f, p):
 
 
 def _modular_of_scaled(abs_vals, p_vals, cell_volume, lam):
+    """modular(f/lam) from |f| and p on the nonzero cells, summed along the
+    last axis, so a stack of rows gives one modular per row."""
     with np.errstate(over="ignore", divide="ignore"):
-        return float(np.sum((abs_vals / lam) ** p_vals) * cell_volume)
+        return np.add.reduce((abs_vals / lam) ** p_vals, axis=-1) * cell_volume
 
 
 def luxemburg_norm(f, p):
@@ -90,50 +98,86 @@ def luxemburg_norm(f, p):
     a, q = _nonzero_cells(f, p)
     if a.size == 0:
         return 0.0
-    return _luxemburg(a, q, f.grid.cell_volume)
+    return float(_luxemburg(a[None], q[None], f.grid.cell_volume)[0])
 
 
 def _luxemburg(a, q, cell):
-    """luxemburg_norm from the 1-D arrays a = |f| > 0 and q = p on the
-    nonzero cells, in C order."""
+    """luxemburg_norm of each row of the (rows, cells) arrays a = |f| > 0
+    and q = p on the nonzero cells, in C order.
+
+    The cell sums run over the whole stack; each row's Newton step, its
+    stopping test and its guard nudges are scalar arithmetic on that row
+    alone, so a row's norm is the one it has when solved alone.
+    """
     # t is measured from log max|f|, so its rounding does not grow with |f|.
-    top = float(a.max())
-    log_w = q * np.log(a / top) + np.log(cell)
-    t = float(np.max(log_w / q))
+    top = np.maximum.reduce(a, axis=1)
+    log_w = q * np.log(a / top[:, None]) + np.log(cell)
+    t = np.maximum.reduce(log_w / q, axis=1).tolist()
     tiny = 4.0 * np.finfo(float).eps
+    live = range(len(t))
     for _ in range(60):  # a safety net: Newton converges in a handful of steps
-        z = log_w - q * t
-        z_max = float(z.max())
-        e = np.exp(z - z_max)
-        total = float(e.sum())
-        step = (z_max + np.log(total)) * total / float(np.dot(q, e))
-        if not 0.0 < step < np.inf:
-            break
-        t += step
-        if step <= tiny * max(abs(t), 1.0):
+        z = log_w - q * np.array(t)[:, None]
+        z_max = np.maximum.reduce(z, axis=1)
+        e = np.exp(z - z_max[:, None])
+        total = np.add.reduce(e, axis=1)
+        slope = (q[:, None, :] @ e[:, :, None])[:, 0, 0].tolist()  # one dot product per row
+        z_max, log_total, total = z_max.tolist(), np.log(total).tolist(), total.tolist()
+        still = []
+        for i in live:
+            step = (z_max[i] + log_total[i]) * total[i] / slope[i]
+            if 0.0 < step < np.inf:
+                t[i] += step
+                if step > tiny * max(abs(t[i]), 1.0):
+                    still.append(i)
+        live = still
+        if not live:
             break
 
-    lam = top * float(np.exp(t))
-    nudge = tiny
-    while 0.0 < lam < np.inf and _modular_of_scaled(a, q, cell, lam) > 1.0:
-        lam *= 1.0 + nudge
+    lam = top * np.exp(t)
+    sums = _modular_of_scaled(a, q, cell, lam[:, None]).tolist()
+    over = [i for i, (x, m) in enumerate(zip(lam.tolist(), sums)) if 0.0 < x < np.inf and m > 1.0]
+    nudge = tiny  # a row still over one has been nudged as often as any other
+    while over:
+        lam[over] *= 1.0 + nudge
         nudge *= 2.0
-    if not 0.0 < lam < np.inf:
-        raise NonFinite(f"Luxemburg norm {lam!r} is not a finite positive number")
+        sums = _modular_of_scaled(a[over], q[over], cell, lam[over, None]).tolist()
+        over = [i for i, m in zip(over, sums) if m > 1.0]
+    for x in lam.tolist():
+        if not 0.0 < x < np.inf:
+            raise NonFinite(f"Luxemburg norm {x!r} is not a finite positive number")
     return lam
+
+
+def _indicator_key(d, ball):
+    return (d.matrix.tobytes(), ball.key())
 
 
 def indicator_norm(d, ball, p):
     """Luxemburg norm of the ball indicator, cached per (dilation, ball) on
     the exponent; computed on the ball's lattice support."""
-    key = (d.matrix.tobytes(), ball.key())
+    key = _indicator_key(d, ball)
     cache = p._indicator_cache
     if key not in cache:
         idx = ball_support(p.grid, d, ball)
         if idx.size == 0:
             raise EmptyMask(f"ball at scale {ball.scale} misses every lattice point")
-        cache[key] = _luxemburg(np.ones(idx.size), p.values.values.ravel()[idx], p.grid.cell_volume)
+        cache[key] = _indicator_norms(p, idx[None])[0]
     return cache[key]
+
+
+def cache_indicator_norms(d, balls, supports, p):
+    """indicator_norm of each ball from one stacked solve, put into its
+    cache and returned; supports holds the balls' nonempty lattice supports
+    as equal-length rows.  Each norm is the one indicator_norm computes
+    alone."""
+    norms = _indicator_norms(p, supports)
+    for ball, norm in zip(balls, norms):
+        p._indicator_cache[_indicator_key(d, ball)] = norm
+    return norms
+
+
+def _indicator_norms(p, supports):
+    return _luxemburg(np.ones(supports.shape), p.values.values.ravel()[supports], p.grid.cell_volume).tolist()
 
 
 def conjugate(p):

@@ -5,9 +5,11 @@ at most s, computed in ball-local coordinates u = A^-k (x - center) so the
 Gram matrix stays well conditioned across scales.  A projection returns
 its residual |f - P| on the ball's lattice points with the polynomial, taken
 from the same design matrix, so an L^q error needs no second pass over the
-ball.  Iteratively reweighted least squares on the same normal equations
-refines the projection towards the q != 2 infimum.  The module needs numpy
-only.
+ball.  Balls of one scale whose lattice supports have equal size project
+in one stack (project_stack), each row built, tested and solved by itself,
+so a stacked row is bit for bit the ball's own projection.  Iteratively
+reweighted least squares on the same normal equations refines the
+projection towards the q != 2 infimum.  The module needs numpy only.
 """
 
 from dataclasses import dataclass, replace
@@ -31,14 +33,15 @@ def multi_indices(n, s):
 
 
 def _design_matrix(local_pts, indices):
+    """Monomials of the points along the last axis, one column per index."""
     cols = []
     for gamma in indices:
-        col = np.ones(local_pts.shape[0])
+        col = np.ones(local_pts.shape[:-1])
         for axis, power in enumerate(gamma):
             if power:
-                col = col * local_pts[:, axis] ** power
+                col = col * local_pts[..., axis] ** power
         cols.append(col)
-    return np.stack(cols, axis=1)
+    return np.stack(cols, axis=-1)
 
 
 @dataclass
@@ -58,15 +61,22 @@ class Polynomial:
         return GridFunction(grid, self.evaluate(grid.points()).reshape(grid.resolution))
 
 
+def _designs(f, d, scale, centers, supports, s):
+    """Local design matrices of the balls at one scale with the given
+    centres, whose lattice supports are the equal-length rows of supports."""
+    indices = multi_indices(f.grid.n, s)
+    if supports.shape[-1] < len(indices):
+        raise InsufficientSamples(
+            f"{supports.shape[-1]} lattice points in the ball but {len(indices)} coefficients"
+        )
+    local = (f.grid.points()[supports] - centers[:, None, :]) @ d.power(-scale).T
+    return indices, _design_matrix(local, indices)
+
+
 def _ball_design(f, d, ball, s):
     idx = ball_support(f.grid, d, ball)
-    indices = multi_indices(f.grid.n, s)
-    if idx.size < len(indices):
-        raise InsufficientSamples(
-            f"{idx.size} lattice points in the ball but {len(indices)} coefficients"
-        )
-    local = (f.grid.points()[idx] - ball.center) @ d.power(-ball.scale).T
-    return idx, indices, _design_matrix(local, indices)
+    indices, design = _designs(f, d, ball.scale, ball.center[None], idx[None], s)
+    return idx, indices, design[0]
 
 
 def minimizing_polynomial(f, d, ball, s):
@@ -76,29 +86,51 @@ def minimizing_polynomial(f, d, ball, s):
 
 def _project(f, d, ball, s):
     """minimizing_polynomial together with |f - P| on the ball's lattice
-    points, from the design matrix the solve used."""
-    idx, indices, design = _ball_design(f, d, ball, s)
-    fvals = f.values.ravel()[idx]
-    gram = design.T @ design
-    rhs = design.T @ fvals
-    # The Cholesky factor is the positive-definiteness test: a Gram matrix
-    # that fails it gets a small ridge, and one that fails again is singular.
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        gram = gram + 1e-12 * np.trace(gram) * np.eye(gram.shape[0])
-        try:
-            np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            raise SingularGram("Gram matrix singular even with ridge") from None
-    coef = np.linalg.solve(gram, rhs)
+    points, from the design matrix the solve used: the one-ball case of
+    project_stack."""
+    idx = ball_support(f.grid, d, ball)
+    coef, resid = project_stack(f, d, ball.scale, ball.center[None], idx[None], s)
     poly = Polynomial(
         center=ball.center,
         transform=d.power(-ball.scale),
-        indices=indices,
-        coefficients=coef,
+        indices=multi_indices(f.grid.n, s),
+        coefficients=coef[0],
     )
-    return poly, np.abs(fvals - design @ coef)
+    return poly, resid[0]
+
+
+def project_stack(f, d, scale, centers, supports, s):
+    """Coefficient rows and residual rows |f - P| of the projections on the
+    balls at one scale with the given centres, whose lattice supports are
+    the equal-length rows of supports.  Each row is built, tested and solved
+    by itself inside the stack, so it is the row _project gives alone."""
+    _, design = _designs(f, d, scale, centers, supports, s)
+    fvals = f.values.ravel()[supports]
+    design_t = design.swapaxes(-1, -2)
+    gram = design_t @ design
+    rhs = design_t @ fvals[..., None]
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        gram = np.stack([_positive_definite(g) for g in gram])
+    coef = np.linalg.solve(gram, rhs)
+    return coef[..., 0], np.abs(fvals - (design @ coef)[..., 0])
+
+
+def _positive_definite(gram):
+    """The Gram matrix, or, when its Cholesky factor fails to exist, the
+    matrix with a small ridge; one that fails again is singular."""
+    try:
+        np.linalg.cholesky(gram)
+        return gram
+    except np.linalg.LinAlgError:
+        pass
+    gram = gram + 1e-12 * np.trace(gram) * np.eye(gram.shape[0])
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise SingularGram("Gram matrix singular even with ridge") from None
+    return gram
 
 
 def moments(f, s, d=None, ball=None):
@@ -116,10 +148,17 @@ def moments(f, s, d=None, ball=None):
 
 
 def lq_norm(resid, q, cell):
-    """(sum |r|^q cell)^(1/q) of the residuals |r|; only when that sum is
-    not finite, m (sum (|r|/m)^q cell)^(1/q) with m = max |r|."""
+    """(sum |r|^q cell)^(1/q) of the residuals |r| along the last axis: a
+    float for one row, an array for a stack of rows.  Only where that sum is
+    not finite, m (sum (|r|/m)^q cell)^(1/q) with m = max |r| of the row."""
     with np.errstate(over="ignore"):
-        total = np.sum(resid**q) * cell
+        totals = np.sum(resid**q, axis=-1) * cell
+    if resid.ndim == 1:
+        return _lq_root(totals, resid, q, cell)
+    return np.array([_lq_root(total, row, q, cell) for total, row in zip(totals, resid)])
+
+
+def _lq_root(total, resid, q, cell):
     if np.isfinite(total):
         return float(total ** (1.0 / q))
     top = resid.max()
@@ -142,11 +181,13 @@ def refine_lq(f, d, ball, s, q, start=None):
     Starts at the L^2 projection (already the exact infimum when q == 2).
     Each step solves the ball's normal equations weighted by |r|^(q-2), with
     |r| floored at 1e-9 of its maximum, and moves 1/(q-1) of the way there
-    for q > 2 (the whole way otherwise), halving the move until sum |r|^q
-    falls and doubling it while it falls further.  Only such steps are kept,
-    so the value never exceeds the start's; a singular or non-finite solve
-    ends the refinement at the best polynomial so far.  Returns the refined
-    polynomial with its error value, lq_norm of its residual.
+    for q > 2 (the whole way otherwise), halving the move until sum (|r|/m)^q
+    falls and doubling it while it falls further; m is the start's largest
+    residual, held fixed, so the sums stay finite where sum |r|^q overflows.
+    Only such steps are kept, so the value never exceeds the start's; a
+    singular or non-finite solve ends the refinement at the best polynomial
+    so far.  Returns the refined polynomial with its error value, lq_norm of
+    its residual.
     """
     poly = start if start is not None else minimizing_polynomial(f, d, ball, s)
     if q == 2.0:
@@ -157,10 +198,16 @@ def refine_lq(f, d, ball, s, q, start=None):
     coef = poly.coefficients
     rate = 1.0 / (q - 1.0) if q > 2.0 else 1.0
 
+    resid = np.abs(fvals - design @ coef)
+    unit = resid.max()  # held for the whole refinement
+    if not 0.0 < unit < np.inf:
+        return poly, lq_norm(resid, q, f.grid.cell_volume)
+
     def objective(c):
-        # A sum that overflows is inf, which no move lowers.
+        # Residuals in units of the start's largest one keep the sum finite
+        # for any finite f; a move whose sum still overflows is inf, not lower.
         with np.errstate(over="ignore"):
-            return float(np.sum(np.abs(fvals - design @ c) ** q))
+            return float(np.sum((np.abs(fvals - design @ c) / unit) ** q))
 
     best = objective(coef)
     for _ in range(100):

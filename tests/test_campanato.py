@@ -3,25 +3,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anivex import campanato
 from anivex.campanato import (
     BallConfiguration,
     CampanatoParams,
+    _oscillation_term,
+    _score_sweep,
     aggregate_norm,
     aggregation_vs_total_weight,
     campanato_type_functional,
     campanato_type_norm,
     classic_functional,
+    config_quotient,
     countable_limit_check,
     eps_kernel_summand,
     minimal_admissible_degree,
+    per_ball_cache,
     plain_summand,
     variant_eps_functional,
     variant_inf_functional,
 )
 from anivex.dilation import new_dilation
-from anivex.errors import EmptyMask
-from anivex.exponents import constant_exponent, exponent_from_callable, indicator_norm, luxemburg_norm
+from anivex.errors import EmptyMask, InsufficientSamples, SingularGram, ZeroDenominator
+from anivex.exponents import (
+    Exponent,
+    _indicator_key,
+    constant_exponent,
+    exponent_from_callable,
+    indicator_norm,
+    luxemburg_norm,
+)
 from anivex.grid import GridFunction, ball_support, sample, uniform_grid
+from anivex.polyproj import multi_indices
+from anivex.search import _canonical_sweep, default_scale_window, supremum_search
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +147,188 @@ class TestSingleBallDenominator:
             return
         assert aggregate_norm(cfg, p, eta, d) == weight
         assert _grid_aggregate(cfg, p, eta, d) == pytest.approx(weight, rel=1e-14, abs=0.0)
+
+
+def _fresh(p):
+    """p with an empty indicator-norm cache, so every norm is solved alone."""
+    return Exponent(p.values, p.p_infinity)
+
+
+def _params(prm, p):
+    return CampanatoParams(p=p, q=prm.q, s=prm.s, eta=prm.eta)
+
+
+def _wavy(g):
+    return sample(g, lambda x, *y: np.sin(1.3 * x + 0.4) * np.cos(0.9 * (y[0] if y else x)) + 0.2 * x)
+
+
+def _check_stacks(f, prm, d, balls):
+    """_score_sweep's norms and terms equal the one-ball calls bit for bit,
+    and a ball the search skips gets no norm or no term; returns the count
+    of balls per (scale, support size) group."""
+    terms = _score_sweep(f, prm, d, balls)
+    alone = _params(prm, _fresh(prm.p))
+    term = _oscillation_term(f, alone, d)
+    coefficients = len(multi_indices(f.grid.n, prm.s))
+    groups = {}
+    for ball in balls:
+        size = ball_support(f.grid, d, ball).size
+        if size == 0:
+            assert _indicator_key(d, ball) not in prm.p._indicator_cache
+            with pytest.raises(EmptyMask):
+                config_quotient(single(d, ball.center, ball.scale), term, alone.p, prm.eta, d)
+            continue
+        groups[(ball.scale, size)] = groups.get((ball.scale, size), 0) + 1
+        assert prm.p._indicator_cache[_indicator_key(d, ball)] == indicator_norm(d, ball, alone.p)
+        if size < coefficients:
+            assert ball.key() not in terms
+            with pytest.raises(InsufficientSamples):
+                term(ball)
+            continue
+        assert terms[ball.key()] == term(ball)
+    return groups
+
+
+class TestStackedSweep:
+    @settings(max_examples=60)
+    @given(
+        case=st.sampled_from(sorted(_SINGLE_BALL_CASES)),
+        which_p=st.sampled_from([0, 2, 3]),
+        q=st.sampled_from([1.0, 2.0, 3.0]),
+        s=st.integers(0, 1),
+        data=st.data(),
+    )
+    def test_stack_equals_one_ball_calls(self, case, which_p, q, s, data):
+        d, g, ps, (k_lo, k_hi) = _SINGLE_BALL_CASES[case]
+        scale = data.draw(st.integers(k_lo, k_hi), label="scale")
+        # Lattice centres, edge cells and their neighbours among them, so one
+        # scale holds clipped balls of several support sizes.
+        index = st.tuples(*(st.one_of(st.sampled_from([0, 1, r - 2, r - 1]), st.integers(0, r - 1)) for r in g.resolution))
+        centers = [
+            [lo + (i + 0.5) * h for lo, i, h in zip(g.lower, idx, g.spacing)]
+            for idx in data.draw(st.lists(index, min_size=2, max_size=12), label="lattice centres")
+        ]
+        if data.draw(st.booleans(), label="off-lattice centre"):
+            centers.append([data.draw(st.floats(lo, hi)) for lo, hi in zip(g.lower, g.upper)])
+        prm = CampanatoParams(p=_fresh(ps[which_p]), q=q, s=s)
+        _check_stacks(_wavy(g), prm, d, [d.ball(c, scale) for c in centers])
+
+    @pytest.mark.parametrize("case", sorted(_SINGLE_BALL_CASES))
+    def test_whole_sweep(self, case):
+        d, g, ps, _ = _SINGLE_BALL_CASES[case]
+        prm = CampanatoParams(p=_fresh(ps[2]), q=2.0, s=1)
+        window = default_scale_window(d, g, min_points=4 + 2 * prm.s)
+        groups = _check_stacks(_wavy(g), prm, d, list(_canonical_sweep(d, g, window)))
+        assert max(groups.values()) > 1  # a real stack
+        assert len({k for k, _ in groups}) < len(groups)  # mixed sizes in a scale
+
+
+_CROSSING = {
+    # p from 0.4 to 1.2, across 1
+    "diag(2,3)": (new_dilation([[2.0, 0.0], [0.0, 3.0]]), 2.0, 1),
+    "shear": (new_dilation([[2.0, 1.0], [0.0, 2.0]]), 1.5, 0),
+}
+
+
+def _crossing_case(case, resolution=(32, 32)):
+    d, q, s = _CROSSING[case]
+    g = uniform_grid([-4.0, -4.0], [4.0, 4.0], resolution)
+    p = exponent_from_callable(g, lambda x, y: 0.8 + 0.4 * np.sin(x) * np.cos(y))
+    f = sample(g, lambda x, y: np.sin(1.1 * x + 0.3) * np.cos(0.9 * y) * np.exp(-(x**2 + y**2) / 10) + 0.2 * x * y)
+    return f, CampanatoParams(p=p, q=q, s=s), d
+
+
+def _reference_search(f, prm, d, budget, seed, record=None):
+    """campanato_type_norm one candidate at a time: config_quotient on each
+    candidate of the search's stream, with no stacks and a fresh cache."""
+    alone = _params(prm, _fresh(prm.p))
+    term = per_ball_cache(_oscillation_term(f, alone, d))
+    window = default_scale_window(d, f.grid, min_points=4 + 2 * prm.s)
+
+    def value(config):
+        return config_quotient(config, term, alone.p, alone.eta, d)
+
+    return supremum_search(_recorded(value, record), d, f.grid, budget, seed, window)
+
+
+def _recorded(config_value, record):
+    """config_value, appending each candidate's value or skip to record."""
+    if record is None:
+        return config_value
+
+    def value(config):
+        try:
+            out = config_value(config)
+        except (EmptyMask, InsufficientSamples, ZeroDenominator) as exc:
+            record.append(type(exc).__name__)
+            raise
+        record.append(out)
+        return out
+
+    return value
+
+
+def _keys(result):
+    return [(ball.key(), w) for ball, w in result.config.entries]
+
+
+class TestStackedSearch:
+    @pytest.mark.parametrize("case", sorted(_CROSSING))
+    def test_results_equal_one_candidate_at_a_time(self, case):
+        f, prm, d = _crossing_case(case)
+        values = []
+        for budget in (100, 200, 832):
+            res = campanato_type_norm(f, _params(prm, _fresh(prm.p)), d, budget=budget, seed=5)
+            ref = _reference_search(f, prm, d, budget, 5)
+            assert res.value == ref.value
+            assert _keys(res) == _keys(ref)
+            assert (res.evaluations, res.candidates_seen) == (ref.evaluations, ref.candidates_seen)
+            again = campanato_type_norm(f, _params(prm, _fresh(prm.p)), d, budget=budget, seed=5)
+            assert (again.value, _keys(again), again.evaluations) == (res.value, _keys(res), res.evaluations)
+            values.append(res.value)
+        assert values == sorted(values)
+
+
+class TestStackedSkips:
+    def test_skipped_candidates_match(self, monkeypatch):
+        # s = 2 on a 24 x 24 shear grid: clipped balls of the smallest scale
+        # hold fewer lattice points than the six coefficients.
+        f, prm, d = _crossing_case("shear", (24, 24))
+        prm = CampanatoParams(p=prm.p, q=prm.q, s=2)
+        stacked, reference = [], []
+        search = campanato.supremum_search
+        monkeypatch.setattr(
+            campanato, "supremum_search", lambda value, *args: search(_recorded(value, stacked), *args)
+        )
+        res = campanato_type_norm(f, _params(prm, _fresh(prm.p)), d, budget=700, seed=2)
+        ref = _reference_search(f, prm, d, 700, 2, reference)
+        assert stacked == reference
+        assert stacked.count("InsufficientSamples") > 0
+        assert (res.evaluations, res.candidates_seen) == (ref.evaluations, ref.candidates_seen)
+        assert res.evaluations == 700 - stacked.count("InsufficientSamples")
+
+    def test_ball_off_the_lattice_gets_nothing(self):
+        f, prm, d = _crossing_case("diag(2,3)")
+        g = f.grid
+        window = default_scale_window(d, g, min_points=4 + 2 * prm.s)
+        missing = d.ball([g.lower[0] + g.spacing[0], g.lower[1] + g.spacing[1]], -4)
+        assert ball_support(g, d, missing).size == 0
+        balls = list(_canonical_sweep(d, g, window))[:300]
+        balls.insert(150, missing)
+        _check_stacks(f, _params(prm, _fresh(prm.p)), d, balls)
+
+    def test_singular_gram_propagates(self, monkeypatch):
+        # Coarse in y: some sweep balls hold one lattice row, whose Gram
+        # matrix takes the ridge; with the ridge scaled to nothing the
+        # projection is singular, and the search does not skip that.
+        f, prm, d = _crossing_case("shear", (32, 8))
+        prm = CampanatoParams(p=prm.p, q=prm.q, s=1)
+        res = campanato_type_norm(f, _params(prm, _fresh(prm.p)), d, budget=200, seed=1)
+        ref = _reference_search(f, prm, d, 200, 1)
+        assert (res.value, _keys(res), res.evaluations) == (ref.value, _keys(ref), ref.evaluations)
+        monkeypatch.setattr(np, "trace", lambda a: 0.0)
+        with pytest.raises(SingularGram):
+            campanato_type_norm(f, _params(prm, _fresh(prm.p)), d, budget=200, seed=1)
 
 
 class TestClassicFunctional:

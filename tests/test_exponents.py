@@ -9,6 +9,7 @@ from anivex.dilation import new_dilation
 from anivex.errors import NotConjugable
 from anivex.exponents import (
     Exponent,
+    _luxemburg,
     check_log_holder,
     conjugate,
     constant_exponent,
@@ -207,6 +208,29 @@ class TestNewtonSolver:
             got = indicator_norm(d, ball, p)
             ref = _bisection_luxemburg(indicator(g, d, ball), p)
             assert abs(got - ref) <= 1e-11 * ref
+
+
+class TestStackedRows:
+    @settings(max_examples=60)
+    @given(rows=st.integers(2, 6), cells=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+    # A stop shared by all rows of the stack, and guard nudges shared by all
+    # rows, each change a row of these stacks.
+    @example(rows=6, cells=18, seed=13)
+    @example(rows=6, cells=60, seed=55)
+    @example(rows=6, cells=82, seed=677)
+    @example(rows=6, cells=70, seed=1115)
+    def test_row_of_a_stack_is_its_own_norm(self, rows, cells, seed):
+        # Rows of their own amplitude and exponent range (p below and above
+        # 1, some constant) take different numbers of Newton steps and guard
+        # nudges; each is still luxemburg_norm of that row alone, bit for bit.
+        rng = np.random.default_rng(seed)
+        g = uniform_grid([0.0], [1.0], cells)
+        a = 10.0 ** rng.uniform(-100, 100, size=(rows, 1)) * 10.0 ** rng.uniform(-3, 3, size=(rows, cells))
+        lo = rng.uniform(0.3, 8.0, size=(rows, 1))
+        q = lo * (1.0 + rng.choice([0.0, 0.5, 3.0], size=(rows, 1)) * rng.random((rows, cells)))
+        stacked = _luxemburg(a, q, g.cell_volume)
+        for i in range(rows):
+            assert stacked[i] == luxemburg_norm(GridFunction(g, a[i]), Exponent(GridFunction(g, q[i])))
 
 
 class TestIndicatorNorm:

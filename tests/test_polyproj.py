@@ -20,8 +20,10 @@ from anivex.polyproj import (
     minimizing_polynomial,
     moments,
     multi_indices,
+    project_stack,
     refine_lq,
 )
+from anivex.search import _canonical_sweep, default_scale_window
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +166,43 @@ def _eval_coeffs(poly, coeffs, pts):
     return out
 
 
+class TestProjectStack:
+    @pytest.mark.parametrize(
+        "matrix, resolution, s, ridged",
+        [
+            ([[2.0]], (256,), 2, False),
+            ([[2.0, 0.0], [0.0, 3.0]], (48, 48), 1, False),
+            # Coarse in y: a few sweep balls hold one lattice row, so their
+            # Gram matrices take the ridge inside a stack of ones that do not.
+            ([[2.0, 1.0], [0.0, 2.0]], (32, 8), 1, True),
+        ],
+    )
+    def test_rows_are_one_ball_projections(self, matrix, resolution, s, ridged):
+        d = new_dilation(matrix)
+        n = len(resolution)
+        g = uniform_grid([-4.0] * n, [4.0] * n, resolution)
+        f = sample(g, lambda *x: np.sin(1.3 * x[0] + 0.2) * np.cos(0.7 * x[-1]) + 0.1 * x[0] * x[-1])
+        groups = {}
+        for ball in _canonical_sweep(d, g, default_scale_window(d, g, 4 + 2 * s)):
+            idx = ball_support(g, d, ball)
+            if idx.size >= len(multi_indices(n, s)):
+                groups.setdefault((ball.scale, idx.size), []).append((ball, idx))
+        ridge_in_stack = False
+        for (k, _), members in groups.items():
+            balls = [ball for ball, _ in members]
+            supports = np.stack([idx for _, idx in members])
+            coef, resid = project_stack(f, d, k, np.stack([b.center for b in balls]), supports, s)
+            for ball, coef_row, resid_row in zip(balls, coef, resid):
+                poly, alone = _project(f, d, ball, s)
+                assert np.array_equal(coef_row, poly.coefficients)
+                assert np.array_equal(resid_row, alone)
+                design = _ball_design(f, d, ball, s)[2]
+                if len(balls) > 1 and np.linalg.eigvalsh(design.T @ design)[0] < 1e-9:
+                    ridge_in_stack = True
+        assert max(len(members) for members in groups.values()) > 1
+        assert ridge_in_stack == ridged
+
+
 class TestMoments:
     def test_odd_function_symmetric_ball(self, d1, g1):
         f = sample(g1, lambda x: x**3)
@@ -206,8 +245,9 @@ class TestRefinement:
         assert err <= med_err * (1 + 1e-6)
 
     def test_overflowing_residuals_return(self, d1):
-        # sum |r|^6 overflows, so the error is scaled by max |r|; no move
-        # lowers an infinite objective, so the refinement keeps the projection.
+        # sum |r|^6 overflows, so the error is scaled by max |r|, and the
+        # line search compares sums of (|r|/m)^6 with m the start's max |r|,
+        # so the refinement moves as it does on the unscaled input.
         g = uniform_grid([-8.0], [8.0], 256)
         ball = d1.ball([0.03125], 1)
         small = sample(g, lambda x: np.sin(3.0 * x))
@@ -218,10 +258,13 @@ class TestRefinement:
             proj_err = lq_error(f, d1, ball, poly, 6.0)
             _, err = refine_lq(f, d1, ball, 1, 6.0, start=poly)
             classic = classic_functional(f, d1, ball, constant_exponent(g, 1.0), 6.0, 1)
-        small_err = lq_error(small, d1, ball, minimizing_polynomial(small, d1, ball, 1), 6.0)
+        small_poly = minimizing_polynomial(small, d1, ball, 1)
+        small_err = lq_error(small, d1, ball, small_poly, 6.0)
+        _, small_refined = refine_lq(small, d1, ball, 1, 6.0, start=small_poly)
         assert np.isfinite(proj_err)
         assert proj_err == pytest.approx(1e160 * small_err, rel=1e-12)
-        assert err <= proj_err
+        assert err == pytest.approx(1e160 * small_refined, rel=1e-12)
+        assert err < proj_err
         assert np.isfinite(classic.projection_value)
         assert classic.refined_value <= classic.projection_value
 
