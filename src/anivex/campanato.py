@@ -19,17 +19,18 @@ classic_functional reports.  N_B passed the unit-modular guard, so
 N_B >= ||1_B|| up to the rounding of the modular sum, and the value stays a
 lower bound of the true quotient.
 
-campanato_type_norm scores the balls of its single-ball sweep a scale at a
-time: one stacked Luxemburg solve and one stacked projection per group of
-balls of equal scale and lattice support size fill the caches the search
-reads.  A stacked value is bit for bit the ball's own, so the search's
-candidate order, the values it compares and its counters are unchanged.
+campanato_type_norm scores every ball of the search's fixed candidate
+stream (the sweep and the random configurations) before the search, a
+scale at a time: one stacked Luxemburg solve and one stacked projection per
+group of balls of equal scale and lattice support size fill the caches the
+search reads.  A stacked value is bit for bit the ball's own, so the
+search's candidate order, the values it compares and its counters are
+unchanged.
 """
 
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .errors import ZeroDenominator
 from .exponents import cache_indicator_norms, indicator_norm, luxemburg_norm
 from .grid import GridFunction, ball_support
 from .polyproj import _project, lq_norm, minimizing_polynomial, multi_indices, project_stack, refine_lq
-from .search import BallConfiguration, _canonical_sweep, default_scale_window, supremum_search
+from .search import BallConfiguration, candidate_stream, default_scale_window, supremum_search
 
 __all__ = [
     "BallConfiguration",
@@ -266,14 +267,17 @@ def campanato_type_norm(f, prm, d, budget=200, seed=0):
 
     Canonical single-ball sweep, random small configurations, and greedy
     weight ascent, deterministic for a fixed seed; doubling the budget can
-    only grow the record.  The sweep balls the budget reaches are scored a
-    scale at a time before the search starts (_score_sweep), bit for bit as
-    one at a time, so the candidate order and the counters are unchanged.
+    only grow the record.  Every ball of the fixed stream is scored a scale
+    at a time before the search starts (_score_sweep), bit for bit as one at
+    a time, so the candidate order and the counters are unchanged; the
+    ascent variants reweight balls of the stream.
     """
     scale_window = default_scale_window(d, f.grid, min_points=4 + 2 * prm.s)
-    terms = _score_sweep(f, prm, d, islice(_canonical_sweep(d, f.grid, scale_window), max(budget, 0)))
+    stream = candidate_stream(d, f.grid, budget, seed, scale_window)
+    balls = {ball.key(): ball for config in stream if config is not None for ball in config.balls()}
+    terms = _score_sweep(f, prm, d, balls.values())
     config_value = search_objective(_oscillation_term(f, prm, d), prm.p, prm.eta, d, terms)
-    return supremum_search(config_value, d, f.grid, budget, seed, scale_window)
+    return supremum_search(config_value, stream)
 
 
 # The largest stacked design matrix, in entries, that _score_sweep builds;
@@ -282,7 +286,7 @@ _STACK_ENTRIES = 1 << 16
 
 
 def _score_sweep(f, prm, d, balls):
-    """Oscillation terms of single balls by ball key, one stacked Luxemburg
+    """Oscillation terms of distinct balls by ball key, one stacked Luxemburg
     solve (which fills indicator_norm's cache) and one stacked projection
     per group of balls of equal scale and lattice support size; each value
     is bit for bit the ball's own.  A ball that misses the lattice gets no

@@ -37,7 +37,7 @@ from .grid import (
     sample,
 )
 from .polyproj import moments as poly_moments
-from .search import default_scale_window, supremum_search
+from .search import candidate_stream, default_scale_window, supremum_search
 from .tent import ScaleFunction, area_l2_weights, tent_atomic_decomposition, tent_members
 
 __all__ = [
@@ -85,7 +85,7 @@ def carleson_functional(mu, p, d, eta=None, budget=200, seed=0):
         eta = p.underline_p
     scale_window = default_scale_window(d, mu.grid, min_points=1)
     config_value = search_objective(_carleson_term(mu, p, d), p, eta, d)
-    return supremum_search(config_value, d, mu.grid, budget, seed, scale_window)
+    return supremum_search(config_value, candidate_stream(d, mu.grid, budget, seed, scale_window))
 
 
 def carleson_prefix_check(mu, entries, p, d, eta=None):

@@ -209,30 +209,39 @@ class Dilation:
     def step_levels(self, points):
         """Integer levels k with x in B_{k+1} \\ B_k, vectorized.
 
+        The balls nest in the scale, so a bisection over [-cap + 1, cap]
+        finds the first scale whose ball holds any point, and an upward scan
+        from there gives each point the first scale whose ball holds it.
         Returns (levels, zero_mask); levels are undefined where zero_mask is
         set (the origin has rho = 0 by convention).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        npts = pts.shape[0]
         zero = np.all(pts == 0.0, axis=1)
-        levels = np.zeros(npts, dtype=int)
-        undecided = ~zero
+        levels = np.zeros(pts.shape[0], dtype=int)
+        idx = np.nonzero(~zero)[0]
         cap = self.level_cap
         origin = np.zeros(self.n)
-        if undecided.any():
-            idx = np.nonzero(undecided)[0]
-            too_deep = self.ball_contains_many(self.ball(origin, -cap), pts[idx])
-            if too_deep.any():
-                raise ScaleOverflow("point inside B_k at the bottom of the level cap")
+
+        def inside(m):
+            return self.ball_contains_many(self.ball(origin, m), pts[idx])
+
         m = -cap + 1
-        while m <= cap and undecided.any():
-            idx = np.nonzero(undecided)[0]
-            inside = self.ball_contains_many(self.ball(origin, m), pts[idx])
-            hit = idx[inside]
-            levels[hit] = m - 1
-            undecided[hit] = False
+        if idx.size:
+            if inside(-cap).any():
+                raise ScaleOverflow("point inside B_k at the bottom of the level cap")
+            hi = cap + 1
+            while m < hi:
+                mid = (m + hi) // 2
+                if inside(mid).any():
+                    hi = mid
+                else:
+                    m = mid + 1
+        while m <= cap and idx.size:
+            hit = inside(m)
+            levels[idx[hit]] = m - 1
+            idx = idx[~hit]
             m += 1
-        if undecided.any():
+        if idx.size:
             raise ScaleOverflow("point outside B_k for every k within the level cap")
         return levels, zero
 
@@ -240,8 +249,8 @@ class Dilation:
         """rho at each point: 0 at the origin, else b^k on B_{k+1} \\ B_k."""
         levels, zero = self.step_levels(points)
         out = np.empty(len(levels))
-        for k in np.unique(levels):
-            out[levels == k] = self.bpow(int(k))
+        for k in set(levels.tolist()):
+            out[levels == k] = self.bpow(k)
         out[zero] = 0.0
         return out
 

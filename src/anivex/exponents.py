@@ -8,9 +8,9 @@ as modular() does, so the unit-modular property is exact.
 
 The solver takes a stack of equal-length rows and solves each row as it
 would alone, bit for bit: luxemburg_norm and indicator_norm pass it one row,
-and the Campanato search's sweep a scale's balls at a time
-(cache_indicator_norms), so the search's candidate order and counters are
-unchanged.
+and the Campanato search the balls of its fixed candidate stream a scale
+at a time (cache_indicator_norms), so the search's candidate order and
+counters are unchanged.
 Log-Holder checking is diagnostic only and never gates any other operation.
 """
 

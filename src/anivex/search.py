@@ -4,9 +4,18 @@ The search only ever reports the maximum over configurations it actually
 evaluated, so results are certified lower bounds of the true suprema.  The
 candidate stream is a deterministic function of (seed, prefix), which makes
 the record monotone in the budget and byte-reproducible across runs.
+
+candidate_stream draws the fixed part of the stream once, before the
+search: the canonical single-ball sweep, then rounds of three random
+configurations and one ascent slot.  Only the ascent slots depend on the
+values; their variants reweight balls the incumbent already holds, so every
+ball the search meets is in the fixed stream, and a caller can score all of
+them in stacks before the search starts.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -64,23 +73,26 @@ def _canonical_sweep(d, grid, scale_window):
             yield d.ball(c, k)
 
 
-def _snap_to_lattice(grid, point):
+def _random_lattice_point(rng, grid):
+    """A uniform point of the box snapped to the lattice point of its cell:
+    rng.uniform(lower, upper)'s own draws and arithmetic, lower + (upper -
+    lower) u, and the cell index clipped to the box, on floats."""
     snapped = []
-    for x, l, h, r in zip(point, grid.lower, grid.spacing, grid.resolution):
-        i = int(np.clip(np.floor((x - l) / h), 0, r - 1))
+    draws = rng.random(grid.n).tolist()
+    for u, l, hi, h, r in zip(draws, grid.lower, grid.upper, grid.spacing.tolist(), grid.resolution):
+        x = l + (hi - l) * u
+        i = min(max(math.floor((x - l) / h), 0), r - 1)
         snapped.append(l + (i + 0.5) * h)
     return np.array(snapped)
 
 
 def _random_config(rng, d, grid, scale_window, max_balls):
     m = int(rng.integers(2, max_balls + 1))
-    lo = np.asarray(grid.lower)
-    hi = np.asarray(grid.upper)
     entries = []
     for _ in range(m):
-        center = _snap_to_lattice(grid, rng.uniform(lo, hi))
+        center = _random_lattice_point(rng, grid)
         scale = int(rng.integers(scale_window[0], scale_window[1] + 1))
-        weight = float(rng.uniform(0.25, 1.0))
+        weight = 0.25 + 0.75 * rng.random()  # rng.uniform(0.25, 1.0)
         entries.append((d.ball(center, scale), weight))
     return BallConfiguration(entries)
 
@@ -98,55 +110,46 @@ def _ascent_variant(best_config, step_index):
         return None
 
 
-def supremum_search(config_value, d, grid, budget, seed, scale_window):
-    """Maximize config_value over a deterministic candidate stream.
+def candidate_stream(d, grid, budget, seed, scale_window):
+    """The first budget candidates of the search, with None at each ascent
+    slot: the canonical sweep, then rounds of three random configurations,
+    drawn in order from the seeded rng, and one ascent slot."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    stream = [BallConfiguration([(ball, 1.0)]) for ball in islice(_canonical_sweep(d, grid, scale_window), budget)]
+    rng = np.random.default_rng(seed)
+    for slot in range(budget - len(stream)):
+        stream.append(None if slot % 4 == 3 else _random_config(rng, d, grid, scale_window, max_balls=8))
+    return stream
+
+
+def supremum_search(config_value, stream):
+    """Maximize config_value over a candidate_stream, in its order.
 
     config_value(BallConfiguration) -> float, raising EmptyMask /
     InsufficientSamples / ZeroDenominator for configurations it cannot
-    score; those candidates are skipped but still consume budget.
+    score; those candidates are skipped but still consume budget.  An
+    ascent slot holds the next weight variant of the incumbent, and is
+    spent unscored while there is none.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    rng = np.random.default_rng(seed)
     best_value = -np.inf
     best_config = None
     evaluations = 0
-    seen = 0
-
-    def consider(config):
-        nonlocal best_value, best_config, evaluations, seen
-        seen += 1
+    ascent_step = 0
+    for config in stream:
+        if config is None and best_config is not None:
+            config = _ascent_variant(best_config, ascent_step)
+            ascent_step += 1
+        if config is None:
+            continue
         try:
             value = config_value(config)
         except (EmptyMask, InsufficientSamples, ZeroDenominator):
-            return
+            continue
         evaluations += 1
         if value > best_value:
             best_value = value
             best_config = config
-
-    for ball in _canonical_sweep(d, grid, scale_window):
-        if seen >= budget:
-            break
-        consider(BallConfiguration([(ball, 1.0)]))
-
-    ascent_step = 0
-    while seen < budget:
-        for _ in range(3):
-            if seen >= budget:
-                break
-            consider(_random_config(rng, d, grid, scale_window, max_balls=8))
-        if seen >= budget:
-            break
-        if best_config is not None:
-            variant = _ascent_variant(best_config, ascent_step)
-            ascent_step += 1
-            if variant is not None:
-                consider(variant)
-            else:
-                seen += 1
-        else:
-            seen += 1
 
     if best_config is None:
         raise ToolkitError("no configuration could be evaluated within the budget")
@@ -154,5 +157,5 @@ def supremum_search(config_value, d, grid, budget, seed, scale_window):
         value=float(best_value),
         config=best_config,
         evaluations=evaluations,
-        candidates_seen=seen,
+        candidates_seen=len(stream),
     )

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anivex import campanato
+from anivex import campanato, exponents
 from anivex.campanato import (
     BallConfiguration,
     CampanatoParams,
@@ -35,7 +35,15 @@ from anivex.exponents import (
 )
 from anivex.grid import GridFunction, ball_support, sample, uniform_grid
 from anivex.polyproj import multi_indices
-from anivex.search import _canonical_sweep, default_scale_window, supremum_search
+from anivex.search import (
+    SearchResult,
+    _ascent_variant,
+    _canonical_sweep,
+    _random_config,
+    candidate_stream,
+    default_scale_window,
+    supremum_search,
+)
 
 
 @pytest.fixture(scope="module")
@@ -238,9 +246,63 @@ def _crossing_case(case, resolution=(32, 32)):
     return f, CampanatoParams(p=p, q=q, s=s), d
 
 
+def _drawn_config(rng, d, grid, window, max_balls):
+    """A random configuration drawn as rng.uniform and np.clip draw it."""
+    m = int(rng.integers(2, max_balls + 1))
+    entries = []
+    for _ in range(m):
+        point = rng.uniform(np.asarray(grid.lower), np.asarray(grid.upper))
+        center = [
+            lo + (int(np.clip(np.floor((x - lo) / h), 0, r - 1)) + 0.5) * h
+            for x, lo, h, r in zip(point, grid.lower, grid.spacing, grid.resolution)
+        ]
+        scale = int(rng.integers(window[0], window[1] + 1))
+        entries.append((d.ball(center, scale), float(rng.uniform(0.25, 1.0))))
+    return BallConfiguration(entries)
+
+
+def _one_at_a_time(config_value, d, grid, budget, seed, window):
+    """The search drawing and scoring each candidate as it comes: the sweep,
+    then three random configurations and one ascent slot per round."""
+    rng = np.random.default_rng(seed)
+    best_value, best_config, evaluations, seen = -np.inf, None, 0, 0
+
+    def consider(config):
+        nonlocal best_value, best_config, evaluations
+        try:
+            value = config_value(config)
+        except (EmptyMask, InsufficientSamples, ZeroDenominator):
+            return
+        evaluations += 1
+        if value > best_value:
+            best_value, best_config = value, config
+
+    for ball in _canonical_sweep(d, grid, window):
+        if seen >= budget:
+            break
+        seen += 1
+        consider(BallConfiguration([(ball, 1.0)]))
+    ascent_step = 0
+    while seen < budget:
+        for _ in range(3):
+            if seen >= budget:
+                break
+            seen += 1
+            consider(_drawn_config(rng, d, grid, window, max_balls=8))
+        if seen >= budget:
+            break
+        seen += 1
+        if best_config is not None:
+            variant = _ascent_variant(best_config, ascent_step)
+            ascent_step += 1
+            if variant is not None:
+                consider(variant)
+    return SearchResult(float(best_value), best_config, evaluations, seen)
+
+
 def _reference_search(f, prm, d, budget, seed, record=None):
     """campanato_type_norm one candidate at a time: config_quotient on each
-    candidate of the search's stream, with no stacks and a fresh cache."""
+    candidate as it is drawn, with no stacks and a fresh cache."""
     alone = _params(prm, _fresh(prm.p))
     term = per_ball_cache(_oscillation_term(f, alone, d))
     window = default_scale_window(d, f.grid, min_points=4 + 2 * prm.s)
@@ -248,7 +310,7 @@ def _reference_search(f, prm, d, budget, seed, record=None):
     def value(config):
         return config_quotient(config, term, alone.p, alone.eta, d)
 
-    return supremum_search(_recorded(value, record), d, f.grid, budget, seed, window)
+    return _one_at_a_time(_recorded(value, record), d, f.grid, budget, seed, window)
 
 
 def _recorded(config_value, record):
@@ -268,18 +330,39 @@ def _recorded(config_value, record):
     return value
 
 
+def _keys_of(config):
+    return [(ball.key(), w) for ball, w in config.entries]
+
+
 def _keys(result):
-    return [(ball.key(), w) for ball, w in result.config.entries]
+    return _keys_of(result.config)
+
+
+def _sweep_length(f, prm, d):
+    window = default_scale_window(d, f.grid, min_points=4 + 2 * prm.s)
+    return sum(1 for _ in _canonical_sweep(d, f.grid, window))
 
 
 class TestStackedSearch:
     @pytest.mark.parametrize("case", sorted(_CROSSING))
-    def test_results_equal_one_candidate_at_a_time(self, case):
+    def test_results_equal_one_candidate_at_a_time(self, case, monkeypatch):
         f, prm, d = _crossing_case(case)
+        sweep = _sweep_length(f, prm, d)
+        stacked, reference = [], []
+        search = campanato.supremum_search
+        monkeypatch.setattr(
+            campanato, "supremum_search", lambda value, *args: search(_recorded(value, stacked), *args)
+        )
         values = []
-        for budget in (100, 200, 832):
+        # Into the sweep, to its end, and past it into the random stage: one
+        # random configuration, three, a full round of four with its ascent
+        # slot, and many rounds.
+        for budget in (100, 200, sweep, sweep + 1, sweep + 3, sweep + 4, sweep + 64, sweep + 301):
+            stacked.clear()
+            reference.clear()
             res = campanato_type_norm(f, _params(prm, _fresh(prm.p)), d, budget=budget, seed=5)
-            ref = _reference_search(f, prm, d, budget, 5)
+            ref = _reference_search(f, prm, d, budget, 5, reference)
+            assert stacked == reference  # every candidate's value, in order
             assert res.value == ref.value
             assert _keys(res) == _keys(ref)
             assert (res.evaluations, res.candidates_seen) == (ref.evaluations, ref.candidates_seen)
@@ -287,6 +370,87 @@ class TestStackedSearch:
             assert (again.value, _keys(again), again.evaluations) == (res.value, _keys(res), res.evaluations)
             values.append(res.value)
         assert values == sorted(values)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stream_search_equals_one_at_a_time(self, seed):
+        # A synthetic objective that grows with the weights, so the ascent
+        # variants take the lead, and that cannot score balls at the
+        # smallest scale, so candidates are skipped.
+        d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
+        g = uniform_grid([-4.0, -4.0], [4.0, 4.0], [32, 24])
+        window = default_scale_window(d, g, min_points=4)
+
+        def value(config):
+            if any(ball.scale == window[0] for ball in config.balls()):
+                raise InsufficientSamples("smallest scale")
+            return sum(w * (1.0 + abs(ball.center[0])) for ball, w in config.entries) / len(config.entries)
+
+        sweep = sum(1 for _ in _canonical_sweep(d, g, window))
+        for budget in (sweep - 1, sweep, sweep + 1, sweep + 3, sweep + 4, sweep + 5, sweep + 120):
+            got, want = [], []
+            res = supremum_search(_recorded(value, got), candidate_stream(d, g, budget, seed, window))
+            ref = _one_at_a_time(_recorded(value, want), d, g, budget, seed, window)
+            assert got == want
+            assert (res.value, _keys(res), res.evaluations, res.candidates_seen) == (
+                ref.value, _keys(ref), ref.evaluations, ref.candidates_seen
+            )
+        assert max(w for _, w in res.config.entries) > 1.0  # an ascent variant leads
+        with pytest.raises(ValueError):
+            candidate_stream(d, g, 0, seed, window)
+
+    def test_random_draws_equal_rng_uniform(self):
+        grids = [
+            uniform_grid([-8.0], [8.0], 4096),
+            uniform_grid([-3.7, 0.2], [5.1, 9.9], [37, 21]),
+            uniform_grid([-1.0, -2.0, 0.5], [1.0, 2.0, 3.5], [5, 9, 7]),
+        ]
+        matrices = {1: [[2.0]], 2: [[2.0, 1.0], [0.0, 2.0]], 3: np.diag([2.0, 3.0, 2.5])}
+        for g in grids:
+            d = new_dilation(matrices[g.n])
+            for seed in range(20):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(10):
+                    got = _random_config(ours, d, g, (-3, 2), 8)
+                    want = _drawn_config(theirs, d, g, (-3, 2), 8)
+                    assert _keys_of(got) == _keys_of(want)
+                assert ours.random() == theirs.random()  # the same draws were used
+
+    def test_no_single_ball_work_inside_the_search(self, monkeypatch):
+        # Every ball of the fixed stream is scored before the search: inside
+        # it no indicator norm is solved and no ball is projected, and the
+        # only Luxemburg solves are the denominators of multi-ball candidates.
+        f, prm, d = _crossing_case("diag(2,3)")
+        inside, counts = [False], {"project": 0, "indicator": 0, "luxemburg": 0, "multi": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += inside[0]
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(campanato, "_project", counted("project", campanato._project))
+        monkeypatch.setattr(exponents, "_indicator_norms", counted("indicator", exponents._indicator_norms))
+        monkeypatch.setattr(exponents, "_luxemburg", counted("luxemburg", exponents._luxemburg))
+        search = campanato.supremum_search
+
+        def traced_search(config_value, stream):
+            def value(config):
+                counts["multi"] += sum(1 for _, w in config.entries if w != 0.0) > 1
+                return config_value(config)
+
+            inside[0] = True
+            try:
+                return search(value, stream)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(campanato, "supremum_search", traced_search)
+        budget = _sweep_length(f, prm, d) + 301
+        res = campanato_type_norm(f, _params(prm, _fresh(prm.p)), d, budget=budget, seed=3)
+        assert (res.evaluations, res.candidates_seen) == (budget, budget)
+        assert counts["project"] == counts["indicator"] == 0
+        assert counts["luxemburg"] == counts["multi"] > 200
 
 
 class TestStackedSkips:

@@ -430,6 +430,9 @@ def test_cli_loads_no_scipy(tmp_path):
         "assert not loaded(), loaded()\n"
         f"assert anivex.cli.main(['run', '--config', {os.path.abspath(QUICK)!r}, '--out', {out!r}, '--no-cache']) == 0\n"
         "assert not loaded(), loaded()\n"
+        # nor numpy.ma, which np.unique imports on first use; quick.json has a
+        # log_holder op, whose step quasi-norms group points by level.
+        "assert 'numpy.ma' not in sys.modules\n"
         # The campanato suite refines at q = 4.
         "assert anivex.cli.main(['verify', '--suite', 'campanato']) == 0\n"
         "assert not loaded(), loaded()\n"

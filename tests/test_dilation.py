@@ -177,14 +177,125 @@ class TestStepQuasiNorm:
 
     def test_scale_overflow(self, d1):
         tiny = np.array([[2.0 ** (-d1.level_cap - 6)]])
-        with pytest.raises(ScaleOverflow):
+        with pytest.raises(ScaleOverflow, match="bottom"):
             d1.step_levels(tiny)
+        with pytest.raises(ScaleOverflow, match="bottom"):
+            d1.step_levels(np.vstack([tiny, [[0.0], [0.75]]]))
+
+    def test_scale_overflow_at_the_top(self, d1):
+        huge = np.array([[0.75], [2.0 ** (d1.level_cap + 2)]])
+        with pytest.raises(ScaleOverflow, match="every k"):
+            d1.step_levels(huge)
+        with pytest.raises(ScaleOverflow, match="every k"):
+            _linear_step_levels(d1, huge)
 
     def test_quasi_triangle_stable(self, d2):
         h1 = d2.estimate_quasi_triangle(pairs=4000, seed=99)
         h2 = d2.estimate_quasi_triangle(pairs=8000, seed=99)
         assert np.isfinite(h1) and np.isfinite(h2)
         assert h2 <= 2.0 * h1 + 1.0
+
+
+def _linear_step_levels(d, points):
+    """step_levels by a scan of every level upward from the bottom of the cap."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    zero = np.all(pts == 0.0, axis=1)
+    levels = np.zeros(pts.shape[0], dtype=int)
+    undecided = ~zero
+    origin = np.zeros(d.n)
+    cap = d.level_cap
+    if undecided.any() and d.ball_contains_many(d.ball(origin, -cap), pts[undecided]).any():
+        raise ScaleOverflow("point inside B_k at the bottom of the level cap")
+    for m in range(-cap + 1, cap + 1):
+        idx = np.nonzero(undecided)[0]
+        if not idx.size:
+            break
+        hit = idx[d.ball_contains_many(d.ball(origin, m), pts[idx])]
+        levels[hit] = m - 1
+        undecided[hit] = False
+    if undecided.any():
+        raise ScaleOverflow("point outside B_k for every k within the level cap")
+    return levels, zero
+
+
+_LEVEL_MATRICES = {
+    "[2]": [[2.0]],
+    "diag(2,3)": [[2.0, 0.0], [0.0, 3.0]],
+    "shear": [[2.0, 1.0], [0.0, 2.0]],
+    "jordan3": [[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]],
+}
+
+
+def _check_levels(d, pts):
+    levels, zero = d.step_levels(pts)
+    ref_levels, ref_zero = _linear_step_levels(d, pts)
+    assert np.array_equal(zero, ref_zero)
+    assert np.array_equal(levels[~zero], ref_levels[~zero])
+    ref_rho = np.array([0.0 if z else d.bpow(int(k)) for k, z in zip(ref_levels, ref_zero)])
+    assert np.array_equal(d.step_quasi_norm_many(pts), ref_rho)
+
+
+class TestBisectedLevels:
+    """step_levels bisects to the first level that holds a point, then scans;
+    every level equals the full scan's."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(sorted(_LEVEL_MATRICES)),
+        data=st.data(),
+    )
+    def test_equals_linear_scan(self, name, data):
+        d = new_dilation(_LEVEL_MATRICES[name])
+        count = data.draw(st.integers(1, 40), label="points")
+        exps = data.draw(st.lists(st.floats(-6.0, 3.0), min_size=count, max_size=count), label="log10 radius")
+        dirs = data.draw(
+            st.lists(st.lists(st.floats(-1.0, 1.0), min_size=d.n, max_size=d.n), min_size=count, max_size=count),
+            label="directions",
+        )
+        pts = []
+        for e, v in zip(exps, dirs):
+            v = np.asarray(v)
+            norm = np.linalg.norm(v)
+            pts.append(v / norm * 10.0**e if norm > 1e-3 else np.zeros(d.n))
+        if data.draw(st.booleans(), label="with origin"):
+            pts.append(np.zeros(d.n))
+        _check_levels(d, np.array(pts))
+
+    @pytest.mark.parametrize("name", sorted(_LEVEL_MATRICES))
+    def test_spread_and_single_points(self, name):
+        d = new_dilation(_LEVEL_MATRICES[name])
+        rng = np.random.default_rng(17)
+        dirs = rng.normal(size=(400, d.n))
+        radii = 10.0 ** rng.uniform(-6.0, 3.0, size=400)
+        pts = dirs / np.linalg.norm(dirs, axis=1)[:, None] * radii[:, None]
+        _check_levels(d, np.vstack([pts, np.zeros((1, d.n))]))
+        for x in pts[:40]:
+            _check_levels(d, x[None])
+        _check_levels(d, np.zeros((3, d.n)))
+
+    def test_dyadic_boundaries(self, d1):
+        # Lattice points of a dyadic grid on A=[2] lie exactly on the
+        # boundaries of B_k = (-2^(k-1), 2^(k-1)).
+        g = uniform_grid([-8.0], [8.0], 4096)
+        pts = g.points()
+        on_boundary = np.array([[s * 2.0 ** (k - 1)] for k in range(-12, 10) for s in (-1.0, 1.0)])
+        _check_levels(d1, np.vstack([pts, on_boundary, [[0.0]]]))
+        _check_levels(d1, pts - pts[1500])  # the origin among them
+
+    def test_run_2d_grid_pass_count(self, d2, monkeypatch):
+        # The 48 x 48 grid on [-5, 5]^2 under diag(2,3) lives on levels
+        # -2..3: one bottom check, seven bisection steps at most over the 80
+        # levels of the cap, then six scan passes; the full scan makes 45.
+        g = uniform_grid([-5.0, -5.0], [5.0, 5.0], 48)
+        calls = []
+        contains = type(d2).ball_contains_many
+        monkeypatch.setattr(type(d2), "ball_contains_many", lambda self, *a: calls.append(1) or contains(self, *a))
+        levels, _ = d2.step_levels(g.points())
+        assert (levels.min(), levels.max()) == (-2, 3)
+        assert len(calls) == 13
+        calls.clear()
+        _linear_step_levels(d2, g.points())
+        assert len(calls) == 45
 
 
 def _closed_inside(d, inner, outer):
