@@ -34,8 +34,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ZeroDenominator
-from .exponents import cache_indicator_norms, indicator_norm, luxemburg_norm
+from .errors import InsufficientSamples, ZeroDenominator
+from .exponents import cache_indicator_norms, indicator_norm, luxemburg_norm, support_groups
 from .grid import GridFunction, ball_support
 from .polyproj import _project, lq_norm, minimizing_polynomial, multi_indices, project_stack, refine_lq
 from .search import BallConfiguration, candidate_stream, default_scale_window, supremum_search
@@ -113,14 +113,22 @@ def aggregate_norm(config, p, eta, d):
 
 
 def per_ball_cache(term, cache=None):
-    """Memoize a per-ball term by ball key, in cache if one is given."""
+    """Memoize a per-ball term by ball key, in cache if one is given; a ball
+    with too few lattice points is remembered too, and raises
+    InsufficientSamples again on every hit."""
     cache = {} if cache is None else cache
 
     def cached(ball):
         key = ball.key()
         if key not in cache:
-            cache[key] = term(ball)
-        return cache[key]
+            try:
+                cache[key] = term(ball)
+            except InsufficientSamples as exc:
+                cache[key] = exc
+        value = cache[key]
+        if isinstance(value, InsufficientSamples):
+            raise value.with_traceback(None)
+        return value
 
     return cached
 
@@ -293,14 +301,9 @@ def _score_sweep(f, prm, d, balls):
     norm, and one with fewer lattice points than coefficients no term, so
     the search still raises on them and skips them.
     """
-    groups = {}
-    for ball in balls:
-        idx = ball_support(f.grid, d, ball)
-        if idx.size:
-            groups.setdefault((ball.scale, idx.size), []).append((ball, idx))
     coefficients = len(multi_indices(f.grid.n, prm.s))
     terms = {}
-    for (scale, size), members in groups.items():
+    for (scale, size), members in support_groups(f.grid, d, balls).items():
         chunk = max(_STACK_ENTRIES // (size * coefficients), 1)
         for start in range(0, len(members), chunk):
             group, supports = zip(*members[start : start + chunk])

@@ -17,6 +17,16 @@ FFT frequencies (A^T)^l xi of every scale of the duality check, is one
 polynomial in z_i = exp(-2 pi i h_i xi_i) on the kernel's lattice, summed
 by nested Horner (_fourier_at): n + 1 exponentials per frequency, none per
 kernel point.
+
+carleson_functional scores every ball of the search's fixed candidate
+stream before the search starts, as campanato_type_norm does: indicator
+norms in stacks of equal scale and support size
+(exponents.fill_indicator_norms) and tent masses a scale at a time
+(tent_masses), each value bit for bit the one-ball call's.  tent_masses
+reads every interior lattice-centred ball of one scale through one set of
+footprint offsets and stamp rows (tent module), gathers exactly its tent's
+nodes and sums each row; the duality check's Cauchy-Schwarz loop reads its
+atoms' tent masses from it.
 """
 
 from dataclasses import dataclass
@@ -25,10 +35,13 @@ import numpy as np
 
 from .campanato import prefix_quotients, search_objective
 from .errors import FourierBoundFailure
-from .exponents import indicator_norm
+from .exponents import fill_indicator_norms, indicator_norm
 from .grid import (
     _box_corners,
+    _c_strides,
     _cancel_discrete_moments,
+    _lattice_index,
+    ball_footprint,
     ball_support,
     boundary_margin,
     bump_kernel,
@@ -38,10 +51,18 @@ from .grid import (
 )
 from .polyproj import moments as poly_moments
 from .search import candidate_stream, default_scale_window, supremum_search
-from .tent import ScaleFunction, area_l2_weights, tent_atomic_decomposition, tent_members
+from .tent import (
+    ScaleFunction,
+    _lattice_offsets,
+    _stamp_lookup,
+    area_l2_weights,
+    tent_atomic_decomposition,
+    tent_members,
+)
 
 __all__ = [
     "tent_mass",
+    "tent_masses",
     "carleson_functional",
     "carleson_prefix_check",
     "build_analyzing_function",
@@ -52,18 +73,82 @@ __all__ = [
 
 
 def tent_mass(mu, d, ball):
-    """integral of mu over the tent of the ball (counting x Lebesgue)."""
+    """integral of mu over the tent of the ball (counting x Lebesgue): per
+    scale, the nonzero nodes over the ball's lattice support that lie in its
+    tent, summed in C order."""
     grid = mu.grid
-    total = 0.0
     idx = ball_support(grid, d, ball)
-    for ell in mu.scales():
-        layer = mu.layer(ell).ravel()
-        candidates = idx[layer[idx] != 0.0]
-        if len(candidates) == 0:
+    offsets = _lattice_offsets(grid, ball.center, idx)
+    if offsets is not None:  # every scale's membership in one stamp lookup
+        layers = np.arange(mu.values.shape[0])[:, None]
+        inside = _stamp_lookup(d, grid, ball.scale, (mu.l_min, mu.l_max), layers, offsets)
+    total = 0.0
+    for row, ell in enumerate(mu.scales()):
+        values = mu.layer(ell).ravel()[idx]
+        nonzero = values != 0.0
+        if not nonzero.any():
             continue
-        inside = tent_members(d, grid, ball, ell, candidates)
-        total += float(layer[candidates[inside]].sum())
+        if offsets is None:
+            keep = np.flatnonzero(nonzero)
+            keep = keep[tent_members(d, grid, ball, ell, idx[keep])]
+        else:
+            keep = nonzero & inside[row]
+        total += float(values[keep].sum())
     return total * grid.cell_volume
+
+
+# The most entries tent_masses gathers in one stack; a larger group of
+# balls is gathered in chunks.
+_STACK_ENTRIES = 1 << 12
+
+
+def tent_masses(mu, d, balls):
+    """[tent_mass(mu, d, ball) for ball in balls], bit for bit, a scale at a time.
+
+    Lattice-centred balls of one scale whose footprint the box does not clip
+    share their tent's footprint offsets, so each scale's tent members are
+    one gather of exactly those nodes per chunk of balls, then one row sum:
+    a row of a C-contiguous stack sums as the same nodes do alone, and a
+    row of zeros adds nothing, as in tent_mass.  A ball with some exact
+    zeros among a scale's tent nodes (tent_mass leaves them out of its sum),
+    an edge-clipped ball and an off-lattice ball take tent_mass itself.
+    """
+    grid = mu.grid
+    layer_values = mu.values.reshape(mu.values.shape[0], -1)
+    masses = {}
+    interior = {}
+    for ball in {ball.key(): ball for ball in balls}.values():
+        centre = _lattice_index(grid, ball.center)
+        footprint = ball_footprint(d, grid, ball.scale)
+        if centre is not None and ball_support(grid, d, ball).size == np.count_nonzero(footprint):
+            interior.setdefault(ball.scale, []).append((ball, np.ravel_multi_index(centre, grid.resolution)))
+        else:
+            masses[ball.key()] = tent_mass(mu, d, ball)
+    for scale, members in interior.items():
+        footprint = ball_footprint(d, grid, scale)
+        cells = np.flatnonzero(footprint)
+        offsets = np.column_stack(np.unravel_index(cells, footprint.shape)) - np.array(footprint.shape) // 2
+        layers = np.arange(layer_values.shape[0])[:, None]
+        inside = _stamp_lookup(d, grid, scale, (mu.l_min, mu.l_max), layers, offsets)
+        # Each scale's tent members as flat grid offsets from the centre, in C order.
+        steps = offsets @ _c_strides(grid.resolution)
+        tents = [steps[row] for row in inside]
+        chunk = max(_STACK_ENTRIES // cells.size, 1)
+        for start in range(0, len(members), chunk):
+            group, centres = zip(*members[start : start + chunk])
+            centres = np.array(centres)[:, None]
+            totals = np.zeros(len(group))
+            exact = np.ones(len(group), dtype=bool)
+            for values, tent in zip(layer_values, tents):
+                if tent.size:
+                    stack = values[centres + tent]
+                    zeros = np.count_nonzero(stack == 0.0, axis=1)
+                    exact &= (zeros == 0) | (zeros == tent.size)
+                    totals += stack.sum(axis=1)
+            totals *= grid.cell_volume
+            for ball, ok, mass in zip(group, exact.tolist(), totals.tolist()):
+                masses[ball.key()] = mass if ok else tent_mass(mu, d, ball)
+    return [masses[ball.key()] for ball in balls]
 
 
 def _carleson_term(mu, p, d):
@@ -78,14 +163,27 @@ def _carleson_term(mu, p, d):
 
 def carleson_functional(mu, p, d, eta=None, budget=200, seed=0):
     """Certified lower bound of the Carleson configuration supremum for a
-    nonnegative density mu."""
+    nonnegative density mu.
+
+    Every ball of the search's fixed candidate stream is scored before the
+    search, its indicator norm and tent mass in stacks, each bit for bit
+    its own call's, so the search's candidate order and counters are those
+    of scoring one ball at a time."""
     if np.any(mu.values < 0.0):
         raise ValueError("carleson density must be nonnegative")
     if eta is None:
         eta = p.underline_p
     scale_window = default_scale_window(d, mu.grid, min_points=1)
-    config_value = search_objective(_carleson_term(mu, p, d), p, eta, d)
-    return supremum_search(config_value, candidate_stream(d, mu.grid, budget, seed, scale_window))
+    stream = candidate_stream(d, mu.grid, budget, seed, scale_window)
+    balls = {ball.key(): ball for config in stream if config is not None for ball in config.balls()}
+    fill_indicator_norms(d, balls.values(), p)
+    live = [ball for ball in balls.values() if ball_support(mu.grid, d, ball).size]
+    terms = {
+        ball.key(): np.sqrt(d.ball_volume(ball)) / indicator_norm(d, ball, p) * np.sqrt(mass)
+        for ball, mass in zip(live, tent_masses(mu, d, live))
+    }
+    config_value = search_objective(_carleson_term(mu, p, d), p, eta, d, terms)
+    return supremum_search(config_value, stream)
 
 
 def carleson_prefix_check(mu, entries, p, d, eta=None):
@@ -367,12 +465,12 @@ def carleson_duality_check(f_rep, b, phi, d, p, scale_window, moment_cancel=None
     size_max = 0.0
     abs_phi = np.abs(phi_side.values)
     area_weights = area_l2_weights(d, grid, scale_window)
-    for entry in atoms.entries:
+    masses = tent_masses(mu, d, [entry.ball for entry in atoms.entries])
+    for entry, mass in zip(atoms.entries, masses):
         lhs = float(
             np.sum(np.abs(entry.node_values) * abs_phi.ravel()[entry.node_indices]) * cv
         )
         a_l2 = float(np.sqrt(np.sum(np.abs(entry.node_values) ** 2) * cv))
-        mass = tent_mass(mu, d, entry.ball)
         rhs = a_l2 * np.sqrt(mass)
         cs_slack = min(cs_slack, entry.weight * (rhs - lhs))
         tent_bound_total += entry.weight * rhs

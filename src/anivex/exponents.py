@@ -10,7 +10,9 @@ The solver takes a stack of equal-length rows and solves each row as it
 would alone, bit for bit: luxemburg_norm and indicator_norm pass it one row,
 and the Campanato search the balls of its fixed candidate stream a scale
 at a time (cache_indicator_norms), so the search's candidate order and
-counters are unchanged.
+counters are unchanged.  fill_indicator_norms stacks the indicator norms
+of any list of balls the same way: the atom balls of a tent decomposition
+and the balls of the Carleson search's stream.
 Log-Holder checking is diagnostic only and never gates any other operation.
 """
 
@@ -174,6 +176,38 @@ def cache_indicator_norms(d, balls, supports, p):
     for ball, norm in zip(balls, norms):
         p._indicator_cache[_indicator_key(d, ball)] = norm
     return norms
+
+
+# The largest stack, in entries, that fill_indicator_norms solves at once;
+# a larger group of balls is solved in chunks.
+_STACK_ENTRIES = 1 << 12
+
+
+def support_groups(grid, d, balls):
+    """{(scale, support size): [(ball, lattice support), ...]} over the balls
+    whose lattice support is nonempty, in the balls' order."""
+    groups = {}
+    for ball in balls:
+        idx = ball_support(grid, d, ball)
+        if idx.size:
+            groups.setdefault((ball.scale, idx.size), []).append((ball, idx))
+    return groups
+
+
+def fill_indicator_norms(d, balls, p):
+    """Put indicator_norm of each ball with a nonempty lattice support into
+    its cache: balls not cached yet are solved by cache_indicator_norms a
+    group of equal scale and support size at a time, at most _STACK_ENTRIES
+    cells per stack.  A ball that misses the lattice gets no norm, so
+    indicator_norm still raises on it."""
+    cache = p._indicator_cache
+    todo = {_indicator_key(d, ball): ball for ball in balls}
+    todo = [ball for key, ball in todo.items() if key not in cache]
+    for (_, size), members in support_groups(p.grid, d, todo).items():
+        chunk = max(_STACK_ENTRIES // size, 1)
+        for start in range(0, len(members), chunk):
+            group, supports = zip(*members[start : start + chunk])
+            cache_indicator_norms(d, group, np.stack(supports), p)
 
 
 def _indicator_norms(p, supports):

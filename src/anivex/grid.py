@@ -215,12 +215,18 @@ def _lattice_index(grid, point):
     if len(point) != grid.n:
         return None
     idx = []
-    for x, lo, h, r in zip(point, grid.lower, grid.spacing, grid.resolution):
-        i = int(np.rint((x - lo) / h - 0.5))
+    # Python floats: the same IEEE arithmetic, and round() ties to even as np.rint does.
+    for x, lo, h, r in zip(np.asarray(point, dtype=float).tolist(), grid.lower, grid.spacing.tolist(), grid.resolution):
+        i = round((x - lo) / h - 0.5)
         if not (0 <= i < r and lo + (i + 0.5) * h == x):
             return None
         idx.append(i)
     return tuple(idx)
+
+
+def _c_strides(shape):
+    """Flat-index step of one unit along each axis of a C-order array."""
+    return np.array([prod(shape[i + 1 :]) for i in range(len(shape))])
 
 
 def _paste_centered(mask_shape, centered, idx):

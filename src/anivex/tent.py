@@ -4,13 +4,23 @@ tent atomic decomposition.
 
 A tent over a ball B collects the nodes (y, l) whose ball y + B_l sits
 inside B.  Tents of set masks are realized by erosion with the ball
-footprints of the grid module.  Tents of single balls have one membership
-primitive, tent_members: for a ball centred on a lattice point it pastes the
-cached offset stamp of the (l, scale) pair, computed once with the exact
-ellipsoid containment test (Dilation.closed_containment); for any other
-centre it runs that test on the queried nodes.  Tent masses, atom expansions
-and atom validation go through it.  The lattice cells of a ball, cover balls
-included, come from grid.ball_support.
+footprints of the grid module.  Tents of single balls are read from stamp
+rows: for each ball scale, the tent_offset_mask stamps of every scale of a
+window, each computed once with the exact ellipsoid containment test
+(Dilation.closed_containment), flattened into the rows of one cached array.
+For a ball centred on a lattice point, membership of any set of nodes, at
+any mix of scales, is one gather from those rows at the nodes' integer
+offsets from the centre, found once per ball; no query builds a grid-sized
+array.  For any other centre the exact test runs on the queried nodes, one
+call per scale.  tent_members is the one-scale form.  Atom expansions read
+one gather per grown scale, atom validation one per atom, and the Carleson
+module's tent masses one per ball, or one per scale and chunk of balls
+(carleson.tent_masses).  The lattice cells of a ball, cover balls included,
+come from grid.ball_support.
+
+The decomposition fills its atoms' weights and amplitudes once every atom
+ball is known, from indicator norms solved in stacks
+(exponents.fill_indicator_norms), each bit for bit the norm solved alone.
 
 Every footprint correlation (the area function and its Fubini weights,
 ball averages, erosions and dilations) is an exact grid.footprint_sum over
@@ -30,12 +40,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoverFailure
-from .exponents import indicator_norm
+from .exponents import fill_indicator_norms, indicator_norm
 from .grid import (
     GridFunction,
+    _c_strides,
     _lattice_index,
     _offset_lattice,
-    _paste_centered,
     ball_footprint,
     ball_support,
     dilation_cache,
@@ -101,30 +111,72 @@ def zero_scale_function(grid, window):
 
 
 def tent_offset_mask(d, grid, ell, ball_scale):
-    """Centered boolean array of offsets z with z*h + B_ell inside B_ball_scale."""
+    """Centered boolean array of offsets z with z*h + B_ell inside B_ball_scale,
+    on the offset lattice of the ball's bounding box, capped at the grid's
+    difference range; _stamp_rows caches it."""
+    offsets, shape = _offset_lattice(grid, d.ball_bounding_halfwidths(ball_scale))
+    if d.bpow(ell) > d.bpow(ball_scale) * (1.0 + 1e-12):
+        return np.zeros(shape, dtype=bool)
+    return d.closed_containment(ell, ball_scale, offsets).reshape(shape)
+
+
+def _stamp_rows(d, grid, ball_scale, window):
+    """(half, strides, rows): row i is the tent_offset_mask stamp of scale
+    window[0] + i in B_ball_scale, flattened in C order, so an offset z
+    within the half-widths sits in column z @ strides + (row length) // 2,
+    the centre's column.  Cached per window."""
     cache = dilation_cache(d)
-    key = ("tent", grid.key(), ell, ball_scale)
+    key = ("tent rows", grid.key(), ball_scale, window)
     if key not in cache:
-        offsets, shape = _offset_lattice(grid, d.ball_bounding_halfwidths(ball_scale))
-        if d.bpow(ell) > d.bpow(ball_scale) * (1.0 + 1e-12):
-            cache[key] = np.zeros(shape, dtype=bool)
-        else:
-            cache[key] = d.closed_containment(ell, ball_scale, offsets).reshape(shape)
+        stamps = [tent_offset_mask(d, grid, ell, ball_scale) for ell in range(window[0], window[1] + 1)]
+        shape = stamps[0].shape
+        cache[key] = (np.array(shape) // 2, _c_strides(shape), np.stack([s.ravel() for s in stamps]))
     return cache[key]
+
+
+def _lattice_offsets(grid, center, flat):
+    """Integer offsets of the flat lattice indices from a lattice centre, one
+    row each; None when the centre is off the lattice."""
+    idx = _lattice_index(grid, center)
+    if idx is None:
+        return None
+    return np.array(np.unravel_index(flat, grid.resolution)).T - idx
+
+
+def _stamp_lookup(d, grid, ball_scale, window, layers, offsets):
+    """Tent membership of the nodes at lattice offsets from a ball's centre,
+    read from the stamp rows of its scale in one gather: layers holds each
+    node's row (window[0] + row is its scale), or a column of rows to read
+    every node at each of them.  Offsets beyond the stamp are outside."""
+    half, strides, rows = _stamp_rows(d, grid, ball_scale, window)
+    within = (np.abs(offsets) <= half).all(axis=1)
+    return rows[layers, np.clip(offsets, -half, half) @ strides + rows.shape[1] // 2] & within
+
+
+def _in_tent(d, grid, ball, window, layers, flat, offsets):
+    """Booleans, one per node (flat[i], window[0] + layers[i]): y + B_ell
+    inside the closed ball.  offsets come from _lattice_offsets; an
+    off-lattice centre (None) runs the exact test, one call per scale."""
+    if offsets is not None:
+        return _stamp_lookup(d, grid, ball.scale, window, layers, offsets)
+    out = np.zeros(len(flat), dtype=bool)
+    points = grid.points()
+    for layer in np.unique(layers).tolist():
+        sel = layers == layer
+        out[sel] = d.closed_containment(window[0] + layer, ball.scale, points[flat[sel]] - ball.center)
+    return out
 
 
 def tent_members(d, grid, ball, ell, flat):
     """Booleans, one per flat lattice index y: y + B_ell inside the closed ball.
 
     Lattice-aligned centres (search sweeps, cover and atom balls) read the
-    cached tent_offset_mask stamp; other centres run the exact test.
+    stamp rows at the nodes' offsets from the centre; other centres run the
+    exact test.
     """
-    idx = _lattice_index(grid, ball.center)
-    if idx is None:
-        offsets = grid.points()[flat] - ball.center
-        return d.closed_containment(ell, ball.scale, offsets)
-    stamp = _paste_centered(grid.resolution, tent_offset_mask(d, grid, ell, ball.scale), idx)
-    return stamp.ravel()[flat]
+    flat = np.asarray(flat)
+    layers = np.zeros(len(flat), dtype=int)
+    return _in_tent(d, grid, ball, (ell, ell), layers, flat, _lattice_offsets(grid, ball.center, flat))
 
 
 def _binary_erode(mask, d, grid, scale):
@@ -260,13 +312,24 @@ class TentAtomSet:
         return mask.reshape(self.template.values.shape)
 
 
-def _minimal_tent_expansion(d, grid, ball, node_scales):
-    """Smallest e <= 10 such that every claimed node (y, l) satisfies
-    y + B_l inside the cover ball grown to scale + e."""
+def _minimal_tent_expansion(d, grid, ball, window, layers, flat):
+    """Smallest e <= 10 such that every claimed node (flat[i], window[0] +
+    layers[i]) satisfies y + B_l inside the cover ball grown to scale + e.
+
+    The nodes' offsets from a lattice centre are found once; a grown scale
+    whose stamp they overrun fails at once, any other is one gather.
+    """
     cap = min(10, d.level_cap - ball.scale - 1)
+    offsets = _lattice_offsets(grid, ball.center, flat)
+    reach = None if offsets is None else np.abs(offsets).max(axis=0)
     for extra in range(0, cap + 1):
-        grown = d.ball(ball.center, ball.scale + extra)
-        if all(tent_members(d, grid, grown, ell, layer_flat).all() for ell, layer_flat in node_scales):
+        scale = ball.scale + extra
+        if offsets is None:
+            inside = _in_tent(d, grid, d.ball(ball.center, scale), window, layers, flat, None).all()
+        else:
+            half, strides, rows = _stamp_rows(d, grid, scale, window)
+            inside = (reach <= half).all() and rows[layers, offsets @ strides + rows.shape[1] // 2].all()
+        if inside:
             return extra
     return None
 
@@ -305,6 +368,7 @@ def tent_atomic_decomposition(G, p, d, level_floor=60, leakage_bound=0.01):
     flat_assigned = assigned.reshape(nscales, -1)
     flat_values = G.values.reshape(nscales, -1)
     ncells = flat_values.shape[1]
+    layer_window = (G.l_min, G.l_max)
 
     for j in range(j_hi, j_lo - 1, -1):
         if assigned[support].all():
@@ -335,41 +399,38 @@ def tent_atomic_decomposition(G, p, d, level_floor=60, leakage_bound=0.01):
             cells = ball_support(grid, d, cover.ball)
             piece = cells[~claimed_base[cells]]
             claimed_base[cells] = True
-            if not piece.size:
+            layers, cols = np.nonzero(remaining[:, piece])
+            if not layers.size:
                 continue
-            node_scales = []
-            for ell in G.scales():
-                layer = ell - G.l_min
-                layer_flat = piece[remaining[layer, piece]]
-                if layer_flat.size:
-                    node_scales.append((ell, layer_flat))
-                    remaining[layer, layer_flat] = False
-            if not node_scales:
-                continue
-            expansion = _minimal_tent_expansion(d, grid, cover.ball, node_scales)
+            flat = piece[cols]
+            remaining[layers, flat] = False
+            expansion = _minimal_tent_expansion(d, grid, cover.ball, layer_window, layers, flat)
             if expansion is None:
                 # Geometry refused a bounded expansion; give the nodes back
                 # and let them count as leakage.
-                for ell, layer_flat in node_scales:
-                    remaining[ell - G.l_min, layer_flat] = True
+                remaining[layers, flat] = True
                 continue
-            ball = d.ball(cover.ball.center, cover.ball.scale + expansion)
-            norm_1b = indicator_norm(d, ball, p)
-            layers = [(ell - G.l_min, layer_flat) for ell, layer_flat in node_scales]
-            for layer, layer_flat in layers:
-                flat_assigned[layer, layer_flat] = True
+            flat_assigned[layers, flat] = True
             entries.append(
                 TentAtomEntry(
-                    weight=float(2.0**j * norm_1b),
-                    ball=ball,
+                    weight=None,  # filled once every atom ball is known
+                    ball=d.ball(cover.ball.center, cover.ball.scale + expansion),
                     level=j,
                     cover_index=k_index,
-                    node_indices=np.concatenate([f + layer * ncells for layer, f in layers]),
-                    g_values=np.concatenate([flat_values[layer, f] for layer, f in layers]),
-                    amplitude=float(2.0**-j / norm_1b),
+                    node_indices=flat + layers * ncells,
+                    g_values=flat_values[layers, flat],
+                    amplitude=None,
                     template=template,
                 )
             )
+
+    # Every atom ball's indicator norm in stacks; each is the one
+    # indicator_norm solves alone.
+    fill_indicator_norms(d, [e.ball for e in entries], p)
+    for e in entries:
+        norm_1b = indicator_norm(d, e.ball, p)
+        e.weight = float(2.0**e.level * norm_1b)
+        e.amplitude = float(2.0**-e.level / norm_1b)
 
     leaked = float(np.sum(np.abs(G.values)[support & ~assigned]) * grid.cell_volume)
     ratio = leaked / total_mass if total_mass else 0.0
@@ -403,16 +464,13 @@ def tent_atom_validate(a, ball, p, d):
 
     The size bound ||A(a)||_{L^q} <= |B|^(1/q) / ||1_B|| is witnessed at
     q = 2 and q = 4; exact support with both ratios at most 1 + 1e-8 is
-    reported as infinity-atom status.  Support is checked node by node with
-    tent_members.
+    reported as infinity-atom status.  Support is checked in one stamp
+    lookup over every node of the atom.
     """
     grid = a.grid
-    support_exact = True
-    for ell in a.scales():
-        hit = np.nonzero(a.layer(ell).ravel() != 0.0)[0]
-        if len(hit) and not tent_members(d, grid, ball, ell, hit).all():
-            support_exact = False
-            break
+    layers, flat = np.nonzero(a.values.reshape(len(a.scales()), -1) != 0.0)
+    offsets = _lattice_offsets(grid, ball.center, flat)
+    support_exact = bool(_in_tent(d, grid, ball, (a.l_min, a.l_max), layers, flat, offsets).all())
 
     area = lusin_area(a, d).values
     ratios = {}

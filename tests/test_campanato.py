@@ -453,6 +453,21 @@ class TestStackedSearch:
         assert counts["luxemburg"] == counts["multi"] > 200
 
 
+def test_per_ball_cache_remembers_too_few_samples():
+    calls = []
+
+    def term(ball):
+        calls.append(ball)
+        raise InsufficientSamples("too few lattice points")
+
+    cached = per_ball_cache(term)
+    ball = new_dilation([[2.0]]).ball([0.0], 0)
+    for _ in range(3):
+        with pytest.raises(InsufficientSamples):
+            cached(ball)
+    assert len(calls) == 1
+
+
 class TestStackedSkips:
     def test_skipped_candidates_match(self, monkeypatch):
         # s = 2 on a 24 x 24 shear grid: clipped balls of the smallest scale
@@ -470,6 +485,38 @@ class TestStackedSkips:
         assert stacked.count("InsufficientSamples") > 0
         assert (res.evaluations, res.candidates_seen) == (ref.evaluations, ref.candidates_seen)
         assert res.evaluations == 700 - stacked.count("InsufficientSamples")
+
+    def test_too_small_balls_project_once(self, monkeypatch):
+        # A ball with fewer lattice points than coefficients raises
+        # InsufficientSamples once, and the search's cache raises it again on
+        # every later candidate that holds the ball: on 16 x 16 the random
+        # stage draws the two such sweep balls again and again.
+        f, prm, d = _crossing_case("shear", (16, 16))
+        prm = CampanatoParams(p=prm.p, q=prm.q, s=2)
+        projected, searching = [], []
+        project, search = campanato._project, campanato.supremum_search
+
+        def counted(f, d, ball, s):
+            if searching:
+                projected.append(ball)
+            return project(f, d, ball, s)
+
+        def searched(*args):
+            searching.append(True)
+            try:
+                return search(*args)
+            finally:
+                searching.clear()
+
+        monkeypatch.setattr(campanato, "_project", counted)
+        monkeypatch.setattr(campanato, "supremum_search", searched)
+        res = campanato_type_norm(f, _params(prm, _fresh(prm.p)), d, budget=2000, seed=1)
+        coefficients = len(multi_indices(2, 2))
+        assert len(projected) == len({ball.key() for ball in projected}) == 2
+        assert all(ball_support(f.grid, d, ball).size < coefficients for ball in projected)
+        monkeypatch.undo()
+        ref = _reference_search(f, prm, d, 2000, 1)
+        assert (res.value, res.evaluations, res.candidates_seen) == (ref.value, ref.evaluations, ref.candidates_seen)
 
     def test_ball_off_the_lattice_gets_nothing(self):
         f, prm, d = _crossing_case("diag(2,3)")

@@ -4,8 +4,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from anivex import carleson as carleson_module
+from anivex import exponents as exponents_module
+from anivex.campanato import search_objective
 from anivex.carleson import (
+    _carleson_term,
     _fft_frequencies,
     _fourier_at,
     band_limited_pair,
@@ -15,14 +21,24 @@ from anivex.carleson import (
     carleson_prefix_check,
     carleson_duality_check,
     tent_mass,
+    tent_masses,
 )
 from anivex.dilation import new_dilation
-from anivex.exponents import constant_exponent
-from anivex.grid import GridFunction, integrate, sample, uniform_grid
+from anivex.exponents import Exponent, constant_exponent, exponent_from_callable
+from anivex.grid import (
+    GridFunction,
+    _lattice_index,
+    _paste_centered,
+    ball_footprint,
+    ball_support,
+    integrate,
+    sample,
+    uniform_grid,
+)
 from anivex.hardy import FiniteAtomicRep, make_atom
-from anivex.search import BallConfiguration
+from anivex.search import BallConfiguration, candidate_stream, default_scale_window, supremum_search
 from anivex.suites import DENSITY_BUDGET, density_homogeneity
-from anivex.tent import zero_scale_function
+from anivex.tent import tent_offset_mask, zero_scale_function
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +103,85 @@ class TestTentMass:
         assert tent_mass(mu, d1, ball) <= tent_mass(bigger, d1, ball)
 
 
+def _pasted_tent_mass(mu, d, ball):
+    """tent_mass with each scale's membership pasted from a full-grid copy
+    of the stamp, or run by the exact test off the lattice: the reference."""
+    grid = mu.grid
+    idx = ball_support(grid, d, ball)
+    centre = _lattice_index(grid, ball.center)
+    total = 0.0
+    for ell in mu.scales():
+        layer = mu.layer(ell).ravel()
+        candidates = idx[layer[idx] != 0.0]
+        if len(candidates) == 0:
+            continue
+        if centre is None:
+            inside = d.closed_containment(ell, ball.scale, grid.points()[candidates] - ball.center)
+        else:
+            stamp = _paste_centered(grid.resolution, tent_offset_mask(d, grid, ell, ball.scale), centre)
+            inside = stamp.ravel()[candidates]
+        total += float(layer[candidates[inside]].sum())
+    return total * grid.cell_volume
+
+
+# (dilation, grid, density window) for the stacked tent masses.
+_MASS_CASES = {
+    "A=[2]": (new_dilation([[2.0]]), uniform_grid([-8.0], [8.0], 512), (-5, 1)),
+    "shear": (new_dilation([[2.0, 1.0], [0.0, 2.0]]), uniform_grid([-4.0, -4.0], [4.0, 4.0], 24), (-3, 1)),
+}
+
+
+def _holed_density(grid, window, seed):
+    """Positive values with exact zeros: scattered holes, one empty scale."""
+    rng = np.random.default_rng(seed)
+    mu = zero_scale_function(grid, window)
+    mu.values[:] = rng.uniform(0.1, 1.0, size=mu.values.shape)
+    mu.values[rng.random(mu.values.shape) < 0.02] = 0.0
+    mu.values[1] = 0.0
+    return mu
+
+
+class TestTentMasses:
+    @given(case=st.sampled_from(sorted(_MASS_CASES)), data=st.data())
+    def test_equals_tent_mass_bitwise(self, case, data):
+        d, g, window = _MASS_CASES[case]
+        mu = _holed_density(g, window, data.draw(st.integers(0, 3)))
+        k_lo, k_hi = default_scale_window(d, g, min_points=1)
+        cells = st.tuples(*(st.one_of(st.sampled_from([0, 1, r - 1]), st.integers(0, r - 1)) for r in g.resolution))
+        balls = []
+        for idx, scale in data.draw(st.lists(st.tuples(cells, st.integers(k_lo, k_hi)), max_size=30)):
+            balls.append(d.ball([ax[i] for ax, i in zip(g.axes(), idx)], scale))
+        if data.draw(st.booleans()):  # an off-lattice centre
+            balls.append(d.ball([0.3 * h for h in g.spacing], data.draw(st.integers(k_lo, k_hi))))
+        balls += balls[: data.draw(st.integers(0, 3))]  # repeats
+        want = [tent_mass(mu, d, ball) for ball in balls]
+        with pytest.MonkeyPatch.context() as mp:
+            # Small stacks, so groups split into several chunks.
+            mp.setattr(carleson_module, "_STACK_ENTRIES", data.draw(st.sampled_from([64, 1 << 12])))
+            assert tent_masses(mu, d, balls) == want
+        assert want == [_pasted_tent_mass(mu, d, ball) for ball in balls]
+
+    @pytest.mark.parametrize("case", sorted(_MASS_CASES))
+    def test_whole_sweep_mostly_stacked(self, case, monkeypatch):
+        d, g, window = _MASS_CASES[case]
+        mu = _holed_density(g, window, 5)
+        mu.values[mu.values == 0.0] = 0.5  # no holes: only clipped balls fall back
+        mu.values[1] = 0.0  # an empty scale stacks too
+        stream = candidate_stream(d, g, 400, 1, default_scale_window(d, g, min_points=1))
+        balls = [ball for config in stream if config is not None for ball in config.balls()]
+        alone = []
+        real = carleson_module.tent_mass
+        monkeypatch.setattr(carleson_module, "tent_mass", lambda mu, d, ball: alone.append(ball) or real(mu, d, ball))
+        got = tent_masses(mu, d, balls)
+        assert len(alone) < len({ball.key() for ball in balls}) // 2
+        assert all(ball_support(g, d, ball).size < np.count_nonzero(ball_footprint(d, g, ball.scale)) for ball in alone)
+        monkeypatch.undo()
+        assert got == [tent_mass(mu, d, ball) for ball in balls]
+
+    def test_empty_list(self, d1, g1):
+        assert tent_masses(zero_scale_function(g1, (-2, 0)), d1, []) == []
+
+
 class TestCarlesonFunctional:
     def test_zero(self, d1, g1, p1):
         mu = zero_scale_function(g1, (-4, 1))
@@ -121,6 +216,27 @@ class TestCarlesonFunctional:
         lo = carleson_functional(mu, p, d1, eta=1.0, budget=50, seed=2)
         hi = carleson_functional(bigger, p, d1, eta=1.0, budget=50, seed=2)
         assert lo.value <= hi.value + 1e-12
+
+    @pytest.mark.parametrize("case", sorted(_MASS_CASES))
+    @pytest.mark.parametrize("past", [-1, 1, 9])
+    def test_stacked_scores_match_one_ball_at_a_time(self, case, past, monkeypatch):
+        # Budget half the sweep (past = -1), one past it, and nine past it.
+        monkeypatch.setattr(exponents_module, "_STACK_ENTRIES", 256)
+        d, g, window = _MASS_CASES[case]
+        mu = _holed_density(g, window, 7)
+        p = exponent_from_callable(g, lambda x, *y: 0.7 + 0.25 * np.sin(x) ** 2)
+        scales = default_scale_window(d, g, min_points=1)
+        sweep = (scales[1] - scales[0] + 1) * 16**g.n
+        budget = sweep // 2 if past < 0 else sweep + past
+        got = carleson_functional(mu, p, d, eta=1.0, budget=budget, seed=3)
+        fresh = Exponent(p.values, p.p_infinity)
+        ref = supremum_search(
+            search_objective(_carleson_term(mu, fresh, d), fresh, 1.0, d),
+            candidate_stream(d, g, budget, 3, scales),
+        )
+        assert got.value > 0.0
+        assert (got.value, got.evaluations, got.candidates_seen) == (ref.value, ref.evaluations, ref.candidates_seen)
+        assert [(b.key(), w) for b, w in got.config.entries] == [(b.key(), w) for b, w in ref.config.entries]
 
     def test_prefix_agreement(self, d1, p1, g1):
         mu = zero_scale_function(g1, (-4, 0))

@@ -6,21 +6,27 @@ from scipy.signal import fftconvolve
 
 from conftest import shifted_footprint_sum
 
+from anivex import exponents as exponents_module
 from anivex import tent as tent_module
 from anivex.campanato import aggregate_norm
 from anivex.dilation import new_dilation
 from anivex.errors import CoverFailure
-from anivex.exponents import constant_exponent, luxemburg_norm
-from anivex.grid import GridFunction, ball_footprint, ball_lattice_mask, uniform_grid
+from anivex.exponents import Exponent, constant_exponent, exponent_from_callable, indicator_norm, luxemburg_norm
+from anivex.grid import GridFunction, _lattice_index, _paste_centered, ball_footprint, ball_lattice_mask, uniform_grid
 from anivex.search import BallConfiguration
 from anivex.tent import (
     ScaleFunction,
+    _in_tent,
+    _lattice_offsets,
+    _minimal_tent_expansion,
+    _stamp_lookup,
     area_l2_weights,
     lusin_area,
     maximal_dilate,
     tent_atom_validate,
     tent_atomic_decomposition,
     tent_members,
+    tent_offset_mask,
     whitney_cover,
     zero_scale_function,
 )
@@ -333,6 +339,91 @@ class TestTentMembers:
         assert np.array_equal(got, want)
 
 
+def _pasted_tent_members(d, grid, ball, ell, flat):
+    """The pasted form of tent_members, the reference for the stamp rows: a
+    full-grid copy of the stamp placed at the lattice centre, read at the
+    flat indices."""
+    centre = _lattice_index(grid, ball.center)
+    stamp = _paste_centered(grid.resolution, tent_offset_mask(d, grid, ell, ball.scale), centre)
+    return stamp.ravel()[np.asarray(flat, dtype=int)]
+
+
+# Ball scales up to 6 give stamps wider than each grid: the offset lattice
+# is capped at the grid's difference range.
+_ROW_CASES = {
+    "A=[2]": (new_dilation([[2.0]]), uniform_grid([-4.0], [4.0], 64)),
+    "diag(2,3)": (new_dilation([[2.0, 0.0], [0.0, 3.0]]), uniform_grid([-2.0, -2.0], [2.0, 2.0], (12, 10))),
+    "shear": (new_dilation([[2.0, 1.0], [0.0, 2.0]]), uniform_grid([-2.0, -2.0], [2.0, 2.0], 16)),
+}
+
+
+def _edge_biased_centre(data, grid):
+    """A lattice point, often on or next to the box edge, so balls clip."""
+    idx = [data.draw(st.one_of(st.sampled_from([0, 1, r - 2, r - 1]), st.integers(0, r - 1))) for r in grid.resolution]
+    return np.array([ax[i] for ax, i in zip(grid.axes(), idx)])
+
+
+class TestStampRows:
+    @given(
+        case=st.sampled_from(sorted(_ROW_CASES)),
+        data=st.data(),
+        ball_scale=st.integers(-2, 6),
+        window_lo=st.integers(-4, 3),
+        width=st.integers(0, 3),
+    )
+    def test_lookup_matches_pasted_stamps(self, case, data, ball_scale, window_lo, width):
+        d, grid = _ROW_CASES[case]
+        ball = d.ball(_edge_biased_centre(data, grid), ball_scale)
+        window = (window_lo, window_lo + width)
+        size = int(np.prod(grid.resolution))
+        # Nodes in any order, repeats allowed, each at its own scale.
+        flat = np.array(data.draw(st.lists(st.integers(0, size - 1), max_size=40)), dtype=int)
+        layers = np.array(data.draw(st.lists(st.integers(0, width), min_size=len(flat), max_size=len(flat))), dtype=int)
+        got = _in_tent(d, grid, ball, window, layers, flat, _lattice_offsets(grid, ball.center, flat))
+        want = [bool(_pasted_tent_members(d, grid, ball, window[0] + l, [f])[0]) for f, l in zip(flat, layers)]
+        assert got.tolist() == want
+        every = np.arange(size)
+        for ell in range(window[0], window[1] + 1):
+            want = _pasted_tent_members(d, grid, ball, ell, every)
+            assert np.array_equal(tent_members(d, grid, ball, ell, every), want)
+
+    @pytest.mark.parametrize("case", sorted(_ROW_CASES))
+    def test_stamp_wider_than_the_grid(self, case):
+        d, grid = _ROW_CASES[case]
+        capped = tuple(2 * r - 1 for r in grid.resolution)
+        assert tent_offset_mask(d, grid, 0, 6).shape == capped
+        every = np.arange(int(np.prod(grid.resolution)))
+        for corner in ([0] * grid.n, [r - 1 for r in grid.resolution]):
+            ball = d.ball([ax[i] for ax, i in zip(grid.axes(), corner)], 6)
+            for ell in (-2, 0, 3, 6):
+                want = _pasted_tent_members(d, grid, ball, ell, every)
+                assert np.array_equal(tent_members(d, grid, ball, ell, every), want)
+
+    def test_offsets_beyond_the_stamp_are_outside(self):
+        # B_0 fits at every offset of the capped B_6 stamp, up to its edge
+        # at 63 cells, and nowhere beyond it.
+        d, grid = _ROW_CASES["A=[2]"]
+        offsets = np.array([[63], [-63], [64], [-64], [500]])
+        got = _stamp_lookup(d, grid, 6, (0, 0), np.zeros(len(offsets), dtype=int), offsets)
+        assert got.tolist() == [True, True, False, False, False]
+
+    @given(case=st.sampled_from(sorted(_ROW_CASES)), data=st.data(), ball_scale=st.integers(-3, 2))
+    def test_minimal_expansion_matches_pasted_stamps(self, case, data, ball_scale):
+        d, grid = _ROW_CASES[case]
+        ball = d.ball(_edge_biased_centre(data, grid), ball_scale)
+        window = (-3, 0)
+        size = int(np.prod(grid.resolution))
+        flat = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=12)), dtype=int)
+        layers = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(flat), max_size=len(flat))), dtype=int)
+        want = None
+        for extra in range(min(10, d.level_cap - ball_scale - 1) + 1):
+            grown = d.ball(ball.center, ball_scale + extra)
+            if all(_pasted_tent_members(d, grid, grown, window[0] + l, [f])[0] for f, l in zip(flat, layers)):
+                want = extra
+                break
+        assert _minimal_tent_expansion(d, grid, ball, window, layers, flat) == want
+
+
 class TestMaximalDilate:
     def test_contains_original(self, d1, g1):
         x = g1.axes()[0]
@@ -480,6 +571,24 @@ class TestDecomposition:
         want = [m for m in want if m.any()]
         assert len(masks) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(masks, want))
+
+    @pytest.mark.parametrize("case", ("1d", "shear"))
+    def test_weights_from_stacked_norms(self, d1, case, monkeypatch):
+        # Small stacks, so the atom balls' norms are solved in several chunks.
+        monkeypatch.setattr(exponents_module, "_STACK_ENTRIES", 64)
+        if case == "1d":
+            d, g = d1, uniform_grid([-8.0], [8.0], 1024)
+            G = blob_scale_function(g, (-4, 0), [-1.0, 1.5], [0.5, 0.7], {-3: 1.0, -1: 0.5, 0: 0.3})
+        else:
+            d, g = new_dilation([[2.0, 1.0], [0.0, 2.0]]), uniform_grid([-4.0, -4.0], [4.0, 4.0], (32, 32))
+            G = _shear_blobs(g)
+        p = exponent_from_callable(g, lambda x, *y: 0.7 + 0.25 * np.sin(x) ** 2)
+        atoms = tent_atomic_decomposition(G, p, d, leakage_bound=np.inf)
+        assert len({e.ball.scale for e in atoms.entries}) > 1
+        for e in atoms.entries:
+            alone = indicator_norm(d, e.ball, Exponent(p.values, p.p_infinity))  # a fresh cache
+            assert e.weight == float(2.0**e.level * alone)
+            assert e.amplitude == float(2.0**-e.level / alone)
 
     def test_cover_failure_raised(self, d1, g1, p1):
         # A node at the box edge whose ball sticks outside can never be
