@@ -38,7 +38,8 @@ class InsufficientSamples(ToolkitError):
 
 
 class SingularGram(ToolkitError):
-    """The projection Gram matrix stayed singular after the ridge fallback."""
+    """The projection Gram matrix stayed singular after the ridge fallback,
+    or its solve met an exactly zero pivot."""
 
 
 class ZeroDenominator(ToolkitError):

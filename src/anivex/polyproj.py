@@ -103,7 +103,8 @@ def project_stack(f, d, scale, centers, supports, s):
     """Coefficient rows and residual rows |f - P| of the projections on the
     balls at one scale with the given centres, whose lattice supports are
     the equal-length rows of supports.  Each row is built, tested and solved
-    by itself inside the stack, so it is the row _project gives alone."""
+    by itself inside the stack, so it is the row _project gives alone.  A
+    Gram matrix the solve finds singular raises SingularGram for the stack."""
     _, design = _designs(f, d, scale, centers, supports, s)
     fvals = f.values.ravel()[supports]
     design_t = design.swapaxes(-1, -2)
@@ -113,7 +114,10 @@ def project_stack(f, d, scale, centers, supports, s):
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         gram = np.stack([_positive_definite(g) for g in gram])
-    coef = np.linalg.solve(gram, rhs)
+    try:
+        coef = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:  # a Cholesky factor exists, an exact LU pivot is 0
+        raise SingularGram("Gram matrix singular in the solve") from None
     return coef[..., 0], np.abs(fvals - (design @ coef)[..., 0])
 
 

@@ -343,6 +343,14 @@ def tent_atomic_decomposition(G, p, d, level_floor=60, leakage_bound=0.01):
     weighted sum rebuilds G exactly on covered nodes and the weighted
     absolute sum rebuilds |G|.  Mass on uncovered nodes is returned as the
     leakage ratio and must stay below leakage_bound.
+
+    Levels run from j_hi down and stop after the first level whose dilated
+    set is the whole box.  The stop is exact: level masks area > 2^j only
+    grow as j falls, and maximal_dilate is monotone in its mask (it compares
+    exact lattice counts), so every lower level dilates to the whole box
+    too.  Their tents are the same erosions of the same set, their
+    telescopes are empty, and they would neither claim a node nor record a
+    cover.
     """
     grid = G.grid
     window = default_scale_window(d, grid, min_points=1)
@@ -370,14 +378,16 @@ def tent_atomic_decomposition(G, p, d, level_floor=60, leakage_bound=0.01):
     ncells = flat_values.shape[1]
     layer_window = (G.l_min, G.l_max)
 
+    saturated = False
     for j in range(j_hi, j_lo - 1, -1):
-        if assigned[support].all():
+        if saturated or assigned[support].all():
             break  # no telescope can claim a node any more
         level_mask = area > 2.0**j
         if not level_mask.any():
             prev_tent = np.zeros_like(prev_tent)
             continue
         dilated = maximal_dilate(level_mask, d, grid, window, gamma=0.5)
+        saturated = bool(dilated.all())
         tent_j = np.stack([_binary_erode(dilated, d, grid, ell) for ell in G.scales()])
         telescope = tent_j & ~prev_tent
         prev_tent = tent_j

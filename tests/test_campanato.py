@@ -537,6 +537,12 @@ class TestStackedSkips:
         res = campanato_type_norm(f, _params(prm, _fresh(prm.p)), d, budget=200, seed=1)
         ref = _reference_search(f, prm, d, 200, 1)
         assert (res.value, _keys(res), res.evaluations) == (ref.value, _keys(ref), ref.evaluations)
+        # A 12-by-12 grid at s = 2: a scale-1 sweep ball holds six lattice
+        # points on two rows, and its exactly singular Gram matrix has a
+        # Cholesky factor; the solve finds it singular.
+        f12, prm12, d12 = _crossing_case("shear", (12, 12))
+        with pytest.raises(SingularGram):
+            campanato_type_norm(f12, CampanatoParams(p=_fresh(prm12.p), q=1.5, s=2), d12, budget=700, seed=1)
         monkeypatch.setattr(np, "trace", lambda a: 0.0)
         with pytest.raises(SingularGram):
             campanato_type_norm(f, _params(prm, _fresh(prm.p)), d, budget=200, seed=1)

@@ -154,6 +154,25 @@ class TestSingularGram:
         with pytest.raises(SingularGram):
             minimizing_polynomial(f, d2, ball, 1)
 
+    def test_zero_pivot_in_the_solve(self):
+        # Six lattice points on two rows, one per degree-2 coefficient: the
+        # quadratic (y - 3)(y - 11/3) vanishes on all of them, so the Gram
+        # matrix is singular, yet rounding lets its Cholesky factor exist.
+        d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
+        g = uniform_grid([-4.0, -4.0], [4.0, 4.0], (12, 12))
+        f = sample(g, lambda x, y: np.sin(1.1 * x + 0.3) * np.cos(0.9 * y) * np.exp(-(x**2 + y**2) / 10) + 0.2 * x * y)
+        center = g.points()[8 * 12 + 11]
+        assert np.allclose(center, [5.0 / 3.0, 11.0 / 3.0])
+        ball = d.ball(center, 1)
+        idx, _, design = _ball_design(f, d, ball, 2)
+        assert len(idx) == design.shape[1] == 6
+        assert np.allclose(np.unique(g.points()[idx][:, 1].round(9)), [3.0, 11.0 / 3.0])
+        np.linalg.cholesky(design.T @ design)
+        with pytest.raises(SingularGram):
+            _project(f, d, ball, 2)
+        with pytest.raises(SingularGram):
+            project_stack(f, d, 1, np.stack([ball.center] * 2), np.stack([idx] * 2), 2)
+
 
 def _eval_coeffs(poly, coeffs, pts):
     local = (pts - poly.center) @ poly.transform.T

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,16 +8,37 @@ from scipy.signal import fftconvolve
 
 from conftest import shifted_footprint_sum
 
+from anivex import carleson as carleson_module
 from anivex import exponents as exponents_module
 from anivex import tent as tent_module
 from anivex.campanato import aggregate_norm
+from anivex.carleson import band_limited_pair, build_analyzing_function, carleson_duality_check
 from anivex.dilation import new_dilation
 from anivex.errors import CoverFailure
-from anivex.exponents import Exponent, constant_exponent, exponent_from_callable, indicator_norm, luxemburg_norm
-from anivex.grid import GridFunction, _lattice_index, _paste_centered, ball_footprint, ball_lattice_mask, uniform_grid
-from anivex.search import BallConfiguration
+from anivex.exponents import (
+    Exponent,
+    constant_exponent,
+    exponent_from_callable,
+    fill_indicator_norms,
+    indicator_norm,
+    luxemburg_norm,
+)
+from anivex.grid import (
+    GridFunction,
+    _lattice_index,
+    _paste_centered,
+    ball_footprint,
+    ball_lattice_mask,
+    ball_support,
+    uniform_grid,
+)
+from anivex.hardy import FiniteAtomicRep, make_atom
+from anivex.search import BallConfiguration, default_scale_window
 from anivex.tent import (
     ScaleFunction,
+    TentAtomEntry,
+    TentAtomSet,
+    _binary_erode,
     _in_tent,
     _lattice_offsets,
     _minimal_tent_expansion,
@@ -126,6 +149,106 @@ def _shear_blobs(grid):
     return blob_scale_function(
         grid, (-3, 0), [[-1.5, -1.0], [1.2, 0.8]], [0.5, 0.5], {-3: 1.0, -2: 0.6, -1: 0.8, 0: 0.4}
     )
+
+
+class _Captured(Exception):
+    pass
+
+
+@lru_cache(maxsize=None)
+def _duality_psi_side(case):
+    """The psi side (the synthesis partner applied to f) that
+    carleson_duality_check hands to the decomposition, with its dilation and
+    exponent: the carleson-1d pair at 1024 cells, or the 2-D shear chain's
+    pair at 32 x 32."""
+    if case == "1d":
+        d, g = new_dilation([[2.0]]), uniform_grid([-8.0], [8.0], 1024)
+        window, atom_ball, span = (-4, 2), d.ball([0.0], 3), (0.6, 0.6)
+    else:
+        d, g = new_dilation([[2.0, 1.0], [0.0, 2.0]]), uniform_grid([-4.0, -4.0], [4.0, 4.0], (32, 32))
+        window, atom_ball, span = (-2, 1), d.ball([0.0, 0.0], 2), (0.3, 1.0)
+    p = constant_exponent(g, 1.0)
+    phi, _ = build_analyzing_function(d, 1, g)
+    f, b = band_limited_pair(g, seed=1, correlated=True, mode_span=span)
+    rep = FiniteAtomicRep([(1.0, make_atom(f, d, atom_ball, 2.0, p, 0))])
+
+    def capture(G, *args, **kwargs):
+        raise _Captured(G)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(carleson_module, "tent_atomic_decomposition", capture)
+        with pytest.raises(_Captured) as caught:
+            carleson_duality_check(rep, b, phi, d, p, window, moment_cancel=1)
+    return caught.value.args[0], d, p
+
+
+def _every_level_decomposition(G, p, d, level_floor, leakage_bound):
+    """tent_atomic_decomposition as it was before the stop at the first
+    level whose dilated set fills the box: every level down to j_lo runs
+    unless every node is claimed."""
+    grid = G.grid
+    window = default_scale_window(d, grid, min_points=1)
+    template = G.with_values(np.zeros_like(G.values, dtype=float))
+    total_mass = G.mass()
+    area = lusin_area(G, d).values
+    positive = area[area > 0.0]
+    j_lo = j_hi = 0
+    if positive.size:
+        j_hi = int(np.ceil(np.log2(float(positive.max()))))
+        j_lo = max(int(np.floor(np.log2(float(positive.min())))) - 1, j_hi - level_floor)
+    nscales = G.l_max - G.l_min + 1
+    assigned = np.zeros((nscales,) + tuple(grid.resolution), dtype=bool)
+    entries, cover_sizes, unguarded = [], {}, 0
+    prev_tent = np.zeros_like(assigned)
+    support = G.values != 0.0
+    flat_assigned = assigned.reshape(nscales, -1)
+    flat_values = G.values.reshape(nscales, -1)
+    ncells = flat_values.shape[1]
+    for j in range(j_hi, j_lo - 1, -1):
+        if assigned[support].all():
+            break
+        level_mask = area > 2.0**j
+        if not level_mask.any():
+            prev_tent = np.zeros_like(prev_tent)
+            continue
+        dilated = tent_module.maximal_dilate(level_mask, d, grid, window, gamma=0.5)
+        tent_j = np.stack([_binary_erode(dilated, d, grid, ell) for ell in G.scales()])
+        telescope = tent_j & ~prev_tent
+        prev_tent = tent_j
+        if not (telescope & support).any():
+            continue
+        balls = whitney_cover(dilated, d, grid, window)
+        cover_sizes[j] = len(balls)
+        unguarded += sum(1 for cb in balls if not cb.guarded)
+        remaining = (telescope & support & ~assigned).reshape(nscales, -1)
+        claimed_base = np.zeros(ncells, dtype=bool)
+        for k_index, cover in enumerate(balls):
+            if not remaining.any():
+                break
+            cells = ball_support(grid, d, cover.ball)
+            piece = cells[~claimed_base[cells]]
+            claimed_base[cells] = True
+            layers, cols = np.nonzero(remaining[:, piece])
+            if not layers.size:
+                continue
+            flat = piece[cols]
+            remaining[layers, flat] = False
+            expansion = _minimal_tent_expansion(d, grid, cover.ball, (G.l_min, G.l_max), layers, flat)
+            if expansion is None:
+                remaining[layers, flat] = True
+                continue
+            flat_assigned[layers, flat] = True
+            ball = d.ball(cover.ball.center, cover.ball.scale + expansion)
+            entries.append(TentAtomEntry(None, ball, j, k_index, flat + layers * ncells, flat_values[layers, flat], None, template))
+    fill_indicator_norms(d, [e.ball for e in entries], p)
+    for e in entries:
+        norm_1b = indicator_norm(d, e.ball, p)
+        e.weight = float(2.0**e.level * norm_1b)
+        e.amplitude = float(2.0**-e.level / norm_1b)
+    leaked = float(np.sum(np.abs(G.values)[support & ~assigned]) * grid.cell_volume)
+    ratio = leaked / total_mass if total_mass else 0.0
+    assert ratio <= leakage_bound
+    return TentAtomSet(entries, ratio, (j_lo, j_hi), cover_sizes, unguarded, template)
 
 
 def _fft_agreement_case(name):
@@ -549,9 +672,6 @@ class TestDecomposition:
         assert min(atoms.cover_sizes) >= atoms.levels[0]
 
     def test_no_level_is_dilated_once_every_node_is_claimed(self, monkeypatch):
-        d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
-        g = uniform_grid([-4.0, -4.0], [4.0, 4.0], (32, 32))
-        G = _shear_blobs(g)
         masks = []
         real = tent_module.maximal_dilate
 
@@ -560,17 +680,64 @@ class TestDecomposition:
             return real(mask, *args, **kwargs)
 
         monkeypatch.setattr(tent_module, "maximal_dilate", counting)
-        atoms = tent_atomic_decomposition(G, constant_exponent(g, 1.0), d)
-        assert np.array_equal(atoms.covered_mask(), G.values != 0.0)
-        last = min(e.level for e in atoms.entries)
-        assert atoms.levels[0] < last
-        # One dilation per nonempty level from the top down to the last
-        # atom's level, and none below it.
-        area = lusin_area(G, d).values
-        want = [area > 2.0**j for j in range(atoms.levels[1], last - 1, -1)]
-        want = [m for m in want if m.any()]
-        assert len(masks) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(masks, want))
+        d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
+        g = uniform_grid([-4.0, -4.0], [4.0, 4.0], (32, 32))
+        G = _shear_blobs(g)
+        # The blobs' dilated sets never fill the box, and every node is
+        # claimed above the lowest level; the 1-D psi side leaks, and its
+        # dilated set fills the box above the lowest level.
+        cases = [
+            (G, d, constant_exponent(g, 1.0), {}, True),
+            _duality_psi_side("1d") + ({"level_floor": 40, "leakage_bound": np.inf}, False),
+        ]
+        for G, d, p, kwargs, claims_all in cases:
+            masks.clear()
+            atoms = tent_atomic_decomposition(G, p, d, **kwargs)
+            assert np.array_equal(atoms.covered_mask(), G.values != 0.0) == claims_all
+            last = min(e.level for e in atoms.entries)
+            # One dilation per nonempty level from the top down to whichever
+            # comes first: the first level whose dilated set is the whole
+            # box, or the last atom's level once every node is claimed.
+            area = lusin_area(G, d).values
+            window = default_scale_window(d, G.grid, min_points=1)
+            want, filled = [], False
+            for j in range(atoms.levels[1], (last if claims_all else atoms.levels[0]) - 1, -1):
+                mask = area > 2.0**j
+                if mask.any():
+                    want.append(mask)
+                    filled = bool(real(mask, d, G.grid, window, gamma=0.5).all())
+                    if filled:
+                        break
+            assert filled != claims_all
+            assert atoms.levels[0] < (last if claims_all else j)
+            assert len(masks) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(masks, want))
+
+    @pytest.mark.parametrize("case", ("1d psi side", "shear psi side", "shear blobs"))
+    def test_same_atoms_as_every_level(self, case, monkeypatch):
+        if case == "shear blobs":
+            d, g = new_dilation([[2.0, 1.0], [0.0, 2.0]]), uniform_grid([-4.0, -4.0], [4.0, 4.0], (32, 32))
+            G, p, kwargs = _shear_blobs(g), constant_exponent(g, 1.0), {"level_floor": 60, "leakage_bound": 0.01}
+        else:
+            G, d, p = _duality_psi_side(case.split()[0])
+            kwargs = {"level_floor": 40, "leakage_bound": np.inf}
+        dilations = []
+        real = tent_module.maximal_dilate
+        monkeypatch.setattr(tent_module, "maximal_dilate", lambda *a, **k: dilations.append(1) or real(*a, **k))
+        got = tent_atomic_decomposition(G, Exponent(p.values, p.p_infinity), d, **kwargs)
+        stopped = len(dilations)
+        want = _every_level_decomposition(G, Exponent(p.values, p.p_infinity), d, **kwargs)
+        every = len(dilations) - stopped
+        # The psi sides stop levels early; the blobs never fill the box.
+        assert (stopped < every) == (case != "shear blobs")
+        assert len(got.entries) == len(want.entries) > 0
+        for a, b in zip(got.entries, want.entries):
+            assert np.array_equal(a.node_indices, b.node_indices)
+            assert np.array_equal(a.g_values, b.g_values)
+            assert (a.weight, a.amplitude, a.level, a.cover_index) == (b.weight, b.amplitude, b.level, b.cover_index)
+            assert a.ball.scale == b.ball.scale and np.array_equal(a.ball.center, b.ball.center)
+        assert (got.levels, got.cover_sizes, got.unguarded_balls) == (want.levels, want.cover_sizes, want.unguarded_balls)
+        assert got.leakage_ratio == want.leakage_ratio
 
     @pytest.mark.parametrize("case", ("1d", "shear"))
     def test_weights_from_stacked_norms(self, d1, case, monkeypatch):
