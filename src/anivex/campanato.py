@@ -22,9 +22,9 @@ lower bound of the true quotient.
 campanato_type_norm scores every ball of the search's fixed candidate
 stream (the sweep and the random configurations) before the search, a
 scale at a time: one stacked Luxemburg solve and one stacked projection per
-group of balls of equal scale and lattice support size fill the caches the
-search reads.  A stacked value is bit for bit the ball's own, so the
-search's candidate order, the values it compares and its counters are
+scale and chunk, on the rows of the scale's footprint layout, fill the
+caches the search reads.  A stacked value is bit for bit the ball's own, so
+the search's candidate order, the values it compares and its counters are
 unchanged.
 """
 
@@ -35,8 +35,8 @@ from functools import partial
 import numpy as np
 
 from .errors import InsufficientSamples, ZeroDenominator
-from .exponents import cache_indicator_norms, indicator_norm, luxemburg_norm, support_groups
-from .grid import GridFunction, ball_support
+from .exponents import indicator_norm, luxemburg_norm, stack_indicator_norms
+from .grid import GridFunction, ball_support, scale_stacks
 from .polyproj import _project, lq_norm, minimizing_polynomial, multi_indices, project_stack, refine_lq
 from .search import BallConfiguration, candidate_stream, default_scale_window, supremum_search
 
@@ -289,34 +289,29 @@ def campanato_type_norm(f, prm, d, budget=200, seed=0):
 
 
 # The largest stacked design matrix, in entries, that _score_sweep builds;
-# a larger group of balls is scored in chunks.
+# a larger scale is scored in chunks.
 _STACK_ENTRIES = 1 << 16
 
 
 def _score_sweep(f, prm, d, balls):
     """Oscillation terms of distinct balls by ball key, one stacked Luxemburg
-    solve (which fills indicator_norm's cache) and one stacked projection
-    per group of balls of equal scale and lattice support size; each value
-    is bit for bit the ball's own.  A ball that misses the lattice gets no
-    norm, and one with fewer lattice points than coefficients no term, so
-    the search still raises on them and skips them.
-    """
+    solve (filling indicator_norm's cache) and one stacked projection per
+    grid.scale_stacks stack, each value bit for bit the ball's own.  A ball
+    that misses the lattice gets no norm, and one with fewer lattice points
+    than coefficients no term, so the search still raises on them and skips them."""
     coefficients = len(multi_indices(f.grid.n, prm.s))
     terms = {}
-    for (scale, size), members in support_groups(f.grid, d, balls).items():
-        chunk = max(_STACK_ENTRIES // (size * coefficients), 1)
-        for start in range(0, len(members), chunk):
-            group, supports = zip(*members[start : start + chunk])
-            supports = np.stack(supports)
-            norms = cache_indicator_norms(d, group, supports, prm.p)
-            if size < coefficients:
-                continue
-            centers = np.stack([ball.center for ball in group])
-            _, resid = project_stack(f, d, scale, centers, supports, prm.s)
-            vol = d.ball_volume(group[0])
-            avgs = _mean_oscillation(resid, prm.q, vol, f.grid.cell_volume)
-            for ball, norm, avg in zip(group, norms, avgs.tolist()):
-                terms[ball.key()] = vol / norm * avg
+    for scale, group, rows, inside, _ in scale_stacks(f.grid, d, balls, _STACK_ENTRIES // coefficients):
+        norms = stack_indicator_norms(d, group, rows, inside, prm.p) if inside.size else None
+        keep = np.flatnonzero(inside.sum(axis=1) >= coefficients)
+        if not keep.size:
+            continue
+        centers = np.array([group[i].center for i in keep.tolist()])
+        _, resid = project_stack(f, d, scale, centers, rows[keep], inside[keep], prm.s)
+        vol = d.ball_volume(group[0])
+        avgs = _mean_oscillation(resid, prm.q, vol, f.grid.cell_volume)
+        for i, avg in zip(keep.tolist(), avgs.tolist()):
+            terms[group[i].key()] = vol / norms[i] * avg
     return terms
 
 

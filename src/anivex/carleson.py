@@ -20,13 +20,11 @@ kernel point.
 
 carleson_functional scores every ball of the search's fixed candidate
 stream before the search starts, as campanato_type_norm does: indicator
-norms in stacks of equal scale and support size
-(exponents.fill_indicator_norms) and tent masses a scale at a time
-(tent_masses), each value bit for bit the one-ball call's.  tent_masses
-reads every interior lattice-centred ball of one scale through one set of
-footprint offsets and stamp rows (tent module), gathers exactly its tent's
-nodes and sums each row; the duality check's Cauchy-Schwarz loop reads its
-atoms' tent masses from it.
+norms and tent masses a scale at a time on its footprint rows
+(exponents.fill_indicator_norms, tent_masses), each value bit for bit the
+one-ball call's; tent_masses reads a tent's columns from the stamp rows
+(tent module).  The duality check's Cauchy-Schwarz loop reads its atoms'
+tent masses from it.
 """
 
 from dataclasses import dataclass
@@ -38,16 +36,15 @@ from .errors import FourierBoundFailure
 from .exponents import fill_indicator_norms, indicator_norm
 from .grid import (
     _box_corners,
-    _c_strides,
     _cancel_discrete_moments,
-    _lattice_index,
-    ball_footprint,
     ball_support,
     boundary_margin,
     bump_kernel,
     convolve_scaled,
+    footprint_offsets,
     integrate,
     sample,
+    scale_stacks,
 )
 from .polyproj import moments as poly_moments
 from .search import candidate_stream, default_scale_window, supremum_search
@@ -97,57 +94,42 @@ def tent_mass(mu, d, ball):
     return total * grid.cell_volume
 
 
-# The most entries tent_masses gathers in one stack; a larger group of
-# balls is gathered in chunks.
+# The most entries tent_masses gathers in one stack; a larger scale is
+# gathered in chunks.
 _STACK_ENTRIES = 1 << 12
 
 
 def tent_masses(mu, d, balls):
     """[tent_mass(mu, d, ball) for ball in balls], bit for bit, a scale at a time.
 
-    Lattice-centred balls of one scale whose footprint the box does not clip
-    share their tent's footprint offsets, so each scale's tent members are
-    one gather of exactly those nodes per chunk of balls, then one row sum:
-    a row of a C-contiguous stack sums as the same nodes do alone, and a
-    row of zeros adds nothing, as in tent_mass.  A ball with some exact
-    zeros among a scale's tent nodes (tent_mass leaves them out of its sum),
-    an edge-clipped ball and an off-lattice ball take tent_mass itself.
+    An unclipped footprint row of grid.scale_stacks holds each layer's tent
+    nodes at the same columns: one gather of exactly those nodes per layer
+    and chunk, then one row sum, as the same nodes sum alone.  A ball with
+    some exact zeros among them (tent_mass leaves those out of its sum), an
+    edge-clipped ball and an off-lattice ball take tent_mass itself.
     """
     grid = mu.grid
     layer_values = mu.values.reshape(mu.values.shape[0], -1)
-    masses = {}
-    interior = {}
-    for ball in {ball.key(): ball for ball in balls}.values():
-        centre = _lattice_index(grid, ball.center)
-        footprint = ball_footprint(d, grid, ball.scale)
-        if centre is not None and ball_support(grid, d, ball).size == np.count_nonzero(footprint):
-            interior.setdefault(ball.scale, []).append((ball, np.ravel_multi_index(centre, grid.resolution)))
-        else:
-            masses[ball.key()] = tent_mass(mu, d, ball)
-    for scale, members in interior.items():
-        footprint = ball_footprint(d, grid, scale)
-        cells = np.flatnonzero(footprint)
-        offsets = np.column_stack(np.unravel_index(cells, footprint.shape)) - np.array(footprint.shape) // 2
-        layers = np.arange(layer_values.shape[0])[:, None]
-        inside = _stamp_lookup(d, grid, scale, (mu.l_min, mu.l_max), layers, offsets)
-        # Each scale's tent members as flat grid offsets from the centre, in C order.
-        steps = offsets @ _c_strides(grid.resolution)
-        tents = [steps[row] for row in inside]
-        chunk = max(_STACK_ENTRIES // cells.size, 1)
-        for start in range(0, len(members), chunk):
-            group, centres = zip(*members[start : start + chunk])
-            centres = np.array(centres)[:, None]
-            totals = np.zeros(len(group))
-            exact = np.ones(len(group), dtype=bool)
-            for values, tent in zip(layer_values, tents):
-                if tent.size:
-                    stack = values[centres + tent]
-                    zeros = np.count_nonzero(stack == 0.0, axis=1)
-                    exact &= (zeros == 0) | (zeros == tent.size)
-                    totals += stack.sum(axis=1)
-            totals *= grid.cell_volume
-            for ball, ok, mass in zip(group, exact.tolist(), totals.tolist()):
-                masses[ball.key()] = mass if ok else tent_mass(mu, d, ball)
+    layers = np.arange(layer_values.shape[0])[:, None]
+    masses, tents = {}, {}
+    for scale, group, rows, inside, lattice in scale_stacks(grid, d, balls, _STACK_ENTRIES):
+        if not lattice:
+            masses[group[0].key()] = tent_mass(mu, d, group[0])
+            continue
+        if scale not in tents:  # each layer's tent columns of the scale's footprint rows
+            stamps = _stamp_lookup(d, grid, scale, (mu.l_min, mu.l_max), layers, footprint_offsets(d, grid, scale)[0].T)
+            tents[scale] = [np.flatnonzero(stamp) for stamp in stamps]
+        totals = np.zeros(len(group))
+        exact = inside.all(axis=1)
+        for values, tent in zip(layer_values, tents[scale]):
+            if tent.size:
+                stack = values.take(rows.take(tent, axis=1))  # C order, as each row sums alone
+                zeros = np.count_nonzero(stack == 0.0, axis=1)
+                exact &= (zeros == 0) | (zeros == tent.size)
+                totals += stack.sum(axis=1)
+        totals *= grid.cell_volume
+        for ball, ok, mass in zip(group, exact.tolist(), totals.tolist()):
+            masses[ball.key()] = mass if ok else tent_mass(mu, d, ball)
     return [masses[ball.key()] for ball in balls]
 
 
@@ -176,8 +158,7 @@ def carleson_functional(mu, p, d, eta=None, budget=200, seed=0):
     scale_window = default_scale_window(d, mu.grid, min_points=1)
     stream = candidate_stream(d, mu.grid, budget, seed, scale_window)
     balls = {ball.key(): ball for config in stream if config is not None for ball in config.balls()}
-    fill_indicator_norms(d, balls.values(), p)
-    live = [ball for ball in balls.values() if ball_support(mu.grid, d, ball).size]
+    live = fill_indicator_norms(d, balls.values(), p)
     terms = {
         ball.key(): np.sqrt(d.ball_volume(ball)) / indicator_norm(d, ball, p) * np.sqrt(mass)
         for ball, mass in zip(live, tent_masses(mu, d, live))

@@ -262,7 +262,7 @@ class ExperimentConfig:
                     f"unknown suite {name!r}; choose from {sorted(SUITE_NAMES)}",
                     field=f"checks[{i}]",
                 )
-        self.seed = _integer(raw.get("seed", 0), "seed")
+        self.seed = _integer(raw.get("seed", 0), "seed", lowest=0)
         self.budget = _integer(raw.get("budget", 120), "budget", lowest=1)
 
 

@@ -6,13 +6,10 @@ convex for every p(.) > 0, p < 1 included, and a line for constant p.  Only
 the cells where f != 0 enter, and a guard sums the modular over those cells,
 as modular() does, so the unit-modular property is exact.
 
-The solver takes a stack of equal-length rows and solves each row as it
-would alone, bit for bit: luxemburg_norm and indicator_norm pass it one row,
-and the Campanato search the balls of its fixed candidate stream a scale
-at a time (cache_indicator_norms), so the search's candidate order and
-counters are unchanged.  fill_indicator_norms stacks the indicator norms
-of any list of balls the same way: the atom balls of a tent decomposition
-and the balls of the Carleson search's stream.
+The solver takes a stack of rows and solves each row as it would alone,
+bit for bit: luxemburg_norm passes it one row of nonzero cells, and
+stack_indicator_norms (under indicator_norm and fill_indicator_norms) the
+indicators of a grid.scale_stacks stack, 0 where the box clips a ball.
 Log-Holder checking is diagnostic only and never gates any other operation.
 """
 
@@ -21,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMask, NonFinite, NotConjugable
-from .grid import GridFunction, ball_support, sample
+from .grid import GridFunction, sample, scale_stacks
 
 
 @dataclass
@@ -104,8 +101,8 @@ def luxemburg_norm(f, p):
 
 
 def _luxemburg(a, q, cell):
-    """luxemburg_norm of each row of the (rows, cells) arrays a = |f| > 0
-    and q = p on the nonzero cells, in C order.
+    """luxemburg_norm of each row of the (rows, cells) arrays a = |f| and
+    q = p, in C order; a row needs a nonzero cell, and a zero cell adds 0.
 
     The cell sums run over the whole stack; each row's Newton step, its
     stopping test and its guard nudges are scalar arithmetic on that row
@@ -113,14 +110,15 @@ def _luxemburg(a, q, cell):
     """
     # t is measured from log max|f|, so its rounding does not grow with |f|.
     top = np.maximum.reduce(a, axis=1)
-    log_w = q * np.log(a / top[:, None]) + np.log(cell)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: the cell's terms are exactly 0
+        log_w = q * np.log(a / top[:, None]) + np.log(cell)
     t = np.maximum.reduce(log_w / q, axis=1).tolist()
     tiny = 4.0 * np.finfo(float).eps
-    live = range(len(t))
+    live, e = range(len(t)), np.empty_like(log_w)  # one buffer for every step
     for _ in range(60):  # a safety net: Newton converges in a handful of steps
-        z = log_w - q * np.array(t)[:, None]
-        z_max = np.maximum.reduce(z, axis=1)
-        e = np.exp(z - z_max[:, None])
+        np.subtract(log_w, np.multiply(q, np.array(t)[:, None], out=e), out=e)
+        z_max = np.maximum.reduce(e, axis=1)
+        np.exp(np.subtract(e, z_max[:, None], out=e), out=e)
         total = np.add.reduce(e, axis=1)
         slope = (q[:, None, :] @ e[:, :, None])[:, 0, 0].tolist()  # one dot product per row
         z_max, log_total, total = z_max.tolist(), np.log(total).tolist(), total.tolist()
@@ -156,62 +154,43 @@ def _indicator_key(d, ball):
 
 def indicator_norm(d, ball, p):
     """Luxemburg norm of the ball indicator, cached per (dilation, ball) on
-    the exponent; computed on the ball's lattice support."""
+    the exponent: the ball's one-row stack of fill_indicator_norms."""
     key = _indicator_key(d, ball)
-    cache = p._indicator_cache
-    if key not in cache:
-        idx = ball_support(p.grid, d, ball)
-        if idx.size == 0:
-            raise EmptyMask(f"ball at scale {ball.scale} misses every lattice point")
-        cache[key] = _indicator_norms(p, idx[None])[0]
-    return cache[key]
-
-
-def cache_indicator_norms(d, balls, supports, p):
-    """indicator_norm of each ball from one stacked solve, put into its
-    cache and returned; supports holds the balls' nonempty lattice supports
-    as equal-length rows.  Each norm is the one indicator_norm computes
-    alone."""
-    norms = _indicator_norms(p, supports)
-    for ball, norm in zip(balls, norms):
-        p._indicator_cache[_indicator_key(d, ball)] = norm
-    return norms
+    if key not in p._indicator_cache and not fill_indicator_norms(d, [ball], p):
+        raise EmptyMask(f"ball at scale {ball.scale} misses every lattice point")
+    return p._indicator_cache[key]
 
 
 # The largest stack, in entries, that fill_indicator_norms solves at once;
-# a larger group of balls is solved in chunks.
+# a larger scale is solved in chunks.
 _STACK_ENTRIES = 1 << 12
 
 
-def support_groups(grid, d, balls):
-    """{(scale, support size): [(ball, lattice support), ...]} over the balls
-    whose lattice support is nonempty, in the balls' order."""
-    groups = {}
-    for ball in balls:
-        idx = ball_support(grid, d, ball)
-        if idx.size:
-            groups.setdefault((ball.scale, idx.size), []).append((ball, idx))
-    return groups
-
-
 def fill_indicator_norms(d, balls, p):
-    """Put indicator_norm of each ball with a nonempty lattice support into
-    its cache: balls not cached yet are solved by cache_indicator_norms a
-    group of equal scale and support size at a time, at most _STACK_ENTRIES
-    cells per stack.  A ball that misses the lattice gets no norm, so
-    indicator_norm still raises on it."""
+    """Put indicator_norm of each ball into its cache a stack of
+    grid.scale_stacks at a time and return the balls that meet the lattice;
+    one that misses it gets no norm, so indicator_norm still raises on it."""
+    live = []
+    for _, group, rows, inside, _ in scale_stacks(p.grid, d, balls, _STACK_ENTRIES):
+        if inside.size:
+            stack_indicator_norms(d, group, rows, inside, p)
+            live += group
+    return live
+
+
+def stack_indicator_norms(d, balls, rows, inside, p):
+    """indicator_norm of the balls of one grid.scale_stacks stack, cached
+    and returned: one solve of the uncached rows' indicators (1 inside)."""
     cache = p._indicator_cache
-    todo = {_indicator_key(d, ball): ball for ball in balls}
-    todo = [ball for key, ball in todo.items() if key not in cache]
-    for (_, size), members in support_groups(p.grid, d, todo).items():
-        chunk = max(_STACK_ENTRIES // size, 1)
-        for start in range(0, len(members), chunk):
-            group, supports = zip(*members[start : start + chunk])
-            cache_indicator_norms(d, group, np.stack(supports), p)
+    keys = [_indicator_key(d, ball) for ball in balls]
+    todo = [i for i, key in enumerate(keys) if key not in cache]
+    if todo:
+        cache.update(zip([keys[i] for i in todo], _indicator_norms(p, rows[todo], inside[todo])))
+    return [cache[key] for key in keys]
 
 
-def _indicator_norms(p, supports):
-    return _luxemburg(np.ones(supports.shape), p.values.values.ravel()[supports], p.grid.cell_volume).tolist()
+def _indicator_norms(p, rows, inside):
+    return _luxemburg(inside.astype(float), p.values.values.ravel()[rows], p.grid.cell_volume).tolist()
 
 
 def conjugate(p):

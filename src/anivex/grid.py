@@ -4,8 +4,8 @@ sums, and scaled convolution.
 Lattice points sit at cell midpoints; all integrals are midpoint sums, which
 are exact for cell-aligned indicators and second order for smooth integrands.
 Functions are zero outside their box.  This module alone decides which
-lattice points lie in a ball (ball_support): a lattice-centred ball pastes
-the cached footprint of its scale, any other centre is tested on the grid.
+lattice points lie in a ball (ball_support): a lattice-centred ball is the
+inside entries of its footprint row, any other centre is tested on the grid.
 footprint_sum is the one, exact, correlation with a ball footprint;
 fftconvolve_same, called by convolve_scaled alone, is the one FFT, on
 numpy.fft.
@@ -229,38 +229,77 @@ def _c_strides(shape):
     return np.array([prod(shape[i + 1 :]) for i in range(len(shape))])
 
 
-def _paste_centered(mask_shape, centered, idx):
-    """Place a centered boolean stamp at a lattice index, clipped to the box."""
-    out = np.zeros(mask_shape, dtype=bool)
-    src, dst = [], []
-    for size, stamp, i in zip(mask_shape, centered.shape, idx):
-        lo = i - stamp // 2  # stamps have odd widths
-        s_lo, s_hi = max(0, -lo), min(stamp, size - lo)
-        if s_lo >= s_hi:
-            return out
-        src.append(slice(s_lo, s_hi))
-        dst.append(slice(lo + s_lo, lo + s_hi))
-    out[tuple(dst)] = centered[tuple(src)]
-    return out
-
-
 def ball_support(grid, d, ball):
     """Read-only flat C-order indices of the lattice points strictly inside
-    the dilated ball, memoized per (grid, ball) and dilation: the pasted
-    footprint for a lattice centre, the full-grid test for any other.
-    """
+    the dilated ball, memoized per (grid, ball) and dilation: the inside
+    entries of its footprint row for a lattice centre, else the grid test."""
     cache = dilation_cache(d)
     key = ("support", grid.key(), ball.key())
     if key not in cache:
         idx = _lattice_index(grid, ball.center)
         if idx is None:
-            inside = d.ball_contains_many(ball, grid.points())
+            support = np.flatnonzero(d.ball_contains_many(ball, grid.points()))
         else:
-            inside = _paste_centered(grid.resolution, ball_footprint(d, grid, ball.scale), idx)
-        support = np.flatnonzero(inside)
+            rows, inside = footprint_rows(grid, d, ball.scale, np.array([idx]))
+            support = rows[0][inside[0]]
         support.setflags(write=False)
         cache[key] = support
     return cache[key]
+
+
+def footprint_offsets(d, grid, scale):
+    """(offsets, steps, lo, hi): the footprint cells of B_scale in C order as
+    (n, K) integer offsets, one row per axis, and as flat C-order steps, and
+    the box [lo, hi) of the centres whose ball the box does not clip.  Cached."""
+    cache = dilation_cache(d)
+    key = ("offsets", grid.key(), scale)
+    if key not in cache:
+        fp = ball_footprint(d, grid, scale)
+        half = np.array(fp.shape) // 2
+        offsets = np.argwhere(fp) - half
+        cache[key] = (offsets.T.copy(), offsets @ _c_strides(grid.resolution), half, grid.resolution - half)
+    return cache[key]
+
+
+def footprint_rows(grid, d, scale, index):
+    """The balls of B_scale at the (m, n) lattice multi-indices as rows of
+    flat C-order indices, entry j the centre plus the j-th footprint step
+    (the centre itself where the box clips it), and the mask of the inside."""
+    offsets, steps, lo, hi = footprint_offsets(d, grid, scale)
+    centres = (index @ _c_strides(grid.resolution))[:, None]
+    inside = np.ones((len(index), len(steps)), dtype=bool)
+    if ((index >= lo) & (index < hi)).all():  # the box clips no row
+        return centres + steps, inside
+    for size, centre, offset in zip(grid.resolution, index.T, offsets):
+        cells = centre[:, None] + offset
+        inside &= (cells >= 0) & (cells < size)
+    return np.where(inside, centres + steps, centres), inside
+
+
+def scale_stacks(grid, d, balls, entries):
+    """The distinct balls in stacks (scale, balls, rows, inside, lattice): a
+    scale's lattice-centred balls as footprint_rows, at most entries // K a
+    stack for K footprint cells; any other ball alone, ball_support its row."""
+    balls = list({ball.key(): ball for ball in balls}.values())
+    centres = np.reshape([ball.center for ball in balls], (len(balls), grid.n))
+    index = np.rint((centres - grid.lower) / grid.spacing - 0.5)  # _lattice_index's arithmetic
+    on = ((index >= 0) & (index < grid.resolution) & (grid.lower + (index + 0.5) * grid.spacing == centres)).all(axis=1)
+    index, stacks, memo = np.where(on[:, None], index, 0).astype(int), {}, dilation_cache(d)
+    for i, (ball, lattice) in enumerate(zip(balls, on.tolist())):
+        stacks.setdefault(ball.scale if lattice else ("alone", i), []).append(i)
+    for members in stacks.values():
+        ball = balls[members[0]]
+        if not on[members[0]]:
+            support = ball_support(grid, d, ball)
+            yield ball.scale, [ball], support[None], np.ones((1, support.size), dtype=bool), False
+            continue
+        step = max(entries // len(footprint_offsets(d, grid, ball.scale)[1]), 1)
+        for start in range(0, len(members), step):
+            group = [balls[i] for i in members[start : start + step]]
+            rows, inside = footprint_rows(grid, d, ball.scale, index[members[start : start + step]])
+            for member, row, mask in zip(group, rows, inside):  # ball_support's memo, as it would fill it
+                memo.setdefault(("support", grid.key(), member.key()), row[mask]).setflags(write=False)
+            yield ball.scale, group, rows, inside, True
 
 
 def ball_lattice_mask(grid, d, ball):

@@ -5,11 +5,11 @@ at most s, computed in ball-local coordinates u = A^-k (x - center) so the
 Gram matrix stays well conditioned across scales.  A projection returns
 its residual |f - P| on the ball's lattice points with the polynomial, taken
 from the same design matrix, so an L^q error needs no second pass over the
-ball.  Balls of one scale whose lattice supports have equal size project
-in one stack (project_stack), each row built, tested and solved by itself,
-so a stacked row is bit for bit the ball's own projection.  Iteratively
-reweighted least squares on the same normal equations refines the
-projection towards the q != 2 infimum.  The module needs numpy only.
+ball.  Balls of one scale project in one stack (project_stack) on their
+footprint rows, weighted 0 where the box clips them; each row is solved by
+itself, so it is bit for bit the ball's own (_project, the one-row case).
+lq_error and the iteratively reweighted least squares towards the q != 2
+infimum read a ball on the same row.  The module needs numpy only.
 """
 
 from dataclasses import dataclass, replace
@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InsufficientSamples, SingularGram
-from .grid import GridFunction, ball_support
+from .grid import GridFunction, ball_support, scale_stacks
 
 
 @cache
@@ -32,16 +32,16 @@ def multi_indices(n, s):
     return tuple(out)
 
 
-def _design_matrix(local_pts, indices):
-    """Monomials of the points along the last axis, one column per index."""
-    cols = []
-    for gamma in indices:
-        col = np.ones(local_pts.shape[:-1])
+def _design_matrix(local_pts, indices, weight=1.0):
+    """Monomials of the points along the last axis times weight, one column per index."""
+    out = np.empty(local_pts.shape[:-1] + (len(indices),))
+    for j, gamma in enumerate(indices):
+        col = out[..., j]
+        col[...] = weight
         for axis, power in enumerate(gamma):
             if power:
-                col = col * local_pts[..., axis] ** power
-        cols.append(col)
-    return np.stack(cols, axis=-1)
+                col *= local_pts[..., axis] ** power
+    return out
 
 
 @dataclass
@@ -61,22 +61,28 @@ class Polynomial:
         return GridFunction(grid, self.evaluate(grid.points()).reshape(grid.resolution))
 
 
-def _designs(f, d, scale, centers, supports, s):
-    """Local design matrices of the balls at one scale with the given
-    centres, whose lattice supports are the equal-length rows of supports."""
+def _designs(f, d, scale, centers, rows, inside, s):
+    """Local design matrices of balls of one scale on rows of flat lattice
+    indices, weighted by inside; each row needs an inside point per coefficient."""
     indices = multi_indices(f.grid.n, s)
-    if supports.shape[-1] < len(indices):
-        raise InsufficientSamples(
-            f"{supports.shape[-1]} lattice points in the ball but {len(indices)} coefficients"
-        )
-    local = (f.grid.points()[supports] - centers[:, None, :]) @ d.power(-scale).T
-    return indices, _design_matrix(local, indices)
+    fewest = int(inside.sum(axis=-1).min())
+    if fewest < len(indices):
+        raise InsufficientSamples(f"{fewest} lattice points in the ball but {len(indices)} coefficients")
+    local = f.grid.points().take(rows, axis=0) - centers[:, None, :]
+    return indices, _design_matrix(local @ d.power(-scale).T, indices, inside)
+
+
+def _ball_row(grid, d, ball):
+    """Flat indices and inside mask of the ball's one row of grid.scale_stacks."""
+    [(_, _, rows, inside, _)] = scale_stacks(grid, d, [ball], 1)
+    return rows[0], inside[0]
 
 
 def _ball_design(f, d, ball, s):
-    idx = ball_support(f.grid, d, ball)
-    indices, design = _designs(f, d, ball.scale, ball.center[None], idx[None], s)
-    return idx, indices, design[0]
+    """The ball's row, its inside mask and its design weighted by the mask."""
+    row, inside = _ball_row(f.grid, d, ball)
+    _, design = _designs(f, d, ball.scale, ball.center[None], row[None], inside[None], s)
+    return row, inside, design[0]
 
 
 def minimizing_polynomial(f, d, ball, s):
@@ -85,11 +91,11 @@ def minimizing_polynomial(f, d, ball, s):
 
 
 def _project(f, d, ball, s):
-    """minimizing_polynomial together with |f - P| on the ball's lattice
-    points, from the design matrix the solve used: the one-ball case of
-    project_stack."""
-    idx = ball_support(f.grid, d, ball)
-    coef, resid = project_stack(f, d, ball.scale, ball.center[None], idx[None], s)
+    """minimizing_polynomial together with |f - P| on the ball's row, 0
+    where the box clips it, from the design matrix the solve used: the
+    one-ball stack of grid.scale_stacks in project_stack."""
+    row, inside = _ball_row(f.grid, d, ball)
+    coef, resid = project_stack(f, d, ball.scale, ball.center[None], row[None], inside[None], s)
     poly = Polynomial(
         center=ball.center,
         transform=d.power(-ball.scale),
@@ -99,14 +105,14 @@ def _project(f, d, ball, s):
     return poly, resid[0]
 
 
-def project_stack(f, d, scale, centers, supports, s):
-    """Coefficient rows and residual rows |f - P| of the projections on the
-    balls at one scale with the given centres, whose lattice supports are
-    the equal-length rows of supports.  Each row is built, tested and solved
-    by itself inside the stack, so it is the row _project gives alone.  A
+def project_stack(f, d, scale, centers, rows, inside, s):
+    """Coefficients and residuals |f - P| of the projections on balls of one
+    scale, on rows of grid.scale_stacks weighted by inside (the Gram matrix
+    (Xw)^T Xw, the right side (Xw)^T f, residuals 0 off the mask); each row
+    is built, tested and solved by itself, as _project solves it alone.  A
     Gram matrix the solve finds singular raises SingularGram for the stack."""
-    _, design = _designs(f, d, scale, centers, supports, s)
-    fvals = f.values.ravel()[supports]
+    _, design = _designs(f, d, scale, centers, rows, inside, s)
+    fvals = f.values.ravel().take(rows)
     design_t = design.swapaxes(-1, -2)
     gram = design_t @ design
     rhs = design_t @ fvals[..., None]
@@ -118,7 +124,7 @@ def project_stack(f, d, scale, centers, supports, s):
         coef = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:  # a Cholesky factor exists, an exact LU pivot is 0
         raise SingularGram("Gram matrix singular in the solve") from None
-    return coef[..., 0], np.abs(fvals - (design @ coef)[..., 0])
+    return coef[..., 0], np.abs(fvals - (design @ coef)[..., 0]) * inside
 
 
 def _positive_definite(gram):
@@ -172,9 +178,9 @@ def _lq_root(total, resid, q, cell):
 
 
 def lq_error(f, d, ball, poly, q):
-    """||f - poly||_{L^q(B)} by lattice quadrature."""
-    idx = ball_support(f.grid, d, ball)
-    resid = np.abs(f.values.ravel()[idx] - poly.evaluate(f.grid.points()[idx]))
+    """||f - poly||_{L^q(B)} by lattice quadrature on the ball's row, as _project's."""
+    row, inside = _ball_row(f.grid, d, ball)
+    resid = np.abs(f.values.ravel().take(row) - poly.evaluate(f.grid.points().take(row, axis=0))) * inside
     return lq_norm(resid, q, f.grid.cell_volume)
 
 
@@ -197,8 +203,8 @@ def refine_lq(f, d, ball, s, q, start=None):
     if q == 2.0:
         return poly, lq_error(f, d, ball, poly, q)
 
-    idx, _, design = _ball_design(f, d, ball, s)
-    fvals = f.values.ravel()[idx]
+    row, inside, design = _ball_design(f, d, ball, s)
+    fvals = np.where(inside, f.values.ravel().take(row), 0.0)  # a clipped entry's residual is 0
     coef = poly.coefficients
     rate = 1.0 / (q - 1.0) if q > 2.0 else 1.0
 

@@ -127,7 +127,7 @@ def load_scale_function(path):
 
 
 def save_tent_atoms(atom_set, path_prefix):
-    """Manifest JSON plus one AVXS block per atom under a shared prefix."""
+    """Manifest JSON, naming each block relative to itself, plus one AVXS block per atom under a shared prefix."""
     manifest = {
         "kind": "tent_atom_set",
         "leakage_ratio": atom_set.leakage_ratio,
@@ -143,7 +143,7 @@ def save_tent_atoms(atom_set, path_prefix):
                 "ball_scale": entry.ball.scale,
                 "level": entry.level,
                 "cover_index": entry.cover_index,
-                "values": blob,
+                "values": os.path.basename(blob),
             }
         )
     _write_sidecar(f"{path_prefix}.manifest", manifest)

@@ -42,3 +42,20 @@ def shifted_footprint_sum(values, footprint):
     for v in np.argwhere(footprint) - np.array(half):
         out += padded[tuple(slice(h - vi, h - vi + r) for h, vi, r in zip(half, v, out.shape))]
     return out
+
+
+def paste_centered(mask_shape, centered, idx):
+    """Place a centered boolean stamp at a lattice index, clipped to the box:
+    a full-grid reference for stamp and footprint lookups."""
+    out = np.zeros(mask_shape, dtype=bool)
+    src, dst = [], []
+    for size, stamp, i in zip(mask_shape, centered.shape, idx):
+        lo = i - stamp // 2  # stamps have odd widths
+        s_lo, s_hi = max(0, -lo), min(stamp, size - lo)
+        if s_lo >= s_hi:
+            return out
+        src.append(slice(s_lo, s_hi))
+        dst.append(slice(lo + s_lo, lo + s_hi))
+    out[tuple(dst)] = centered[tuple(src)]
+    return out
+

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import paste_centered
+
 from anivex import campanato, exponents
 from anivex.campanato import (
     BallConfiguration,
@@ -33,8 +35,8 @@ from anivex.exponents import (
     indicator_norm,
     luxemburg_norm,
 )
-from anivex.grid import GridFunction, ball_support, sample, uniform_grid
-from anivex.polyproj import multi_indices
+from anivex.grid import GridFunction, _lattice_index, ball_footprint, ball_support, sample, scale_stacks, uniform_grid
+from anivex.polyproj import multi_indices, project_stack
 from anivex.search import (
     SearchResult,
     _ascent_variant,
@@ -208,9 +210,11 @@ class TestStackedSweep:
     )
     def test_stack_equals_one_ball_calls(self, case, which_p, q, s, data):
         d, g, ps, (k_lo, k_hi) = _SINGLE_BALL_CASES[case]
-        scale = data.draw(st.integers(k_lo, k_hi), label="scale")
-        # Lattice centres, edge cells and their neighbours among them, so one
-        # scale holds clipped balls of several support sizes.
+        # k_hi's footprint is wider than the box.
+        assert any(w > r for w, r in zip(ball_footprint(d, g, k_hi).shape, g.resolution))
+        scale = data.draw(st.one_of(st.just(k_hi), st.integers(k_lo, k_hi)), label="scale")
+        # Lattice centres, edge and corner cells and their neighbours among
+        # them, so one scale holds clipped balls of several support sizes.
         index = st.tuples(*(st.one_of(st.sampled_from([0, 1, r - 2, r - 1]), st.integers(0, r - 1)) for r in g.resolution))
         centers = [
             [lo + (i + 0.5) * h for lo, i, h in zip(g.lower, idx, g.spacing)]
@@ -218,8 +222,65 @@ class TestStackedSweep:
         ]
         if data.draw(st.booleans(), label="off-lattice centre"):
             centers.append([data.draw(st.floats(lo, hi)) for lo, hi in zip(g.lower, g.upper)])
+        balls = [d.ball(c, scale) for c in centers]
+        # A row's inside entries, in order, are its ball's lattice points, bit
+        # for bit: ball_support on a fresh dilation, and the pasted footprint
+        # for a lattice centre.
+        fresh, unclipped = new_dilation(d.matrix), []
+        for _, group, rows, inside, lattice in scale_stacks(g, d, balls, data.draw(st.sampled_from([64, 1 << 12]))):
+            for ball, row, mask in zip(group, rows, inside):
+                centre = _lattice_index(g, ball.center)
+                assert lattice == (centre is not None)
+                assert np.array_equal(row[mask], ball_support(g, fresh, ball))
+                if lattice:
+                    pasted = paste_centered(g.resolution, ball_footprint(d, g, scale), centre)
+                    assert np.array_equal(row[mask], np.flatnonzero(pasted))
+                if mask.all() and mask.size:
+                    unclipped.append(ball)
         prm = CampanatoParams(p=_fresh(ps[which_p]), q=q, s=s)
-        _check_stacks(_wavy(g), prm, d, [d.ball(c, scale) for c in centers])
+        f = _wavy(g)
+        _check_stacks(f, prm, d, balls)
+        # A ball the box does not clip keeps the norm and term of its compact
+        # support, bit for bit: the indicator solve on ones and the one-row
+        # projection of the support that indicator_norm and _project made
+        # before the footprint layout.
+        coefficients = len(multi_indices(g.n, s))
+        for ball in unclipped:
+            support = ball_support(g, d, ball)
+            compact = np.ones((1, support.size))
+            norm = exponents._luxemburg(compact, prm.p.values.values.ravel()[support][None], g.cell_volume)[0]
+            assert prm.p._indicator_cache[_indicator_key(d, ball)] == norm
+            if support.size >= coefficients:
+                _, resid = project_stack(f, d, scale, ball.center[None], support[None], compact.astype(bool), s)
+                vol = d.ball_volume(ball)
+                term = vol / norm * campanato._mean_oscillation(resid, q, vol, g.cell_volume)[0]
+                assert _oscillation_term(f, prm, d)(ball) == term
+
+    def test_one_solve_and_one_projection_per_scale_and_chunk(self, monkeypatch):
+        # A run-2d-like input: the sweep and the random stage hold clipped
+        # balls of many support sizes, over 60 (scale, size) pairs, yet each
+        # scale is one solve and one projection per chunk of its balls.
+        d = new_dilation([[2.0, 0.0], [0.0, 3.0]])
+        g = uniform_grid([-5.0, -5.0], [5.0, 5.0], (48, 48))
+        p = exponent_from_callable(g, lambda x, y: 1.4 + 0.3 * np.sin(0.7 * x) * np.cos(0.6 * y))
+        f = sample(g, lambda x, y: np.sin(1.1 * x + 0.3) * np.cos(0.9 * y) * np.exp(-(x**2 + y**2) / 10))
+        prm = CampanatoParams(p=p, q=2.0, s=1, eta=1.0)
+        window = default_scale_window(d, g, min_points=4 + 2 * prm.s)
+        stream = candidate_stream(d, g, _sweep_length(f, prm, d) + 64, 1, window)
+        balls = list({ball.key(): ball for config in stream if config is not None for ball in config.balls()}.values())
+        off_lattice = [d.ball([0.1, -0.2], window[1]), d.ball([-1.3, 2.05], window[0])]
+        counts = {"_luxemburg": 0, "project_stack": 0}
+        for module, name in ((exponents, "_luxemburg"), (campanato, "project_stack")):
+            monkeypatch.setattr(module, name, _counting(counts, name, getattr(module, name)))
+        _score_sweep(f, prm, d, balls + off_lattice)
+        coefficients = len(multi_indices(2, prm.s))
+        chunks = 0
+        for k in range(window[0], window[1] + 1):
+            per_chunk = max(campanato._STACK_ENTRIES // (np.count_nonzero(ball_footprint(d, g, k)) * coefficients), 1)
+            chunks += -(-sum(ball.scale == k for ball in balls) // per_chunk)
+        assert all(_lattice_index(g, ball.center) is not None for ball in balls)
+        assert max(counts.values()) <= chunks + len(off_lattice) < 30
+        assert len({(ball.scale, ball_support(g, d, ball).size) for ball in balls}) > 60
 
     @pytest.mark.parametrize("case", sorted(_SINGLE_BALL_CASES))
     def test_whole_sweep(self, case):
@@ -229,6 +290,14 @@ class TestStackedSweep:
         groups = _check_stacks(_wavy(g), prm, d, list(_canonical_sweep(d, g, window)))
         assert max(groups.values()) > 1  # a real stack
         assert len({k for k, _ in groups}) < len(groups)  # mixed sizes in a scale
+
+
+def _counting(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
 
 
 _CROSSING = {

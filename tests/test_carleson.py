@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import paste_centered
+
 from anivex import carleson as carleson_module
 from anivex import exponents as exponents_module
 from anivex.campanato import search_objective
@@ -28,7 +30,6 @@ from anivex.exponents import Exponent, constant_exponent, exponent_from_callable
 from anivex.grid import (
     GridFunction,
     _lattice_index,
-    _paste_centered,
     ball_footprint,
     ball_support,
     integrate,
@@ -118,7 +119,7 @@ def _pasted_tent_mass(mu, d, ball):
         if centre is None:
             inside = d.closed_containment(ell, ball.scale, grid.points()[candidates] - ball.center)
         else:
-            stamp = _paste_centered(grid.resolution, tent_offset_mask(d, grid, ell, ball.scale), centre)
+            stamp = paste_centered(grid.resolution, tent_offset_mask(d, grid, ell, ball.scale), centre)
             inside = stamp.ravel()[candidates]
         total += float(layer[candidates[inside]].sum())
     return total * grid.cell_volume

@@ -225,6 +225,7 @@ class TestValidation:
             ({"seed": [1]}, "seed"),
             ({"seed": "7"}, "seed"),
             ({"seed": 10**400}, "seed"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_scalar_fields_checked_at_load(self, cache_env, tmp_path, changes, field):
@@ -300,6 +301,12 @@ class TestValidation:
             run_config(QUICK, str(cache_env / "bad.json"), budget=0)
         assert info.value.field == "budget"
         assert main(["run", "--config", QUICK, "--out", str(cache_env / "bad.json"), "--budget", "0"]) == 2
+
+    def test_negative_seed_option_is_config_error(self, cache_env):
+        with pytest.raises(ConfigError) as info:
+            run_config(QUICK, str(cache_env / "bad.json"), seed=-1)
+        assert info.value.field == "seed"
+        assert main(["run", "--config", QUICK, "--out", str(cache_env / "bad.json"), "--seed", "-1"]) == 2
 
     @pytest.mark.parametrize("window", [5, [3], [2, 1], [0.5, 2], ["a", 1]])
     def test_scale_window_checked_at_load(self, cache_env, tmp_path, window):

@@ -11,9 +11,19 @@ from anivex.campanato import classic_functional
 from anivex.dilation import new_dilation
 from anivex.errors import InsufficientSamples, SingularGram
 from anivex.exponents import constant_exponent
-from anivex.grid import GridFunction, ball_lattice_mask, ball_support, sample, uniform_grid
+from anivex.grid import (
+    GridFunction,
+    _lattice_index,
+    ball_lattice_mask,
+    ball_support,
+    footprint_rows,
+    sample,
+    scale_stacks,
+    uniform_grid,
+)
 from anivex.polyproj import (
     _ball_design,
+    _ball_row,
     _project,
     lq_error,
     lq_norm,
@@ -164,14 +174,15 @@ class TestSingularGram:
         center = g.points()[8 * 12 + 11]
         assert np.allclose(center, [5.0 / 3.0, 11.0 / 3.0])
         ball = d.ball(center, 1)
-        idx, _, design = _ball_design(f, d, ball, 2)
-        assert len(idx) == design.shape[1] == 6
-        assert np.allclose(np.unique(g.points()[idx][:, 1].round(9)), [3.0, 11.0 / 3.0])
+        idx, inside, design = _ball_design(f, d, ball, 2)
+        assert np.count_nonzero(inside) == design.shape[1] == 6
+        assert np.allclose(np.unique(g.points()[idx[inside]][:, 1].round(9)), [3.0, 11.0 / 3.0])
         np.linalg.cholesky(design.T @ design)
         with pytest.raises(SingularGram):
             _project(f, d, ball, 2)
+        [(_, _, rows, inside, _)] = scale_stacks(g, d, [ball], 1)
         with pytest.raises(SingularGram):
-            project_stack(f, d, 1, np.stack([ball.center] * 2), np.stack([idx] * 2), 2)
+            project_stack(f, d, 1, np.stack([ball.center] * 2), np.repeat(rows, 2, 0), np.repeat(inside, 2, 0), 2)
 
 
 def _eval_coeffs(poly, coeffs, pts):
@@ -203,14 +214,12 @@ class TestProjectStack:
         f = sample(g, lambda *x: np.sin(1.3 * x[0] + 0.2) * np.cos(0.7 * x[-1]) + 0.1 * x[0] * x[-1])
         groups = {}
         for ball in _canonical_sweep(d, g, default_scale_window(d, g, 4 + 2 * s)):
-            idx = ball_support(g, d, ball)
-            if idx.size >= len(multi_indices(n, s)):
-                groups.setdefault((ball.scale, idx.size), []).append((ball, idx))
+            if ball_support(g, d, ball).size >= len(multi_indices(n, s)):
+                groups.setdefault(ball.scale, []).append(ball)
         ridge_in_stack = False
-        for (k, _), members in groups.items():
-            balls = [ball for ball, _ in members]
-            supports = np.stack([idx for _, idx in members])
-            coef, resid = project_stack(f, d, k, np.stack([b.center for b in balls]), supports, s)
+        for k, balls in groups.items():
+            rows, inside = footprint_rows(g, d, k, np.array([_lattice_index(g, b.center) for b in balls]))
+            coef, resid = project_stack(f, d, k, np.stack([b.center for b in balls]), rows, inside, s)
             for ball, coef_row, resid_row in zip(balls, coef, resid):
                 poly, alone = _project(f, d, ball, s)
                 assert np.array_equal(coef_row, poly.coefficients)
@@ -218,7 +227,7 @@ class TestProjectStack:
                 design = _ball_design(f, d, ball, s)[2]
                 if len(balls) > 1 and np.linalg.eigvalsh(design.T @ design)[0] < 1e-9:
                     ridge_in_stack = True
-        assert max(len(members) for members in groups.values()) > 1
+        assert max(len(balls) for balls in groups.values()) > 1
         assert ridge_in_stack == ridged
 
 
@@ -287,6 +296,28 @@ class TestRefinement:
         assert np.isfinite(classic.projection_value)
         assert classic.refined_value <= classic.projection_value
 
+    @pytest.mark.parametrize("q", [1.5, 2.0, 4.0])
+    def test_clipped_ball_on_its_one_row(self, q):
+        # Balls the box clips: the projection's residual, lq_error and the
+        # refinement all read the ball's one row, zeros where it is clipped,
+        # so at q = 2 the refined value is the projection's, bit for bit.
+        d = new_dilation([[2.0, 0.0], [0.0, 3.0]])
+        g = uniform_grid([-5.0, -5.0], [5.0, 5.0], (48, 48))
+        f = sample(g, lambda x, y: np.sin(1.1 * x + 0.3) * np.cos(0.9 * y) + 0.2 * x * y)
+        p = constant_exponent(g, 1.5)
+        for idx, scale in [((0, 0), 0), ((1, 47), 1), ((47, 20), 1), ((3, 2), 2), ((24, 24), 2)]:
+            ball = d.ball(g.points()[np.ravel_multi_index(idx, g.resolution)], scale)
+            row, inside = _ball_row(g, d, ball)
+            assert not inside.all()
+            poly, resid = _project(f, d, ball, 1)
+            want = np.abs(f.values.ravel()[row] - poly.evaluate(g.points()[row])) * inside
+            assert np.array_equal(resid, want)
+            assert lq_norm(resid, q, g.cell_volume) == lq_error(f, d, ball, poly, q)
+            classic = classic_functional(f, d, ball, p, q, 1)
+            assert classic.refined_value <= classic.projection_value
+            if q == 2.0:
+                assert classic.refined_value == classic.projection_value
+
     @pytest.mark.parametrize("q", [1.0, 1.5, 4.0])
     def test_polynomial_on_the_ball(self, d2, q):
         g = uniform_grid([-4.0, -4.0], [4.0, 4.0], (48, 48))
@@ -299,8 +330,8 @@ def _brent_refine_lq(f, d, ball, s, q, start):
     """The error value of the coordinate descent refine_lq replaced, kept as
     the reference: up to 20 sweeps of a Brent line search over each
     coefficient in turn."""
-    idx, _, design = _ball_design(f, d, ball, s)
-    fvals = f.values.ravel()[idx]
+    idx, inside, design = _ball_design(f, d, ball, s)
+    fvals = f.values.ravel()[idx] * inside
     coef = start.coefficients.copy()
 
     def objective(c):

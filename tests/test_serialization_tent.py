@@ -62,9 +62,30 @@ def test_tent_atom_manifest(setup, tmp_path):
     assert manifest["leakage_ratio"] == atoms.leakage_ratio
 
     first = manifest["entries"][0]
-    blob = load_scale_function(first["values"])
+    blob = load_scale_function(tmp_path / first["values"])
     assert np.array_equal(blob.values, atoms.entries[0].atom.values)
     assert first["weight"] == atoms.entries[0].weight
+
+
+def test_tent_atom_manifest_is_relocatable(setup, tmp_path):
+    # The same set saved under two directories: the manifests are the same
+    # bytes, and each names its blocks relative to its own directory.
+    d, g, p = setup
+    x = g.axes()[0]
+    G = ScaleFunction(g, -4, 0, np.zeros((5,) + g.resolution))
+    G.values[1] = np.exp(-(x**2)) * (np.abs(x) < 2.0)
+    atoms = tent_atomic_decomposition(G, p, d)
+    manifests = []
+    for name in ("one", "two"):
+        (tmp_path / name).mkdir()
+        save_tent_atoms(atoms, str(tmp_path / name / "atoms"))
+        manifests.append((tmp_path / name / "atoms.manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    moved = tmp_path / "moved"
+    (tmp_path / "one").rename(moved)
+    entries = json.loads(manifests[0])["entries"]
+    for entry, atom in zip(entries, atoms.entries):
+        assert np.array_equal(load_scale_function(moved / entry["values"]).values, atom.atom.values)
 
 
 def _saved_blocks(setup, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
-from conftest import shifted_footprint_sum
+from conftest import paste_centered, shifted_footprint_sum
 
 from anivex import carleson as carleson_module
 from anivex import exponents as exponents_module
@@ -26,7 +26,6 @@ from anivex.exponents import (
 from anivex.grid import (
     GridFunction,
     _lattice_index,
-    _paste_centered,
     ball_footprint,
     ball_lattice_mask,
     ball_support,
@@ -467,7 +466,7 @@ def _pasted_tent_members(d, grid, ball, ell, flat):
     full-grid copy of the stamp placed at the lattice centre, read at the
     flat indices."""
     centre = _lattice_index(grid, ball.center)
-    stamp = _paste_centered(grid.resolution, tent_offset_mask(d, grid, ell, ball.scale), centre)
+    stamp = paste_centered(grid.resolution, tent_offset_mask(d, grid, ell, ball.scale), centre)
     return stamp.ravel()[np.asarray(flat, dtype=int)]
 
 
