@@ -186,12 +186,12 @@ def run_config(config_path, out_path, seed=None, budget=None, resolution=None, u
 
     cache_key = hashlib.sha256((digest + _source_digest()).encode()).hexdigest()
     cache_file = os.path.join(_cache_dir(), f"{cache_key}.json")
-    started = time.time()
+    started = time.perf_counter()
     hit = _read_cache(cache_file, digest) if use_cache else None
     text, report = hit if hit is not None else _compute_report(cfg, digest)
     write_atomic(out_path, text)
     # A hit writes its sidecar too, so none is left over from an earlier run.
-    timing = {"cached": hit is not None, "seconds": time.time() - started}
+    timing = {"cached": hit is not None, "seconds": time.perf_counter() - started}
     write_atomic(f"{out_path}.timing.json", json.dumps(timing))
     if hit is None:
         os.makedirs(_cache_dir(), exist_ok=True)

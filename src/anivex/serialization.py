@@ -19,7 +19,10 @@ fails or the constructors reject the bounds, resolution or samples.
 
 Every file gets a "<path>.json" sidecar with the same metadata.  Tent atom
 sets are stored as a JSON manifest next to one stacked AVXS block per atom.
-Every file is written atomically (write_atomic).
+Every file is written atomically (write_atomic).  The atoms of a set share
+its grid and scale window, so their sidecars hold the same bytes; where the
+filesystem allows it they are hard links of one written file, which saves
+a new file, the costliest step of a save, per atom.
 """
 
 import contextlib
@@ -62,18 +65,37 @@ def write_atomic(path, data):
         raise
 
 
+def _link_atomic(source, path):
+    """Hard-link source to a temporary name beside path, then rename it over
+    path, as write_atomic does with a written file.  Returns False, leaving
+    path as it was, when the filesystem refuses the link: EMLINK past its
+    link limit, EPERM where it has no hard links."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.link(source, tmp)
+    except OSError:
+        return False
+    try:
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    return True
+
+
 def _write_sidecar(path, meta):
     write_atomic(str(path) + ".json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _write_block(path, magic, kind, grid, values, **window):
-    """Header, axes and raw values, then the sidecar with the same metadata."""
+    """Header, axes and raw values; returns the metadata for the sidecar."""
     code = _dtype_code(values)
     header = struct.pack(_HEADERS[magic], magic, 1, code, grid.n, *window.values())
     axes = [struct.pack(_AXIS, r, l, u) for r, l, u in zip(grid.resolution, grid.lower, grid.upper)]
     write_atomic(path, b"".join([header, *axes, np.ascontiguousarray(values).tobytes()]))
     meta = {"kind": kind, "dtype": int(code), **window, "resolution": list(grid.resolution)}
-    _write_sidecar(path, {**meta, "lower": list(grid.lower), "upper": list(grid.upper)})
+    return {**meta, "lower": list(grid.lower), "upper": list(grid.upper)}
 
 
 def _read_block(path, magic, make):
@@ -108,16 +130,20 @@ def _read_block(path, magic, make):
 
 
 def save_grid_function(f, path):
-    _write_block(path, b"AVXG", "grid_function", f.grid, f.values)
+    _write_sidecar(path, _write_block(path, b"AVXG", "grid_function", f.grid, f.values))
 
 
 def load_grid_function(path):
     return _read_block(path, b"AVXG", lambda grid, _, values: GridFunction(grid, values))
 
 
-def save_scale_function(sf, path):
+def _write_scale_block(sf, path):
     window = {"l_min": sf.l_min, "l_max": sf.l_max}
-    _write_block(path, b"AVXS", "scale_function", sf.grid, sf.values, **window)
+    return _write_block(path, b"AVXS", "scale_function", sf.grid, sf.values, **window)
+
+
+def save_scale_function(sf, path):
+    _write_sidecar(path, _write_scale_block(sf, path))
 
 
 def load_scale_function(path):
@@ -127,15 +153,28 @@ def load_scale_function(path):
 
 
 def save_tent_atoms(atom_set, path_prefix):
-    """Manifest JSON, naming each block relative to itself, plus one AVXS block per atom under a shared prefix."""
+    """Manifest JSON, naming each block relative to itself, plus one AVXS
+    block per atom under a shared prefix, each with its sidecar.
+
+    Every sidecar holds the bytes save_scale_function would write for its
+    atom.  Atoms with the same metadata (all of a set's atoms: they share
+    its template) get their sidecars as hard links of the first one, since
+    a new file costs the kernel far more than a link.  When the filesystem
+    refuses a link, that sidecar is written and the atoms after it link to
+    it instead.
+    """
     manifest = {
         "kind": "tent_atom_set",
         "leakage_ratio": atom_set.leakage_ratio,
         "entries": [],
     }
+    linked = None  # (metadata, path) of the sidecar later atoms link to
     for i, entry in enumerate(atom_set.entries):
         blob = f"{path_prefix}.atom{i:04d}.avxs"
-        save_scale_function(entry.atom, blob)
+        meta = _write_scale_block(entry.atom, blob)
+        if linked is None or linked[0] != meta or not _link_atomic(linked[1], blob + ".json"):
+            _write_sidecar(blob, meta)
+            linked = (meta, blob + ".json")
         manifest["entries"].append(
             {
                 "weight": entry.weight,

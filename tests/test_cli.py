@@ -382,6 +382,15 @@ class TestRun:
         timing = json.loads(sidecar.read_text())
         assert cached and timing["cached"] is True and 0.0 <= timing["seconds"] < 1e9
 
+    def test_timing_ignores_wall_clock_steps(self, cache_env, monkeypatch):
+        # The wall clock stepping back an hour between two reads (an NTP or
+        # manual adjustment) must not reach the recorded duration.
+        steps = iter(range(0, -3600 * 1000, -3600))
+        monkeypatch.setattr(cli.time, "time", lambda: 1.8e9 + next(steps))
+        run_config(QUICK, str(cache_env / "r.json"))
+        timing = json.loads((cache_env / "r.json.timing.json").read_text())
+        assert 0.0 <= timing["seconds"] < 600.0
+
     def test_corrupt_cache_is_a_miss(self, cache_env, capsys):
         out = cache_env / "out"
         out.mkdir()

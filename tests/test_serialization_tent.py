@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import struct
@@ -46,12 +47,27 @@ def test_scale_function_roundtrip(setup, tmp_path):
     assert np.array_equal(back.values, sf.values)
 
 
-def test_tent_atom_manifest(setup, tmp_path):
+@pytest.fixture(scope="module")
+def atoms(setup):
     d, g, p = setup
     x = g.axes()[0]
     G = ScaleFunction(g, -4, 0, np.zeros((5,) + g.resolution))
     G.values[1] = np.exp(-(x**2)) * (np.abs(x) < 2.0)
-    atoms = tent_atomic_decomposition(G, p, d)
+    return tent_atomic_decomposition(G, p, d)
+
+
+@pytest.fixture(scope="module")
+def shear_atoms():
+    d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
+    g = uniform_grid([-4.0, -4.0], [4.0, 4.0], 12)
+    x0, x1 = np.meshgrid(*g.axes(), indexing="ij")
+    r2 = x0**2 + x1**2
+    G = ScaleFunction(g, -2, 0, np.zeros((3,) + g.resolution))
+    G.values[1] = np.exp(-r2) * (r2 < 4.0)
+    return tent_atomic_decomposition(G, constant_exponent(g, 1.0), d)
+
+
+def test_tent_atom_manifest(atoms, tmp_path):
     prefix = str(tmp_path / "atoms")
     save_tent_atoms(atoms, prefix)
 
@@ -67,14 +83,9 @@ def test_tent_atom_manifest(setup, tmp_path):
     assert first["weight"] == atoms.entries[0].weight
 
 
-def test_tent_atom_manifest_is_relocatable(setup, tmp_path):
+def test_tent_atom_manifest_is_relocatable(atoms, tmp_path):
     # The same set saved under two directories: the manifests are the same
     # bytes, and each names its blocks relative to its own directory.
-    d, g, p = setup
-    x = g.axes()[0]
-    G = ScaleFunction(g, -4, 0, np.zeros((5,) + g.resolution))
-    G.values[1] = np.exp(-(x**2)) * (np.abs(x) < 2.0)
-    atoms = tent_atomic_decomposition(G, p, d)
     manifests = []
     for name in ("one", "two"):
         (tmp_path / name).mkdir()
@@ -86,6 +97,77 @@ def test_tent_atom_manifest_is_relocatable(setup, tmp_path):
     entries = json.loads(manifests[0])["entries"]
     for entry, atom in zip(entries, atoms.entries):
         assert np.array_equal(load_scale_function(moved / entry["values"]).values, atom.atom.values)
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def _solo_sidecars(atom_set, directory):
+    """The sidecar save_scale_function writes for each atom saved alone."""
+    directory.mkdir()
+    for i, entry in enumerate(atom_set.entries):
+        save_scale_function(entry.atom, directory / f"solo{i}.avxs")
+    return [(directory / f"solo{i}.avxs.json").read_bytes() for i in range(len(atom_set.entries))]
+
+
+def _sidecars(prefix, count):
+    return [f"{prefix}.atom{i:04d}.avxs.json" for i in range(count)]
+
+
+@pytest.mark.parametrize("name", ["atoms", "shear_atoms"])
+def test_tent_atom_sidecars_are_links_of_one_file(name, request, tmp_path):
+    atom_set = request.getfixturevalue(name)
+    count = len(atom_set.entries)
+    assert count > 3
+    solo = _solo_sidecars(atom_set, tmp_path / "solo")
+    out = tmp_path / "out"
+    out.mkdir()
+    save_tent_atoms(atom_set, str(out / "atoms"))
+    sidecars = _sidecars(out / "atoms", count)
+    assert [open(path, "rb").read() for path in sidecars] == solo
+    assert len({os.stat(path).st_ino for path in sidecars}) == 1
+    names = list(out.iterdir())
+    assert len(names) == 2 * count + 1
+    assert len({os.stat(path).st_ino for path in names}) == count + 2
+
+    # Saving again over the same prefix replaces every name with the same bytes.
+    first = _files(out)
+    save_tent_atoms(atom_set, str(out / "atoms"))
+    assert _files(out) == first
+    assert len({os.stat(path).st_ino for path in sidecars}) == 1
+
+
+@pytest.mark.parametrize("refused", [(errno.EMLINK, 3), (errno.EPERM, 1)], ids=["EMLINK-every-third", "EPERM-always"])
+def test_refused_links_fall_back_to_written_sidecars(shear_atoms, tmp_path, monkeypatch, refused):
+    # Every `every`-th link fails as past the link limit (EMLINK) or on a
+    # filesystem without hard links (EPERM): that sidecar is written, and
+    # the atoms after it link to it.
+    code, every = refused
+    count = len(shear_atoms.entries)
+    solo = _solo_sidecars(shear_atoms, tmp_path / "solo")
+    real_link = os.link
+    calls = []
+
+    def link(src, dst):
+        calls.append(dst)
+        if len(calls) % every == 0:
+            raise OSError(code, os.strerror(code))
+        real_link(src, dst)
+
+    monkeypatch.setattr(serialization.os, "link", link)
+    out = tmp_path / "out"
+    out.mkdir()
+    save_tent_atoms(shear_atoms, str(out / "atoms"))
+    assert len(calls) == count - 1
+    sidecars = _sidecars(out / "atoms", count)
+    assert [open(path, "rb").read() for path in sidecars] == solo
+    assert not [path.name for path in out.iterdir() if path.name.endswith(".tmp")]
+    # Atom i (i >= 1) makes the i-th link call; a refused one starts a new file.
+    inodes = [os.stat(path).st_ino for path in sidecars]
+    starts = [i for i in range(1, count) if inodes[i] != inodes[i - 1]]
+    assert starts == [i for i in range(1, count) if i % every == 0]
+    assert len(set(inodes)) == 1 + len(starts)
 
 
 def _saved_blocks(setup, tmp_path):
@@ -134,12 +216,13 @@ def test_empty_scale_window_is_corrupt_file(tmp_path):
     _assert_corrupt(load_scale_function, path)
 
 
-def test_failed_write_leaves_no_partial_file(setup, tmp_path, monkeypatch):
+def test_failed_write_leaves_no_partial_file(setup, atoms, tmp_path, monkeypatch):
     _, g, _ = setup
     f = GridFunction(g, np.linspace(-1.0, 1.0, 1024))
     save_grid_function(f, tmp_path / "kept.avxg")
-    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-    assert sorted(before) == ["kept.avxg", "kept.avxg.json"]
+    save_tent_atoms(atoms, str(tmp_path / "atoms"))
+    before = _files(tmp_path)
+    assert len(before) == 2 + 2 * len(atoms.entries) + 1
     real_open = open
     monkeypatch.setattr(serialization, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)), raising=False)
     with pytest.raises(OSError):
@@ -148,8 +231,38 @@ def test_failed_write_leaves_no_partial_file(setup, tmp_path, monkeypatch):
         save_scale_function(ScaleFunction(g, 0, 1, np.ones((2,) + g.resolution)), tmp_path / "new.avxs")
     with pytest.raises(OSError):
         write_atomic(tmp_path / "kept.avxg.json", "{}\n" * 64)
+    # Saving the set again fails midway: at the fifth file opened (atom
+    # 3's block), after atoms 1 and 2 got their sidecars as links.
+    opened = []
+
+    def failing_open(*args, **kwargs):
+        opened.append(args[0])
+        fh = real_open(*args, **kwargs)
+        return HalfWriter(fh) if len(opened) >= 5 else fh
+
+    monkeypatch.setattr(serialization, "open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        save_tent_atoms(atoms, str(tmp_path / "atoms"))
+    assert len(opened) == 5
+    # A link whose rename fails: atom 1's sidecar, the second rename into
+    # a sidecar name.
+    monkeypatch.setattr(serialization, "open", real_open, raising=False)
+    real_replace = os.replace
+    renamed = []
+
+    def failing_replace(src, dst):
+        if str(dst).endswith(".avxs.json"):
+            renamed.append(dst)
+            if len(renamed) == 2:
+                raise OSError(errno.EIO, "I/O error")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(serialization.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        save_tent_atoms(atoms, str(tmp_path / "atoms"))
+    assert renamed[-1].endswith(".atom0001.avxs.json")
     # The old files are untouched, and no new or temporary file is left.
-    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    assert _files(tmp_path) == before
 
 
 _FUZZ_GRID = uniform_grid([-1.0, -2.0], [1.0, 2.0], (4, 3))
