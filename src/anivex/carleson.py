@@ -21,10 +21,11 @@ kernel point.
 carleson_functional scores every ball of the search's fixed candidate
 stream before the search starts, as campanato_type_norm does: indicator
 norms and tent masses a scale at a time on its footprint rows
-(exponents.fill_indicator_norms, tent_masses), each value bit for bit the
-one-ball call's; tent_masses reads a tent's columns from the stamp rows
-(tent module).  The duality check's Cauchy-Schwarz loop reads its atoms'
-tent masses from it.
+(exponents.fill_indicator_norms, each norm bit for bit the one-ball call's,
+and tent_masses, whose one-ball stack is tent_mass).  tent_masses reads a
+lattice tent's columns from the stamp rows (tent module) and runs the
+exact test off the lattice.  The duality check's Cauchy-Schwarz loop reads
+its atoms' tent masses from it.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,6 @@ from .exponents import fill_indicator_norms, indicator_norm
 from .grid import (
     _box_corners,
     _cancel_discrete_moments,
-    ball_support,
     boundary_margin,
     bump_kernel,
     convolve_scaled,
@@ -50,11 +50,9 @@ from .polyproj import moments as poly_moments
 from .search import candidate_stream, default_scale_window, supremum_search
 from .tent import (
     ScaleFunction,
-    _lattice_offsets,
     _stamp_lookup,
     area_l2_weights,
     tent_atomic_decomposition,
-    tent_members,
 )
 
 __all__ = [
@@ -70,28 +68,9 @@ __all__ = [
 
 
 def tent_mass(mu, d, ball):
-    """integral of mu over the tent of the ball (counting x Lebesgue): per
-    scale, the nonzero nodes over the ball's lattice support that lie in its
-    tent, summed in C order."""
-    grid = mu.grid
-    idx = ball_support(grid, d, ball)
-    offsets = _lattice_offsets(grid, ball.center, idx)
-    if offsets is not None:  # every scale's membership in one stamp lookup
-        layers = np.arange(mu.values.shape[0])[:, None]
-        inside = _stamp_lookup(d, grid, ball.scale, (mu.l_min, mu.l_max), layers, offsets)
-    total = 0.0
-    for row, ell in enumerate(mu.scales()):
-        values = mu.layer(ell).ravel()[idx]
-        nonzero = values != 0.0
-        if not nonzero.any():
-            continue
-        if offsets is None:
-            keep = np.flatnonzero(nonzero)
-            keep = keep[tent_members(d, grid, ball, ell, idx[keep])]
-        else:
-            keep = nonzero & inside[row]
-        total += float(values[keep].sum())
-    return total * grid.cell_volume
+    """integral of mu over the tent of the ball (counting x Lebesgue): the
+    one-ball stack of tent_masses."""
+    return tent_masses(mu, d, [ball])[0]
 
 
 # The most entries tent_masses gathers in one stack; a larger scale is
@@ -100,36 +79,33 @@ _STACK_ENTRIES = 1 << 12
 
 
 def tent_masses(mu, d, balls):
-    """[tent_mass(mu, d, ball) for ball in balls], bit for bit, a scale at a time.
+    """The tent masses of a list of balls, a scale at a time on the stacks
+    of grid.scale_stacks: per layer, mu over the tent columns of each ball's
+    row, summed in row order, a column the box clips counting 0.0.
 
-    An unclipped footprint row of grid.scale_stacks holds each layer's tent
-    nodes at the same columns: one gather of exactly those nodes per layer
-    and chunk, then one row sum, as the same nodes sum alone.  A ball with
-    some exact zeros among them (tent_mass leaves those out of its sum), an
-    edge-clipped ball and an off-lattice ball take tent_mass itself.
+    A lattice stack's tent columns are one stamp-row lookup at its scale's
+    footprint offsets, shared by every row; an off-lattice ball runs the
+    exact test on its support, per layer.  Each layer is one gather of the
+    tent columns and one row sum.
     """
     grid = mu.grid
     layer_values = mu.values.reshape(mu.values.shape[0], -1)
     layers = np.arange(layer_values.shape[0])[:, None]
     masses, tents = {}, {}
     for scale, group, rows, inside, lattice in scale_stacks(grid, d, balls, _STACK_ENTRIES):
-        if not lattice:
-            masses[group[0].key()] = tent_mass(mu, d, group[0])
-            continue
-        if scale not in tents:  # each layer's tent columns of the scale's footprint rows
-            stamps = _stamp_lookup(d, grid, scale, (mu.l_min, mu.l_max), layers, footprint_offsets(d, grid, scale)[0].T)
-            tents[scale] = [np.flatnonzero(stamp) for stamp in stamps]
+        if lattice:
+            if scale not in tents:  # each layer's tent columns of the scale's footprint rows
+                stamps = _stamp_lookup(d, grid, scale, (mu.l_min, mu.l_max), layers, footprint_offsets(d, grid, scale)[0].T)
+                tents[scale] = [np.flatnonzero(stamp) for stamp in stamps]
+            tent = tents[scale]
+        else:
+            offsets = grid.points()[rows[0]] - group[0].center
+            tent = [np.flatnonzero(d.closed_containment(ell, scale, offsets)) for ell in mu.scales()]
         totals = np.zeros(len(group))
-        exact = inside.all(axis=1)
-        for values, tent in zip(layer_values, tents[scale]):
-            if tent.size:
-                stack = values.take(rows.take(tent, axis=1))  # C order, as each row sums alone
-                zeros = np.count_nonzero(stack == 0.0, axis=1)
-                exact &= (zeros == 0) | (zeros == tent.size)
-                totals += stack.sum(axis=1)
+        for values, cols in zip(layer_values, tent):
+            totals += (values.take(rows.take(cols, axis=1)) * inside.take(cols, axis=1)).sum(axis=1)
         totals *= grid.cell_volume
-        for ball, ok, mass in zip(group, exact.tolist(), totals.tolist()):
-            masses[ball.key()] = mass if ok else tent_mass(mu, d, ball)
+        masses.update(zip((ball.key() for ball in group), totals.tolist()))
     return [masses[ball.key()] for ball in balls]
 
 

@@ -23,7 +23,7 @@ from .grid import (
     convolve_scaled,
     integrate,
 )
-from .polyproj import _design_matrix, minimizing_polynomial, moments, multi_indices, refine_lq
+from .polyproj import _design_matrix, lq_norm, minimizing_polynomial, moments, multi_indices, refine_lq
 from .search import BallConfiguration
 
 DEFAULT_SCALE_RANGE = (-10, 6)
@@ -53,10 +53,6 @@ class Atom:
     validation: AtomValidation
 
 
-def _lq_norm(values, q, cell_volume):
-    return float((np.sum(np.abs(values) ** q) * cell_volume) ** (1.0 / q))
-
-
 def validate_atom(atom, d, p):
     """Recompute the support, size, and moment checks for an atom."""
     grid = atom.values.grid
@@ -64,7 +60,7 @@ def validate_atom(atom, d, p):
     inside = vals.ravel()[ball_support(grid, d, atom.ball)]
     support_exact = np.count_nonzero(inside) == np.count_nonzero(vals)
     q = atom.r_exponent
-    lq = _lq_norm(inside, q, grid.cell_volume)
+    lq = lq_norm(np.abs(inside), q, grid.cell_volume)
     bound = d.ball_volume(atom.ball) ** (1.0 / q) / indicator_norm(d, atom.ball, p)
     mom = moments(atom.values, atom.s)
     scale = max(lq, 1e-300)
@@ -84,7 +80,7 @@ def make_atom(seed, d, ball, q, p, s):
     resid = np.zeros(grid.resolution)
     inside = seed.values.ravel()[idx] - poly.evaluate(grid.points()[idx])
     resid.ravel()[idx] = inside
-    res_norm = _lq_norm(inside, q, grid.cell_volume)
+    res_norm = lq_norm(np.abs(inside), q, grid.cell_volume)
     if res_norm < 1e-12:
         raise DegenerateSeed("seed is a polynomial on the ball")
     scale = d.ball_volume(ball) ** (1.0 / q) / (indicator_norm(d, ball, p) * res_norm)
@@ -221,7 +217,7 @@ def duality_chain_check(rep, g, prm, d, seed=0):
         poly_star, err_star = refine_lq(g, d, ball, prm.s, q_conj, start=start)
         resid = g_vals - poly_star.evaluate(pts)
         lhs_b = abs(np.sum(a_vals * resid) * cell_volume)
-        a_norm = _lq_norm(a_vals, q, cell_volume)
+        a_norm = lq_norm(np.abs(a_vals), q, cell_volume)
         rhs_b = a_norm * err_star
         holder_slack = min(holder_slack, rhs_b - lhs_b)
 

@@ -50,19 +50,27 @@ def _dtype_code(values):
         raise ValueError(f"unsupported dtype {values.dtype}") from None
 
 
+@contextlib.contextmanager
+def _removed_on_failure(tmp):
+    """Remove the temporary name tmp, if it exists, when the block raises,
+    then re-raise."""
+    try:
+        yield
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_atomic(path, data):
     """Write text or bytes to a temporary file beside path, then rename it
     over path: a failed write leaves neither a partial target nor the
     temporary file."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    try:
+    with _removed_on_failure(tmp):
         with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def _link_atomic(source, path):
@@ -75,12 +83,8 @@ def _link_atomic(source, path):
         os.link(source, tmp)
     except OSError:
         return False
-    try:
+    with _removed_on_failure(tmp):
         os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
     return True
 
 

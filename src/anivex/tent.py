@@ -12,11 +12,10 @@ For a ball centred on a lattice point, membership of any set of nodes, at
 any mix of scales, is one gather from those rows at the nodes' integer
 offsets from the centre, found once per ball; no query builds a grid-sized
 array.  For any other centre the exact test runs on the queried nodes, one
-call per scale.  tent_members is the one-scale form.  Atom expansions read
-one gather per grown scale, atom validation one per atom, and the Carleson
-module's tent masses one per ball, or one per scale and chunk of balls
-(carleson.tent_masses).  The lattice cells of a ball, cover balls included,
-come from grid.ball_support.
+call per scale.  Atom expansions read one gather per grown scale, atom
+validation one per atom, and the Carleson module's tent masses one per
+scale and chunk of balls (carleson.tent_masses).  The lattice cells of a
+ball, cover balls included, come from grid.ball_support.
 
 The decomposition fills its atoms' weights and amplitudes once every atom
 ball is known, from indicator norms solved in stacks
@@ -57,7 +56,6 @@ __all__ = [
     "ScaleFunction",
     "zero_scale_function",
     "lusin_area",
-    "tent_members",
     "tent_offset_mask",
     "maximal_dilate",
     "whitney_cover",
@@ -165,18 +163,6 @@ def _in_tent(d, grid, ball, window, layers, flat, offsets):
         sel = layers == layer
         out[sel] = d.closed_containment(window[0] + layer, ball.scale, points[flat[sel]] - ball.center)
     return out
-
-
-def tent_members(d, grid, ball, ell, flat):
-    """Booleans, one per flat lattice index y: y + B_ell inside the closed ball.
-
-    Lattice-aligned centres (search sweeps, cover and atom balls) read the
-    stamp rows at the nodes' offsets from the centre; other centres run the
-    exact test.
-    """
-    flat = np.asarray(flat)
-    layers = np.zeros(len(flat), dtype=int)
-    return _in_tent(d, grid, ball, (ell, ell), layers, flat, _lattice_offsets(grid, ball.center, flat))
 
 
 def _binary_erode(mask, d, grid, scale):

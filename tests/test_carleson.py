@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import paste_centered
-
 from anivex import carleson as carleson_module
 from anivex import exponents as exponents_module
 from anivex.campanato import search_objective
@@ -105,23 +103,31 @@ class TestTentMass:
 
 
 def _pasted_tent_mass(mu, d, ball):
-    """tent_mass with each scale's membership pasted from a full-grid copy
-    of the stamp, or run by the exact test off the lattice: the reference."""
+    """The tent mass by its definition, the reference for tent_masses: per
+    scale, one np.sum of mu over the ball's tent cells in C order.  A
+    lattice centre walks its footprint, keeping the offsets the unpasted
+    tent_offset_mask puts in the tent, with mu 0.0 where an offset leaves
+    the box; off the lattice, the ball_support cells the exact test keeps."""
     grid = mu.grid
-    idx = ball_support(grid, d, ball)
     centre = _lattice_index(grid, ball.center)
+    footprint = ball_footprint(d, grid, ball.scale)
     total = 0.0
     for ell in mu.scales():
-        layer = mu.layer(ell).ravel()
-        candidates = idx[layer[idx] != 0.0]
-        if len(candidates) == 0:
-            continue
+        layer = mu.layer(ell)
         if centre is None:
-            inside = d.closed_containment(ell, ball.scale, grid.points()[candidates] - ball.center)
+            idx = ball_support(grid, d, ball)
+            kept = layer.ravel()[idx[d.closed_containment(ell, ball.scale, grid.points()[idx] - ball.center)]]
         else:
-            stamp = paste_centered(grid.resolution, tent_offset_mask(d, grid, ell, ball.scale), centre)
-            inside = stamp.ravel()[candidates]
-        total += float(layer[candidates[inside]].sum())
+            stamp = tent_offset_mask(d, grid, ell, ball.scale)
+            offsets = np.argwhere(footprint) - np.array(footprint.shape) // 2
+            at = offsets + np.array(stamp.shape) // 2
+            on_stamp = ((at >= 0) & (at < stamp.shape)).all(axis=1)
+            offsets = offsets[on_stamp][stamp[tuple(at[on_stamp].T)]]
+            cells = np.array(centre) + offsets
+            in_box = ((cells >= 0) & (cells < grid.resolution)).all(axis=1)
+            kept = np.zeros(len(cells))
+            kept[in_box] = layer[tuple(cells[in_box].T)]
+        total += float(np.sum(kept))
     return total * grid.cell_volume
 
 
@@ -163,21 +169,27 @@ class TestTentMasses:
         assert want == [_pasted_tent_mass(mu, d, ball) for ball in balls]
 
     @pytest.mark.parametrize("case", sorted(_MASS_CASES))
-    def test_whole_sweep_mostly_stacked(self, case, monkeypatch):
+    def test_every_ball_takes_the_stacked_path(self, case, monkeypatch):
         d, g, window = _MASS_CASES[case]
         mu = _holed_density(g, window, 5)
-        mu.values[mu.values == 0.0] = 0.5  # no holes: only clipped balls fall back
-        mu.values[1] = 0.0  # an empty scale stacks too
-        stream = candidate_stream(d, g, 400, 1, default_scale_window(d, g, min_points=1))
+        k_lo, k_hi = default_scale_window(d, g, min_points=1)
+        stream = candidate_stream(d, g, 400, 1, (k_lo, k_hi))
         balls = [ball for config in stream if config is not None for ball in config.balls()]
-        alone = []
-        real = carleson_module.tent_mass
-        monkeypatch.setattr(carleson_module, "tent_mass", lambda mu, d, ball: alone.append(ball) or real(mu, d, ball))
+        balls.append(d.ball([0.3 * h for h in g.spacing], k_hi))
+        balls.append(d.ball([ax[0] for ax in g.axes()], k_hi))  # at the box's corner
+        lattice = [ball for ball in balls if _lattice_index(g, ball.center) is not None]
+        assert len(lattice) < len(balls)  # an off-lattice ball
+        assert any(ball_support(g, d, ball).size < np.count_nonzero(ball_footprint(d, g, ball.scale)) for ball in lattice)
+        support_values = [mu.values.reshape(len(mu.values), -1)[0, ball_support(g, d, ball)] for ball in balls]
+        assert any(0 < np.count_nonzero(values) < values.size for values in support_values)  # holed balls
+
+        def alone(mu, d, ball):
+            raise AssertionError(f"tent_masses took the one-ball path for {ball}")
+
+        monkeypatch.setattr(carleson_module, "tent_mass", alone)
         got = tent_masses(mu, d, balls)
-        assert len(alone) < len({ball.key() for ball in balls}) // 2
-        assert all(ball_support(g, d, ball).size < np.count_nonzero(ball_footprint(d, g, ball.scale)) for ball in alone)
         monkeypatch.undo()
-        assert got == [tent_mass(mu, d, ball) for ball in balls]
+        assert got == [_pasted_tent_mass(mu, d, ball) for ball in balls]
 
     def test_empty_list(self, d1, g1):
         assert tent_masses(zero_scale_function(g1, (-2, 0)), d1, []) == []

@@ -81,6 +81,17 @@ class TestMakeAtom:
         with pytest.raises(DegenerateSeed):
             make_atom(sample(g1, lambda x: 0 * x + 3.0), d1, d1.ball([0.0], 0), 2.0, p1, 0)
 
+    def test_huge_seed_is_the_unit_seed_atom(self, d1):
+        # The seed's squared residuals overflow: the L^q norms rescale
+        # instead of turning inf and zeroing the atom.
+        g = uniform_grid([-8.0], [8.0], 256)
+        p = constant_exponent(g, 1.0)
+        ball = d1.ball([0.5], 1)
+        unit = make_atom(sample(g, lambda x: np.sin(3.0 * x)), d1, ball, 2.0, p, 0)
+        huge = make_atom(sample(g, lambda x: 1e160 * np.sin(3.0 * x)), d1, ball, 2.0, p, 0)
+        assert np.max(np.abs(huge.values.values - unit.values.values)) <= 1e-12 * np.max(np.abs(unit.values.values))
+        assert huge.validation.size_ratio == pytest.approx(1.0, rel=1e-12)
+
     @pytest.mark.parametrize("case", range(5))
     def test_random_atoms_validate(self, d1, g1, p1, case):
         rng = np.random.default_rng(40 + case)

@@ -47,7 +47,6 @@ from anivex.tent import (
     maximal_dilate,
     tent_atom_validate,
     tent_atomic_decomposition,
-    tent_members,
     tent_offset_mask,
     whitney_cover,
     zero_scale_function,
@@ -432,6 +431,12 @@ _STAMP_CASES = {
 }
 
 
+def _one_scale(d, grid, ball, ell, flat):
+    """_in_tent over the one-scale window (ell, ell): y + B_ell inside the
+    closed ball, one boolean per flat lattice index y."""
+    return _in_tent(d, grid, ball, (ell, ell), np.zeros(len(flat), dtype=int), flat, _lattice_offsets(grid, ball.center, flat))
+
+
 class TestTentMembers:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -447,7 +452,7 @@ class TestTentMembers:
         ball = d.ball(center, ball_scale)
         ell = ball_scale - depth
         every = np.arange(int(np.prod(grid.resolution)))
-        stamped = tent_members(d, grid, ball, ell, every)
+        stamped = _one_scale(d, grid, ball, ell, every)
         pointwise = d.closed_containment(ell, ball_scale, grid.points() - center)
         assert np.array_equal(stamped, pointwise)
 
@@ -455,14 +460,14 @@ class TestTentMembers:
         grid = uniform_grid([-4.0], [4.0], 64)
         ball = d1.ball([0.01], 1)
         every = np.arange(64)
-        got = tent_members(d1, grid, ball, -1, every)
+        got = _one_scale(d1, grid, ball, -1, every)
         # Interval oracle: |y - 0.01| + 1/4 <= 1 for B_-1 inside B_1.
         want = np.abs(grid.axes()[0] - 0.01) + 0.25 <= 1.0
         assert np.array_equal(got, want)
 
 
 def _pasted_tent_members(d, grid, ball, ell, flat):
-    """The pasted form of tent_members, the reference for the stamp rows: a
+    """The pasted form of _one_scale, the reference for the stamp rows: a
     full-grid copy of the stamp placed at the lattice centre, read at the
     flat indices."""
     centre = _lattice_index(grid, ball.center)
@@ -507,7 +512,7 @@ class TestStampRows:
         every = np.arange(size)
         for ell in range(window[0], window[1] + 1):
             want = _pasted_tent_members(d, grid, ball, ell, every)
-            assert np.array_equal(tent_members(d, grid, ball, ell, every), want)
+            assert np.array_equal(_one_scale(d, grid, ball, ell, every), want)
 
     @pytest.mark.parametrize("case", sorted(_ROW_CASES))
     def test_stamp_wider_than_the_grid(self, case):
@@ -519,7 +524,7 @@ class TestStampRows:
             ball = d.ball([ax[i] for ax, i in zip(grid.axes(), corner)], 6)
             for ell in (-2, 0, 3, 6):
                 want = _pasted_tent_members(d, grid, ball, ell, every)
-                assert np.array_equal(tent_members(d, grid, ball, ell, every), want)
+                assert np.array_equal(_one_scale(d, grid, ball, ell, every), want)
 
     def test_offsets_beyond_the_stamp_are_outside(self):
         # B_0 fits at every offset of the capped B_6 stamp, up to its edge
