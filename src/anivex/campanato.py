@@ -19,13 +19,8 @@ classic_functional reports.  N_B passed the unit-modular guard, so
 N_B >= ||1_B|| up to the rounding of the modular sum, and the value stays a
 lower bound of the true quotient.
 
-campanato_type_norm scores every ball of the search's fixed candidate
-stream (the sweep and the random configurations) before the search, a
-scale at a time: one stacked Luxemburg solve and one stacked projection per
-scale and chunk, on the rows of the scale's footprint layout, fill the
-caches the search reads.  A stacked value is bit for bit the ball's own, so
-the search's candidate order, the values it compares and its counters are
-unchanged.
+campanato_type_norm is family_supremum over _score_sweep, one stacked
+Luxemburg solve and one stacked projection per scale and chunk.
 """
 
 import warnings
@@ -112,11 +107,10 @@ def aggregate_norm(config, p, eta, d):
     return _aggregate_value(acc, p, eta)
 
 
-def per_ball_cache(term, cache=None):
-    """Memoize a per-ball term by ball key, in cache if one is given; a ball
-    with too few lattice points is remembered too, and raises
-    InsufficientSamples again on every hit."""
-    cache = {} if cache is None else cache
+def per_ball_cache(term):
+    """Memoize a per-ball term by ball key; a ball with too few lattice
+    points is remembered too, and raises InsufficientSamples on every hit."""
+    cache = {}
 
     def cached(ball):
         key = ball.key()
@@ -160,11 +154,27 @@ def prefix_quotients(entries, term, p, eta, d):
     return values, tail
 
 
-def search_objective(term, p, eta, d, known=None):
-    """config -> config_quotient(config, term, p, eta, d), with term memoized
-    per ball across the configurations of a search; known maps ball keys to
-    term values already computed."""
-    return partial(config_quotient, term=per_ball_cache(term, known), p=p, eta=eta, d=d)
+def family_supremum(score, p, eta, d, grid, budget, seed, min_points):
+    """supremum_search of config_quotient on the candidate_stream over
+    default_scale_window(d, grid, min_points), with every ball of the fixed
+    stream scored in stacks before the search: score(balls) -> {ball key:
+    term}, each value bit for bit the ball's own term.  The ascent variants
+    only reweight balls of the stream, so the search only looks terms up,
+    and its candidate order, values and counters are those of scoring one
+    candidate at a time.  A ball that score leaves out is one the one-ball
+    term refuses; it raises InsufficientSamples (one that misses the
+    lattice raises EmptyMask in aggregate_norm first)."""
+    stream = candidate_stream(d, grid, budget, seed, default_scale_window(d, grid, min_points))
+    balls = {ball.key(): ball for config in stream if config is not None for ball in config.balls()}
+    terms = score(balls.values())
+
+    def term(ball):
+        key = ball.key()
+        if key not in terms:
+            raise InsufficientSamples(f"ball at scale {ball.scale} has too few lattice points")
+        return terms[key]
+
+    return supremum_search(partial(config_quotient, term=term, p=p, eta=eta, d=d), stream)
 
 
 @dataclass
@@ -275,17 +285,10 @@ def campanato_type_norm(f, prm, d, budget=200, seed=0):
 
     Canonical single-ball sweep, random small configurations, and greedy
     weight ascent, deterministic for a fixed seed; doubling the budget can
-    only grow the record.  Every ball of the fixed stream is scored a scale
-    at a time before the search starts (_score_sweep), bit for bit as one at
-    a time, so the candidate order and the counters are unchanged; the
-    ascent variants reweight balls of the stream.
+    only grow the record.  The terms are _score_sweep's (family_supremum).
     """
-    scale_window = default_scale_window(d, f.grid, min_points=4 + 2 * prm.s)
-    stream = candidate_stream(d, f.grid, budget, seed, scale_window)
-    balls = {ball.key(): ball for config in stream if config is not None for ball in config.balls()}
-    terms = _score_sweep(f, prm, d, balls.values())
-    config_value = search_objective(_oscillation_term(f, prm, d), prm.p, prm.eta, d, terms)
-    return supremum_search(config_value, stream)
+    score = partial(_score_sweep, f, prm, d)
+    return family_supremum(score, prm.p, prm.eta, d, f.grid, budget, seed, 4 + 2 * prm.s)
 
 
 # The largest stacked design matrix, in entries, that _score_sweep builds;
@@ -294,11 +297,10 @@ _STACK_ENTRIES = 1 << 16
 
 
 def _score_sweep(f, prm, d, balls):
-    """Oscillation terms of distinct balls by ball key, one stacked Luxemburg
-    solve (filling indicator_norm's cache) and one stacked projection per
-    grid.scale_stacks stack, each value bit for bit the ball's own.  A ball
-    that misses the lattice gets no norm, and one with fewer lattice points
-    than coefficients no term, so the search still raises on them and skips them."""
+    """family_supremum's score of the oscillation terms: one stacked
+    Luxemburg solve (filling indicator_norm's cache) and one stacked
+    projection per grid.scale_stacks stack.  A ball that misses the lattice
+    gets no norm, and one with fewer lattice points than coefficients no term."""
     coefficients = len(multi_indices(f.grid.n, prm.s))
     terms = {}
     for scale, group, rows, inside, _ in scale_stacks(f.grid, d, balls, _STACK_ENTRIES // coefficients):

@@ -18,21 +18,19 @@ polynomial in z_i = exp(-2 pi i h_i xi_i) on the kernel's lattice, summed
 by nested Horner (_fourier_at): n + 1 exponentials per frequency, none per
 kernel point.
 
-carleson_functional scores every ball of the search's fixed candidate
-stream before the search starts, as campanato_type_norm does: indicator
-norms and tent masses a scale at a time on its footprint rows
-(exponents.fill_indicator_norms, each norm bit for bit the one-ball call's,
-and tent_masses, whose one-ball stack is tent_mass).  tent_masses reads a
-lattice tent's columns from the stamp rows (tent module) and runs the
-exact test off the lattice.  The duality check's Cauchy-Schwarz loop reads
-its atoms' tent masses from it.
+carleson_functional is campanato.family_supremum over _carleson_terms:
+exponents.fill_indicator_norms, then tent_masses, whose one-ball stack is
+tent_mass.  tent_masses reads a lattice tent's columns from the stamp rows
+(tent module) and runs the exact test off the lattice.  The duality
+check's Cauchy-Schwarz loop reads its atoms' tent masses from it.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .campanato import prefix_quotients, search_objective
+from .campanato import family_supremum, prefix_quotients
 from .errors import FourierBoundFailure
 from .exponents import fill_indicator_norms, indicator_norm
 from .grid import (
@@ -47,7 +45,6 @@ from .grid import (
     scale_stacks,
 )
 from .polyproj import moments as poly_moments
-from .search import candidate_stream, default_scale_window, supremum_search
 from .tent import (
     ScaleFunction,
     _stamp_lookup,
@@ -119,28 +116,23 @@ def _carleson_term(mu, p, d):
     return term
 
 
+def _carleson_terms(mu, p, d, balls):
+    """_carleson_term of the balls that meet the lattice by key, from stacks."""
+    live = fill_indicator_norms(d, balls, p)
+    return {
+        ball.key(): np.sqrt(d.ball_volume(ball)) / indicator_norm(d, ball, p) * np.sqrt(mass)
+        for ball, mass in zip(live, tent_masses(mu, d, live))
+    }
+
+
 def carleson_functional(mu, p, d, eta=None, budget=200, seed=0):
     """Certified lower bound of the Carleson configuration supremum for a
-    nonnegative density mu.
-
-    Every ball of the search's fixed candidate stream is scored before the
-    search, its indicator norm and tent mass in stacks, each bit for bit
-    its own call's, so the search's candidate order and counters are those
-    of scoring one ball at a time."""
+    nonnegative density mu; the terms are _carleson_terms' (family_supremum)."""
     if np.any(mu.values < 0.0):
         raise ValueError("carleson density must be nonnegative")
     if eta is None:
         eta = p.underline_p
-    scale_window = default_scale_window(d, mu.grid, min_points=1)
-    stream = candidate_stream(d, mu.grid, budget, seed, scale_window)
-    balls = {ball.key(): ball for config in stream if config is not None for ball in config.balls()}
-    live = fill_indicator_norms(d, balls.values(), p)
-    terms = {
-        ball.key(): np.sqrt(d.ball_volume(ball)) / indicator_norm(d, ball, p) * np.sqrt(mass)
-        for ball, mass in zip(live, tent_masses(mu, d, live))
-    }
-    config_value = search_objective(_carleson_term(mu, p, d), p, eta, d, terms)
-    return supremum_search(config_value, stream)
+    return family_supremum(partial(_carleson_terms, mu, p, d), p, eta, d, mu.grid, budget, seed, 1)
 
 
 def carleson_prefix_check(mu, entries, p, d, eta=None):

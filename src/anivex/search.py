@@ -9,8 +9,8 @@ candidate_stream draws the fixed part of the stream once, before the
 search: the canonical single-ball sweep, then rounds of three random
 configurations and one ascent slot.  Only the ascent slots depend on the
 values; their variants reweight balls the incumbent already holds, so every
-ball the search meets is in the fixed stream, and a caller can score all of
-them in stacks before the search starts.
+ball the search meets is in the fixed stream, and campanato.family_supremum
+scores all of them in stacks before the search starts.
 """
 
 import math

@@ -10,6 +10,8 @@ import errno
 import numpy as np
 from hypothesis import settings
 
+from anivex.errors import EmptyMask, InsufficientSamples, ZeroDenominator
+
 settings.register_profile("anivex", derandomize=True, deadline=None, database=None)
 settings.load_profile("anivex")
 
@@ -59,3 +61,19 @@ def paste_centered(mask_shape, centered, idx):
     out[tuple(dst)] = centered[tuple(src)]
     return out
 
+
+def recorded(config_value, record):
+    """config_value, appending each candidate's value or skip to record."""
+    if record is None:
+        return config_value
+
+    def value(config):
+        try:
+            out = config_value(config)
+        except (EmptyMask, InsufficientSamples, ZeroDenominator) as exc:
+            record.append(type(exc).__name__)
+            raise
+        record.append(out)
+        return out
+
+    return value

@@ -1,11 +1,13 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import paste_centered
+from conftest import paste_centered, recorded
 
-from anivex import campanato, exponents
+from anivex import campanato, carleson, exponents
 from anivex.campanato import (
     BallConfiguration,
     CampanatoParams,
@@ -46,6 +48,7 @@ from anivex.search import (
     default_scale_window,
     supremum_search,
 )
+from anivex.tent import zero_scale_function
 
 
 @pytest.fixture(scope="module")
@@ -379,24 +382,7 @@ def _reference_search(f, prm, d, budget, seed, record=None):
     def value(config):
         return config_quotient(config, term, alone.p, alone.eta, d)
 
-    return _one_at_a_time(_recorded(value, record), d, f.grid, budget, seed, window)
-
-
-def _recorded(config_value, record):
-    """config_value, appending each candidate's value or skip to record."""
-    if record is None:
-        return config_value
-
-    def value(config):
-        try:
-            out = config_value(config)
-        except (EmptyMask, InsufficientSamples, ZeroDenominator) as exc:
-            record.append(type(exc).__name__)
-            raise
-        record.append(out)
-        return out
-
-    return value
+    return _one_at_a_time(recorded(value, record), d, f.grid, budget, seed, window)
 
 
 def _keys_of(config):
@@ -420,7 +406,7 @@ class TestStackedSearch:
         stacked, reference = [], []
         search = campanato.supremum_search
         monkeypatch.setattr(
-            campanato, "supremum_search", lambda value, *args: search(_recorded(value, stacked), *args)
+            campanato, "supremum_search", lambda value, *args: search(recorded(value, stacked), *args)
         )
         values = []
         # Into the sweep, to its end, and past it into the random stage: one
@@ -457,8 +443,8 @@ class TestStackedSearch:
         sweep = sum(1 for _ in _canonical_sweep(d, g, window))
         for budget in (sweep - 1, sweep, sweep + 1, sweep + 3, sweep + 4, sweep + 5, sweep + 120):
             got, want = [], []
-            res = supremum_search(_recorded(value, got), candidate_stream(d, g, budget, seed, window))
-            ref = _one_at_a_time(_recorded(value, want), d, g, budget, seed, window)
+            res = supremum_search(recorded(value, got), candidate_stream(d, g, budget, seed, window))
+            ref = _one_at_a_time(recorded(value, want), d, g, budget, seed, window)
             assert got == want
             assert (res.value, _keys(res), res.evaluations, res.candidates_seen) == (
                 ref.value, _keys(ref), ref.evaluations, ref.candidates_seen
@@ -484,12 +470,23 @@ class TestStackedSearch:
                     assert _keys_of(got) == _keys_of(want)
                 assert ours.random() == theirs.random()  # the same draws were used
 
-    def test_no_single_ball_work_inside_the_search(self, monkeypatch):
+    @pytest.mark.parametrize("functional", ["campanato", "carleson"])
+    def test_no_single_ball_work_inside_the_search(self, functional, monkeypatch):
         # Every ball of the fixed stream is scored before the search: inside
-        # it no indicator norm is solved and no ball is projected, and the
-        # only Luxemburg solves are the denominators of multi-ball candidates.
+        # it no indicator norm is solved, no ball is projected and no tent
+        # mass is summed, and the only Luxemburg solves are the denominators
+        # of multi-ball candidates.
         f, prm, d = _crossing_case("diag(2,3)")
-        inside, counts = [False], {"project": 0, "indicator": 0, "luxemburg": 0, "multi": 0}
+        if functional == "campanato":
+            budget = _sweep_length(f, prm, d) + 301
+            run = partial(campanato_type_norm, f, _params(prm, _fresh(prm.p)), d)
+        else:
+            mu = zero_scale_function(f.grid, (-3, 0))
+            mu.values[:] = np.abs(f.values)
+            window = default_scale_window(d, f.grid, min_points=1)
+            budget = sum(1 for _ in _canonical_sweep(d, f.grid, window)) + 301
+            run = partial(carleson.carleson_functional, mu, _fresh(prm.p), d)
+        inside, counts = [False], {"project": 0, "indicator": 0, "tent": 0, "luxemburg": 0, "multi": 0}
 
         def counted(name, fn):
             def wrapped(*args, **kwargs):
@@ -500,6 +497,7 @@ class TestStackedSearch:
 
         monkeypatch.setattr(campanato, "_project", counted("project", campanato._project))
         monkeypatch.setattr(exponents, "_indicator_norms", counted("indicator", exponents._indicator_norms))
+        monkeypatch.setattr(carleson, "tent_masses", counted("tent", carleson.tent_masses))
         monkeypatch.setattr(exponents, "_luxemburg", counted("luxemburg", exponents._luxemburg))
         search = campanato.supremum_search
 
@@ -515,10 +513,9 @@ class TestStackedSearch:
                 inside[0] = False
 
         monkeypatch.setattr(campanato, "supremum_search", traced_search)
-        budget = _sweep_length(f, prm, d) + 301
-        res = campanato_type_norm(f, _params(prm, _fresh(prm.p)), d, budget=budget, seed=3)
+        res = run(budget=budget, seed=3)
         assert (res.evaluations, res.candidates_seen) == (budget, budget)
-        assert counts["project"] == counts["indicator"] == 0
+        assert counts["project"] == counts["indicator"] == counts["tent"] == 0
         assert counts["luxemburg"] == counts["multi"] > 200
 
 
@@ -546,7 +543,7 @@ class TestStackedSkips:
         stacked, reference = [], []
         search = campanato.supremum_search
         monkeypatch.setattr(
-            campanato, "supremum_search", lambda value, *args: search(_recorded(value, stacked), *args)
+            campanato, "supremum_search", lambda value, *args: search(recorded(value, stacked), *args)
         )
         res = campanato_type_norm(f, _params(prm, _fresh(prm.p)), d, budget=700, seed=2)
         ref = _reference_search(f, prm, d, 700, 2, reference)
@@ -556,13 +553,14 @@ class TestStackedSkips:
         assert res.evaluations == 700 - stacked.count("InsufficientSamples")
 
     def test_too_small_balls_project_once(self, monkeypatch):
-        # A ball with fewer lattice points than coefficients raises
-        # InsufficientSamples once, and the search's cache raises it again on
-        # every later candidate that holds the ball: on 16 x 16 the random
-        # stage draws the two such sweep balls again and again.
+        # On 16 x 16 at s = 2 two sweep balls hold fewer lattice points than
+        # coefficients, and the random stage draws them again and again.
+        # One candidate at a time projects each of them once, and its cache
+        # raises InsufficientSamples again on every later hit; the stacked
+        # search leaves them out of its terms and projects no ball at all.
         f, prm, d = _crossing_case("shear", (16, 16))
         prm = CampanatoParams(p=prm.p, q=prm.q, s=2)
-        projected, searching = [], []
+        projected, searching, stacked = [], [], []
         project, search = campanato._project, campanato.supremum_search
 
         def counted(f, d, ball, s):
@@ -570,21 +568,23 @@ class TestStackedSkips:
                 projected.append(ball)
             return project(f, d, ball, s)
 
-        def searched(*args):
+        def searched(value, *args):
             searching.append(True)
             try:
-                return search(*args)
+                return search(recorded(value, stacked), *args)
             finally:
                 searching.clear()
 
         monkeypatch.setattr(campanato, "_project", counted)
         monkeypatch.setattr(campanato, "supremum_search", searched)
         res = campanato_type_norm(f, _params(prm, _fresh(prm.p)), d, budget=2000, seed=1)
-        coefficients = len(multi_indices(2, 2))
-        assert len(projected) == len({ball.key() for ball in projected}) == 2
-        assert all(ball_support(f.grid, d, ball).size < coefficients for ball in projected)
-        monkeypatch.undo()
+        assert projected == []
+        assert stacked.count("InsufficientSamples") > 2
+        searching.append(True)  # the reference projects each ball as it meets it
         ref = _reference_search(f, prm, d, 2000, 1)
+        coefficients = len(multi_indices(2, 2))
+        small = [ball.key() for ball in projected if ball_support(f.grid, d, ball).size < coefficients]
+        assert len(small) == len(set(small)) == 2
         assert (res.value, res.evaluations, res.candidates_seen) == (ref.value, ref.evaluations, ref.candidates_seen)
 
     def test_ball_off_the_lattice_gets_nothing(self):

@@ -1,15 +1,19 @@
 import os
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import recorded
+
+from anivex import campanato as campanato_module
 from anivex import carleson as carleson_module
 from anivex import exponents as exponents_module
-from anivex.campanato import search_objective
+from anivex.campanato import config_quotient, per_ball_cache
 from anivex.carleson import (
     _carleson_term,
     _fft_frequencies,
@@ -241,12 +245,19 @@ class TestCarlesonFunctional:
         scales = default_scale_window(d, g, min_points=1)
         sweep = (scales[1] - scales[0] + 1) * 16**g.n
         budget = sweep // 2 if past < 0 else sweep + past
+        stacked, reference = [], []
+        search = campanato_module.supremum_search
+        monkeypatch.setattr(
+            campanato_module, "supremum_search", lambda value, *args: search(recorded(value, stacked), *args)
+        )
         got = carleson_functional(mu, p, d, eta=1.0, budget=budget, seed=3)
         fresh = Exponent(p.values, p.p_infinity)
+        term = per_ball_cache(_carleson_term(mu, fresh, d))
         ref = supremum_search(
-            search_objective(_carleson_term(mu, fresh, d), fresh, 1.0, d),
+            recorded(partial(config_quotient, term=term, p=fresh, eta=1.0, d=d), reference),
             candidate_stream(d, g, budget, 3, scales),
         )
+        assert stacked == reference  # every candidate's value or skip, in order
         assert got.value > 0.0
         assert (got.value, got.evaluations, got.candidates_seen) == (ref.value, ref.evaluations, ref.candidates_seen)
         assert [(b.key(), w) for b, w in got.config.entries] == [(b.key(), w) for b, w in ref.config.entries]
