@@ -304,7 +304,7 @@ def _score_sweep(f, prm, d, balls):
     coefficients = len(multi_indices(f.grid.n, prm.s))
     terms = {}
     for scale, group, rows, inside, _ in scale_stacks(f.grid, d, balls, _STACK_ENTRIES // coefficients):
-        norms = stack_indicator_norms(d, group, rows, inside, prm.p) if inside.size else None
+        norms = stack_indicator_norms(d, group, rows, inside, prm.p)
         keep = np.flatnonzero(inside.sum(axis=1) >= coefficients)
         if not keep.size:
             continue

@@ -20,8 +20,8 @@ kernel point.
 
 carleson_functional is campanato.family_supremum over _carleson_terms:
 exponents.fill_indicator_norms, then tent_masses, whose one-ball stack is
-tent_mass.  tent_masses reads a lattice tent's columns from the stamp rows
-(tent module) and runs the exact test off the lattice.  The duality
+tent_mass.  tent_masses reads every ball's tent columns from the stamp rows
+of its scale and shift (tent module), whatever the centre.  The duality
 check's Cauchy-Schwarz loop reads its atoms' tent masses from it.
 """
 
@@ -76,34 +76,30 @@ _STACK_ENTRIES = 1 << 12
 
 
 def tent_masses(mu, d, balls):
-    """The tent masses of a list of balls, a scale at a time on the stacks
-    of grid.scale_stacks: per layer, mu over the tent columns of each ball's
-    row, summed in row order, a column the box clips counting 0.0.
+    """The tent masses of a list of balls, a (scale, shift) at a time on the
+    stacks of grid.scale_stacks: per layer, mu over the tent columns of each
+    ball's row, summed in row order, a column the box clips counting 0.0.
+    A ball that meets no lattice point has mass 0.0.
 
-    A lattice stack's tent columns are one stamp-row lookup at its scale's
-    footprint offsets, shared by every row; an off-lattice ball runs the
-    exact test on its support, per layer.  Each layer is one gather of the
-    tent columns and one row sum.
+    A stack's tent columns are one stamp-row lookup at its footprint
+    offsets, shared by every row; each layer is one gather of the tent
+    columns and one row sum.
     """
     grid = mu.grid
     layer_values = mu.values.reshape(mu.values.shape[0], -1)
     layers = np.arange(layer_values.shape[0])[:, None]
     masses, tents = {}, {}
-    for scale, group, rows, inside, lattice in scale_stacks(grid, d, balls, _STACK_ENTRIES):
-        if lattice:
-            if scale not in tents:  # each layer's tent columns of the scale's footprint rows
-                stamps = _stamp_lookup(d, grid, scale, (mu.l_min, mu.l_max), layers, footprint_offsets(d, grid, scale)[0].T)
-                tents[scale] = [np.flatnonzero(stamp) for stamp in stamps]
-            tent = tents[scale]
-        else:
-            offsets = grid.points()[rows[0]] - group[0].center
-            tent = [np.flatnonzero(d.closed_containment(ell, scale, offsets)) for ell in mu.scales()]
+    for scale, group, rows, inside, shift in scale_stacks(grid, d, balls, _STACK_ENTRIES):
+        key = (scale, shift.tobytes())
+        if key not in tents:  # each layer's tent columns of the footprint rows
+            offsets = footprint_offsets(d, grid, scale, shift)[0].T
+            tents[key] = [np.flatnonzero(stamp) for stamp in _stamp_lookup(d, grid, scale, (mu.l_min, mu.l_max), layers, offsets, shift)]
         totals = np.zeros(len(group))
-        for values, cols in zip(layer_values, tent):
+        for values, cols in zip(layer_values, tents[key]):
             totals += (values.take(rows.take(cols, axis=1)) * inside.take(cols, axis=1)).sum(axis=1)
         totals *= grid.cell_volume
         masses.update(zip((ball.key() for ball in group), totals.tolist()))
-    return [masses[ball.key()] for ball in balls]
+    return [masses.get(ball.key(), 0.0) for ball in balls]
 
 
 def _carleson_term(mu, p, d):

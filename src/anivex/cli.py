@@ -22,13 +22,11 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import campanato as camp
 from . import carleson as carl
 from . import hardy
-from .config import ExperimentConfig, load_raw
+from .config import ExperimentConfig, _integer, _number, _numbers, _require, load_raw
 from .errors import ConfigError, ToolkitError
 from .exponents import check_log_holder, luxemburg_norm
 from .serialization import write_atomic
@@ -164,14 +162,25 @@ def _validate_compute(cfg):
                 raise ConfigError(f"missing key {key!r}", field=f"{field}.{key}")
         if "function" in spec and spec["function"] not in list(cfg.functions):
             raise ConfigError(f"unknown function {spec['function']!r}", field=f"{field}.function")
+        balls = [(spec, field)] if op == "classic_functional" else []
+        if op == "campanato_functional":
+            if not isinstance(spec["configuration"], list):
+                raise ConfigError(f"expected a list of balls, got {spec['configuration']!r}", field=f"{field}.configuration")
+            balls = [(entry, f"{field}.configuration[{j}]") for j, entry in enumerate(spec["configuration"])]
+        for ball, at in balls:
+            _numbers(_require(ball, "center", f"{at}.center"), f"{at}.center", cfg.grid.n)
+            _integer(_require(ball, "scale", f"{at}.scale"), f"{at}.scale")
+            _number(ball.get("weight", 1.0), f"{at}.weight")
 
 
 def run_config(config_path, out_path, seed=None, budget=None, resolution=None, use_cache=True):
     raw = load_raw(config_path)
     grid = raw.get("grid")
-    # A malformed grid skips the override and fails validation below.
+    # A malformed grid skips the override and fails validation below.  A
+    # list of bounds keeps a list; a bare resolution stands for every axis.
     if resolution is not None and isinstance(grid, dict):
-        grid["resolution"] = [int(resolution)] * np.size(grid.get("lower", []))
+        lower = grid.get("lower")
+        grid["resolution"] = [int(resolution)] * len(lower) if isinstance(lower, list) else int(resolution)
     if seed is not None:
         raw["seed"] = int(seed)
     if budget is not None:

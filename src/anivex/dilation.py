@@ -186,7 +186,11 @@ class Dilation:
         return np.einsum("ij,ij->i", w, w)
 
     def ball(self, center, scale):
-        return DilatedBall(np.asarray(center, dtype=float), int(scale))
+        """center + B_scale; the centre needs one coordinate per axis."""
+        ball = DilatedBall(center, int(scale))
+        if ball.center.shape != (self.n,):
+            raise ValueError(f"a ball centre needs {self.n} coordinates, got shape {ball.center.shape}")
+        return ball
 
     def ball_volume(self, ball):
         """|center + B_k| = b^k, analytic."""

@@ -9,7 +9,8 @@ as modular() does, so the unit-modular property is exact.
 The solver takes a stack of rows and solves each row as it would alone,
 bit for bit: luxemburg_norm passes it one row of nonzero cells, and
 stack_indicator_norms (under indicator_norm and fill_indicator_norms) the
-indicators of a grid.scale_stacks stack, 0 where the box clips a ball.
+indicators of a grid.scale_stacks stack, 0 where the box clips a ball; a
+stack holds only balls that meet the lattice, so every row has a 1.
 Log-Holder checking is diagnostic only and never gates any other operation.
 """
 
@@ -172,9 +173,8 @@ def fill_indicator_norms(d, balls, p):
     one that misses it gets no norm, so indicator_norm still raises on it."""
     live = []
     for _, group, rows, inside, _ in scale_stacks(p.grid, d, balls, _STACK_ENTRIES):
-        if inside.size:
-            stack_indicator_norms(d, group, rows, inside, p)
-            live += group
+        stack_indicator_norms(d, group, rows, inside, p)
+        live += group
     return live
 
 

@@ -4,8 +4,10 @@ sums, and scaled convolution.
 Lattice points sit at cell midpoints; all integrals are midpoint sums, which
 are exact for cell-aligned indicators and second order for smooth integrands.
 Functions are zero outside their box.  This module alone decides which
-lattice points lie in a ball (ball_support): a lattice-centred ball is the
-inside entries of its footprint row, any other centre is tested on the grid.
+lattice points lie in a ball (ball_support).  Every ball is anchored at its
+nearest lattice point in the box (lattice_anchors), shifted from it by
+centre - anchor, exactly 0.0 for a lattice centre; its lattice points are the
+inside entries of the footprint row of its (scale, shift) at the anchor.
 footprint_sum is the one, exact, correlation with a ball footprint;
 fftconvolve_same, called by convolve_scaled alone, is the one FFT, on
 numpy.fft.
@@ -138,12 +140,22 @@ def dilation_cache(d):
     return cache
 
 
-def ball_footprint(d, grid, scale):
-    """Centred boolean array of integer offsets v with v*h inside B_scale."""
+def anchored_offsets(d, grid, scale, shift):
+    """(offsets, shape): z*h - shift in C order for the centred integer z
+    covering B_scale's half-widths plus |shift|, capped at the grid's
+    difference range: a ball's centre to the lattice points near its anchor."""
+    offsets, shape = _offset_lattice(grid, d.ball_bounding_halfwidths(scale) + np.abs(shift))
+    return offsets - shift, shape
+
+
+def ball_footprint(d, grid, scale, shift=0.0):
+    """Centred boolean array of integer offsets z with z*h - shift inside
+    B_scale: the footprint of the balls shifted by shift from their anchors."""
+    shift = np.zeros(grid.n) + shift  # one value per axis, and -0.0 as 0.0
     cache = dilation_cache(d)
-    key = ("fp", grid.key(), scale)
+    key = ("fp", grid.key(), scale, shift.tobytes())
     if key not in cache:
-        offsets, shape = _offset_lattice(grid, d.ball_bounding_halfwidths(scale))
+        offsets, shape = anchored_offsets(d, grid, scale, shift)
         cache[key] = d.ball_contains_many(d.ball(np.zeros(d.n), scale), offsets).reshape(shape)
     return cache[key]
 
@@ -210,18 +222,13 @@ def footprint_sum(values, d, grid, scale):
     return out
 
 
-def _lattice_index(grid, point):
-    """Multi-index of the lattice point equal to point, or None if off-lattice."""
-    if len(point) != grid.n:
-        return None
-    idx = []
-    # Python floats: the same IEEE arithmetic, and round() ties to even as np.rint does.
-    for x, lo, h, r in zip(np.asarray(point, dtype=float).tolist(), grid.lower, grid.spacing.tolist(), grid.resolution):
-        i = round((x - lo) / h - 0.5)
-        if not (0 <= i < r and lo + (i + 0.5) * h == x):
-            return None
-        idx.append(i)
-    return tuple(idx)
+def lattice_anchors(grid, centres):
+    """(index, shift) of the (m, n) centres: the multi-index of each one's
+    anchor, its nearest lattice point in the box, and shift = centre - anchor,
+    exactly 0.0 on every axis for a lattice point."""
+    centres = np.asarray(centres, dtype=float)
+    index = np.minimum(np.maximum(np.rint((centres - grid.lower) / grid.spacing - 0.5), 0), np.subtract(grid.resolution, 1)).astype(int)
+    return index, centres - (grid.lower + (index + 0.5) * grid.spacing)
 
 
 def _c_strides(shape):
@@ -229,43 +236,49 @@ def _c_strides(shape):
     return np.array([prod(shape[i + 1 :]) for i in range(len(shape))])
 
 
+def ball_row(grid, d, ball):
+    """The ball's footprint row at its anchor and the mask of its inside:
+    footprint_rows of the one ball."""
+    index, shift = lattice_anchors(grid, ball.center[None])
+    rows, inside = footprint_rows(grid, d, ball.scale, index, shift[0])
+    return rows[0], inside[0]
+
+
 def ball_support(grid, d, ball):
     """Read-only flat C-order indices of the lattice points strictly inside
-    the dilated ball, memoized per (grid, ball) and dilation: the inside
-    entries of its footprint row for a lattice centre, else the grid test."""
+    the dilated ball, the inside entries of its ball_row; memoized per
+    (grid, ball) and dilation."""
     cache = dilation_cache(d)
     key = ("support", grid.key(), ball.key())
     if key not in cache:
-        idx = _lattice_index(grid, ball.center)
-        if idx is None:
-            support = np.flatnonzero(d.ball_contains_many(ball, grid.points()))
-        else:
-            rows, inside = footprint_rows(grid, d, ball.scale, np.array([idx]))
-            support = rows[0][inside[0]]
+        row, inside = ball_row(grid, d, ball)
+        support = row[inside]
         support.setflags(write=False)
         cache[key] = support
     return cache[key]
 
 
-def footprint_offsets(d, grid, scale):
-    """(offsets, steps, lo, hi): the footprint cells of B_scale in C order as
-    (n, K) integer offsets, one row per axis, and as flat C-order steps, and
-    the box [lo, hi) of the centres whose ball the box does not clip.  Cached."""
+def footprint_offsets(d, grid, scale, shift):
+    """(offsets, steps, lo, hi): the footprint cells of B_scale shifted by
+    shift (one lattice_anchors row) in C order as (n, K) integer offsets,
+    one row per axis, and as flat C-order steps, and the box [lo, hi) of the
+    anchors whose ball the box does not clip.  Cached."""
     cache = dilation_cache(d)
-    key = ("offsets", grid.key(), scale)
+    key = ("offsets", grid.key(), scale, shift.tobytes())
     if key not in cache:
-        fp = ball_footprint(d, grid, scale)
+        fp = ball_footprint(d, grid, scale, shift)
         half = np.array(fp.shape) // 2
         offsets = np.argwhere(fp) - half
         cache[key] = (offsets.T.copy(), offsets @ _c_strides(grid.resolution), half, grid.resolution - half)
     return cache[key]
 
 
-def footprint_rows(grid, d, scale, index):
-    """The balls of B_scale at the (m, n) lattice multi-indices as rows of
-    flat C-order indices, entry j the centre plus the j-th footprint step
-    (the centre itself where the box clips it), and the mask of the inside."""
-    offsets, steps, lo, hi = footprint_offsets(d, grid, scale)
+def footprint_rows(grid, d, scale, index, shift):
+    """The balls of B_scale shifted by shift from the anchors at the (m, n)
+    lattice multi-indices as rows of flat C-order indices, entry j the
+    anchor plus the j-th footprint step (the anchor itself where the box
+    clips it), and the mask of the inside."""
+    offsets, steps, lo, hi = footprint_offsets(d, grid, scale, shift)
     centres = (index @ _c_strides(grid.resolution))[:, None]
     inside = np.ones((len(index), len(steps)), dtype=bool)
     if ((index >= lo) & (index < hi)).all():  # the box clips no row
@@ -277,29 +290,28 @@ def footprint_rows(grid, d, scale, index):
 
 
 def scale_stacks(grid, d, balls, entries):
-    """The distinct balls in stacks (scale, balls, rows, inside, lattice): a
-    scale's lattice-centred balls as footprint_rows, at most entries // K a
-    stack for K footprint cells; any other ball alone, ball_support its row."""
+    """The distinct balls that meet the lattice in stacks (scale, balls,
+    rows, inside, shift): the balls of one scale and shift as footprint_rows
+    at their anchors, at most entries // K a stack for K footprint cells."""
     balls = list({ball.key(): ball for ball in balls}.values())
-    centres = np.reshape([ball.center for ball in balls], (len(balls), grid.n))
-    index = np.rint((centres - grid.lower) / grid.spacing - 0.5)  # _lattice_index's arithmetic
-    on = ((index >= 0) & (index < grid.resolution) & (grid.lower + (index + 0.5) * grid.spacing == centres)).all(axis=1)
-    index, stacks, memo = np.where(on[:, None], index, 0).astype(int), {}, dilation_cache(d)
-    for i, (ball, lattice) in enumerate(zip(balls, on.tolist())):
-        stacks.setdefault(ball.scale if lattice else ("alone", i), []).append(i)
+    index, shifts = lattice_anchors(grid, np.reshape([ball.center for ball in balls], (len(balls), grid.n)))
+    stacks, memo = {}, dilation_cache(d)
+    for i, ball in enumerate(balls):
+        stacks.setdefault((ball.scale, shifts[i].tobytes()), []).append(i)
     for members in stacks.values():
-        ball = balls[members[0]]
-        if not on[members[0]]:
-            support = ball_support(grid, d, ball)
-            yield ball.scale, [ball], support[None], np.ones((1, support.size), dtype=bool), False
-            continue
-        step = max(entries // len(footprint_offsets(d, grid, ball.scale)[1]), 1)
+        scale, shift = balls[members[0]].scale, shifts[members[0]]
+        step = max(entries // max(len(footprint_offsets(d, grid, scale, shift)[1]), 1), 1)
         for start in range(0, len(members), step):
-            group = [balls[i] for i in members[start : start + step]]
-            rows, inside = footprint_rows(grid, d, ball.scale, index[members[start : start + step]])
+            chunk = members[start : start + step]
+            rows, inside = footprint_rows(grid, d, scale, index[chunk], shift)
+            met = inside.any(axis=1)  # a shifted ball may miss every lattice point
+            if not met.all():
+                chunk, rows, inside = np.array(chunk)[met].tolist(), rows[met], inside[met]
+            group = [balls[i] for i in chunk]
             for member, row, mask in zip(group, rows, inside):  # ball_support's memo, as it would fill it
                 memo.setdefault(("support", grid.key(), member.key()), row[mask]).setflags(write=False)
-            yield ball.scale, group, rows, inside, True
+            if group:
+                yield scale, group, rows, inside, shift
 
 
 def ball_lattice_mask(grid, d, ball):

@@ -272,8 +272,8 @@ def dilation_indicator_inequality(config, d, p, k_max=4, r_aux=None):
     box, which only flattens the growth.
     """
     if r_aux is None:
-        r_aux = min(1.0, p.p_minus) / 2.0
-    if not 0.0 < r_aux < min(1.0, p.p_minus) + 1e-12:
+        r_aux = p.underline_p / 2.0  # CampanatoParams' default
+    if not 0.0 < r_aux < p.underline_p + 1e-12:
         raise ValueError("r_aux must lie in (0, min(1, p_minus))")
     ks = np.arange(0, k_max + 1)
     norms = []

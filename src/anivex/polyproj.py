@@ -5,11 +5,12 @@ at most s, computed in ball-local coordinates u = A^-k (x - center) so the
 Gram matrix stays well conditioned across scales.  A projection returns
 its residual |f - P| on the ball's lattice points with the polynomial, taken
 from the same design matrix, so an L^q error needs no second pass over the
-ball.  Balls of one scale project in one stack (project_stack) on their
-footprint rows, weighted 0 where the box clips them; each row is solved by
-itself, so it is bit for bit the ball's own (_project, the one-row case).
-lq_error and the iteratively reweighted least squares towards the q != 2
-infimum read a ball on the same row.  The module needs numpy only.
+ball.  Balls of one scale and shift project in one stack (project_stack) on
+their footprint rows, weighted 0 where the box clips them; each row is
+solved by itself, so it is bit for bit the ball's own (_project, the one-row
+case on grid.ball_row, whatever the centre).  lq_error and the iteratively
+reweighted least squares towards the q != 2 infimum read a ball on the same
+row.  The module needs numpy only.
 """
 
 from dataclasses import dataclass, replace
@@ -19,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InsufficientSamples, SingularGram
-from .grid import GridFunction, ball_support, scale_stacks
+from .grid import GridFunction, ball_row, ball_support
 
 
 @cache
@@ -72,15 +73,9 @@ def _designs(f, d, scale, centers, rows, inside, s):
     return indices, _design_matrix(local @ d.power(-scale).T, indices, inside)
 
 
-def _ball_row(grid, d, ball):
-    """Flat indices and inside mask of the ball's one row of grid.scale_stacks."""
-    [(_, _, rows, inside, _)] = scale_stacks(grid, d, [ball], 1)
-    return rows[0], inside[0]
-
-
 def _ball_design(f, d, ball, s):
     """The ball's row, its inside mask and its design weighted by the mask."""
-    row, inside = _ball_row(f.grid, d, ball)
+    row, inside = ball_row(f.grid, d, ball)
     _, design = _designs(f, d, ball.scale, ball.center[None], row[None], inside[None], s)
     return row, inside, design[0]
 
@@ -93,8 +88,8 @@ def minimizing_polynomial(f, d, ball, s):
 def _project(f, d, ball, s):
     """minimizing_polynomial together with |f - P| on the ball's row, 0
     where the box clips it, from the design matrix the solve used: the
-    one-ball stack of grid.scale_stacks in project_stack."""
-    row, inside = _ball_row(f.grid, d, ball)
+    ball's grid.ball_row as a one-row stack of project_stack."""
+    row, inside = ball_row(f.grid, d, ball)
     coef, resid = project_stack(f, d, ball.scale, ball.center[None], row[None], inside[None], s)
     poly = Polynomial(
         center=ball.center,
@@ -179,7 +174,7 @@ def _lq_root(total, resid, q, cell):
 
 def lq_error(f, d, ball, poly, q):
     """||f - poly||_{L^q(B)} by lattice quadrature on the ball's row, as _project's."""
-    row, inside = _ball_row(f.grid, d, ball)
+    row, inside = ball_row(f.grid, d, ball)
     resid = np.abs(f.values.ravel().take(row) - poly.evaluate(f.grid.points().take(row, axis=0))) * inside
     return lq_norm(resid, q, f.grid.cell_volume)
 

@@ -5,17 +5,16 @@ tent atomic decomposition.
 A tent over a ball B collects the nodes (y, l) whose ball y + B_l sits
 inside B.  Tents of set masks are realized by erosion with the ball
 footprints of the grid module.  Tents of single balls are read from stamp
-rows: for each ball scale, the tent_offset_mask stamps of every scale of a
-window, each computed once with the exact ellipsoid containment test
-(Dilation.closed_containment), flattened into the rows of one cached array.
-For a ball centred on a lattice point, membership of any set of nodes, at
-any mix of scales, is one gather from those rows at the nodes' integer
-offsets from the centre, found once per ball; no query builds a grid-sized
-array.  For any other centre the exact test runs on the queried nodes, one
-call per scale.  Atom expansions read one gather per grown scale, atom
-validation one per atom, and the Carleson module's tent masses one per
-scale and chunk of balls (carleson.tent_masses).  The lattice cells of a
-ball, cover balls included, come from grid.ball_support.
+rows: for each ball scale and shift from the anchor (grid.lattice_anchors),
+the tent_offset_mask stamps of every scale of a window, each computed once
+with the exact ellipsoid containment test (Dilation.closed_containment, its
+one call here), flattened into the rows of one cached array.  Membership of
+any set of nodes, at any mix of scales, is one gather from those rows at
+the nodes' integer offsets from the anchor, found once per ball; no query
+builds a grid-sized array.  Atom expansions read one gather per grown
+scale, atom validation one per atom, and the Carleson module's tent masses
+one per (scale, shift) and chunk of balls (carleson.tent_masses).  The
+lattice cells of a ball, cover balls included, come from grid.ball_support.
 
 The decomposition fills its atoms' weights and amplitudes once every atom
 ball is known, from indicator norms solved in stacks
@@ -43,12 +42,12 @@ from .exponents import fill_indicator_norms, indicator_norm
 from .grid import (
     GridFunction,
     _c_strides,
-    _lattice_index,
-    _offset_lattice,
+    anchored_offsets,
     ball_footprint,
     ball_support,
     dilation_cache,
     footprint_sum,
+    lattice_anchors,
 )
 from .search import default_scale_window
 
@@ -108,61 +107,46 @@ def zero_scale_function(grid, window):
 # -- footprints and tents ------------------------------------------------------
 
 
-def tent_offset_mask(d, grid, ell, ball_scale):
-    """Centered boolean array of offsets z with z*h + B_ell inside B_ball_scale,
-    on the offset lattice of the ball's bounding box, capped at the grid's
-    difference range; _stamp_rows caches it."""
-    offsets, shape = _offset_lattice(grid, d.ball_bounding_halfwidths(ball_scale))
+def tent_offset_mask(d, grid, ell, ball_scale, shift=0.0):
+    """Centered boolean array of offsets z with anchor + z*h + B_ell inside
+    the closed ball of scale ball_scale shifted by shift from its anchor, on
+    grid.anchored_offsets; _stamp_rows caches it."""
+    offsets, shape = anchored_offsets(d, grid, ball_scale, shift)
     if d.bpow(ell) > d.bpow(ball_scale) * (1.0 + 1e-12):
         return np.zeros(shape, dtype=bool)
     return d.closed_containment(ell, ball_scale, offsets).reshape(shape)
 
 
-def _stamp_rows(d, grid, ball_scale, window):
+def _stamp_rows(d, grid, ball_scale, window, shift):
     """(half, strides, rows): row i is the tent_offset_mask stamp of scale
-    window[0] + i in B_ball_scale, flattened in C order, so an offset z
-    within the half-widths sits in column z @ strides + (row length) // 2,
-    the centre's column.  Cached per window."""
+    window[0] + i in the ball of scale ball_scale and shift (one
+    lattice_anchors row), flattened in C order, so an offset z within the
+    half-widths sits in column z @ strides + (row length) // 2, the anchor's
+    column.  Cached per window."""
     cache = dilation_cache(d)
-    key = ("tent rows", grid.key(), ball_scale, window)
+    key = ("tent rows", grid.key(), ball_scale, window, shift.tobytes())
     if key not in cache:
-        stamps = [tent_offset_mask(d, grid, ell, ball_scale) for ell in range(window[0], window[1] + 1)]
+        stamps = [tent_offset_mask(d, grid, ell, ball_scale, shift) for ell in range(window[0], window[1] + 1)]
         shape = stamps[0].shape
         cache[key] = (np.array(shape) // 2, _c_strides(shape), np.stack([s.ravel() for s in stamps]))
     return cache[key]
 
 
-def _lattice_offsets(grid, center, flat):
-    """Integer offsets of the flat lattice indices from a lattice centre, one
-    row each; None when the centre is off the lattice."""
-    idx = _lattice_index(grid, center)
-    if idx is None:
-        return None
-    return np.array(np.unravel_index(flat, grid.resolution)).T - idx
+def _anchored_nodes(grid, center, flat):
+    """(offsets, shift): integer offsets of the flat lattice indices from the
+    anchor of a centre, one row each, and the centre's shift from it."""
+    index, shift = lattice_anchors(grid, center[None])
+    return np.array(np.unravel_index(flat, grid.resolution)).T - index, shift[0]
 
 
-def _stamp_lookup(d, grid, ball_scale, window, layers, offsets):
-    """Tent membership of the nodes at lattice offsets from a ball's centre,
-    read from the stamp rows of its scale in one gather: layers holds each
-    node's row (window[0] + row is its scale), or a column of rows to read
-    every node at each of them.  Offsets beyond the stamp are outside."""
-    half, strides, rows = _stamp_rows(d, grid, ball_scale, window)
+def _stamp_lookup(d, grid, ball_scale, window, layers, offsets, shift):
+    """Tent membership of the nodes at lattice offsets from a ball's anchor,
+    read from the stamp rows of its scale and shift in one gather: layers
+    holds each node's row (window[0] + row is its scale), or a column of rows
+    to read every node at each of them.  Offsets beyond the stamp are outside."""
+    half, strides, rows = _stamp_rows(d, grid, ball_scale, window, shift)
     within = (np.abs(offsets) <= half).all(axis=1)
     return rows[layers, np.clip(offsets, -half, half) @ strides + rows.shape[1] // 2] & within
-
-
-def _in_tent(d, grid, ball, window, layers, flat, offsets):
-    """Booleans, one per node (flat[i], window[0] + layers[i]): y + B_ell
-    inside the closed ball.  offsets come from _lattice_offsets; an
-    off-lattice centre (None) runs the exact test, one call per scale."""
-    if offsets is not None:
-        return _stamp_lookup(d, grid, ball.scale, window, layers, offsets)
-    out = np.zeros(len(flat), dtype=bool)
-    points = grid.points()
-    for layer in np.unique(layers).tolist():
-        sel = layers == layer
-        out[sel] = d.closed_containment(window[0] + layer, ball.scale, points[flat[sel]] - ball.center)
-    return out
 
 
 def _binary_erode(mask, d, grid, scale):
@@ -302,20 +286,15 @@ def _minimal_tent_expansion(d, grid, ball, window, layers, flat):
     """Smallest e <= 10 such that every claimed node (flat[i], window[0] +
     layers[i]) satisfies y + B_l inside the cover ball grown to scale + e.
 
-    The nodes' offsets from a lattice centre are found once; a grown scale
-    whose stamp they overrun fails at once, any other is one gather.
+    The nodes' offsets from the anchor are found once; a grown scale whose
+    stamp they overrun fails at once, any other is one gather.
     """
     cap = min(10, d.level_cap - ball.scale - 1)
-    offsets = _lattice_offsets(grid, ball.center, flat)
-    reach = None if offsets is None else np.abs(offsets).max(axis=0)
+    offsets, shift = _anchored_nodes(grid, ball.center, flat)
+    reach = np.abs(offsets).max(axis=0)
     for extra in range(0, cap + 1):
-        scale = ball.scale + extra
-        if offsets is None:
-            inside = _in_tent(d, grid, d.ball(ball.center, scale), window, layers, flat, None).all()
-        else:
-            half, strides, rows = _stamp_rows(d, grid, scale, window)
-            inside = (reach <= half).all() and rows[layers, offsets @ strides + rows.shape[1] // 2].all()
-        if inside:
+        half, strides, rows = _stamp_rows(d, grid, ball.scale + extra, window, shift)
+        if (reach <= half).all() and rows[layers, offsets @ strides + rows.shape[1] // 2].all():
             return extra
     return None
 
@@ -465,8 +444,8 @@ def tent_atom_validate(a, ball, p, d):
     """
     grid = a.grid
     layers, flat = np.nonzero(a.values.reshape(len(a.scales()), -1) != 0.0)
-    offsets = _lattice_offsets(grid, ball.center, flat)
-    support_exact = bool(_in_tent(d, grid, ball, (a.l_min, a.l_max), layers, flat, offsets).all())
+    offsets, shift = _anchored_nodes(grid, ball.center, flat)
+    support_exact = bool(_stamp_lookup(d, grid, ball.scale, (a.l_min, a.l_max), layers, offsets, shift).all())
 
     area = lusin_area(a, d).values
     ratios = {}

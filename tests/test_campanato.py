@@ -37,7 +37,7 @@ from anivex.exponents import (
     indicator_norm,
     luxemburg_norm,
 )
-from anivex.grid import GridFunction, _lattice_index, ball_footprint, ball_support, sample, scale_stacks, uniform_grid
+from anivex.grid import GridFunction, ball_footprint, ball_support, lattice_anchors, sample, scale_stacks, uniform_grid
 from anivex.polyproj import multi_indices, project_stack
 from anivex.search import (
     SearchResult,
@@ -227,17 +227,16 @@ class TestStackedSweep:
             centers.append([data.draw(st.floats(lo, hi)) for lo, hi in zip(g.lower, g.upper)])
         balls = [d.ball(c, scale) for c in centers]
         # A row's inside entries, in order, are its ball's lattice points, bit
-        # for bit: ball_support on a fresh dilation, and the pasted footprint
-        # for a lattice centre.
+        # for bit: ball_support on a fresh dilation, and the footprint of the
+        # stack's shift pasted at the ball's anchor.
         fresh, unclipped = new_dilation(d.matrix), []
-        for _, group, rows, inside, lattice in scale_stacks(g, d, balls, data.draw(st.sampled_from([64, 1 << 12]))):
+        for _, group, rows, inside, shift in scale_stacks(g, d, balls, data.draw(st.sampled_from([64, 1 << 12]))):
             for ball, row, mask in zip(group, rows, inside):
-                centre = _lattice_index(g, ball.center)
-                assert lattice == (centre is not None)
+                [anchor], [ball_shift] = lattice_anchors(g, [ball.center])
+                assert np.array_equal(shift, ball_shift)
                 assert np.array_equal(row[mask], ball_support(g, fresh, ball))
-                if lattice:
-                    pasted = paste_centered(g.resolution, ball_footprint(d, g, scale), centre)
-                    assert np.array_equal(row[mask], np.flatnonzero(pasted))
+                pasted = paste_centered(g.resolution, ball_footprint(d, g, scale, shift), anchor)
+                assert np.array_equal(row[mask], np.flatnonzero(pasted))
                 if mask.all() and mask.size:
                     unclipped.append(ball)
         prm = CampanatoParams(p=_fresh(ps[which_p]), q=q, s=s)
@@ -281,7 +280,7 @@ class TestStackedSweep:
         for k in range(window[0], window[1] + 1):
             per_chunk = max(campanato._STACK_ENTRIES // (np.count_nonzero(ball_footprint(d, g, k)) * coefficients), 1)
             chunks += -(-sum(ball.scale == k for ball in balls) // per_chunk)
-        assert all(_lattice_index(g, ball.center) is not None for ball in balls)
+        assert not lattice_anchors(g, [ball.center for ball in balls])[1].any()
         assert max(counts.values()) <= chunks + len(off_lattice) < 30
         assert len({(ball.scale, ball_support(g, d, ball).size) for ball in balls}) > 60
 

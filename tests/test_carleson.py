@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import recorded
@@ -31,10 +31,10 @@ from anivex.dilation import new_dilation
 from anivex.exponents import Exponent, constant_exponent, exponent_from_callable
 from anivex.grid import (
     GridFunction,
-    _lattice_index,
     ball_footprint,
     ball_support,
     integrate,
+    lattice_anchors,
     sample,
     uniform_grid,
 )
@@ -106,33 +106,32 @@ class TestTentMass:
         assert tent_mass(mu, d1, ball) <= tent_mass(bigger, d1, ball)
 
 
+def _walked_tent(grid, d, ball, ell):
+    """(cells, in_box): the ball's scale-ell tent cells as multi-indices in
+    C order, walking the footprint of its (scale, shift) from its anchor and
+    keeping the offsets the unpasted tent_offset_mask puts in the tent, and
+    which of them lie in the box."""
+    [anchor], [shift] = lattice_anchors(grid, [ball.center])
+    footprint = ball_footprint(d, grid, ball.scale, shift)
+    stamp = tent_offset_mask(d, grid, ell, ball.scale, shift)
+    offsets = np.argwhere(footprint) - np.array(footprint.shape) // 2
+    at = offsets + np.array(stamp.shape) // 2
+    on_stamp = ((at >= 0) & (at < stamp.shape)).all(axis=1)
+    cells = anchor + offsets[on_stamp][stamp[tuple(at[on_stamp].T)]]
+    return cells, ((cells >= 0) & (cells < grid.resolution)).all(axis=1)
+
+
 def _pasted_tent_mass(mu, d, ball):
     """The tent mass by its definition, the reference for tent_masses: per
-    scale, one np.sum of mu over the ball's tent cells in C order.  A
-    lattice centre walks its footprint, keeping the offsets the unpasted
-    tent_offset_mask puts in the tent, with mu 0.0 where an offset leaves
-    the box; off the lattice, the ball_support cells the exact test keeps."""
-    grid = mu.grid
-    centre = _lattice_index(grid, ball.center)
-    footprint = ball_footprint(d, grid, ball.scale)
+    scale, one np.sum of mu over the ball's _walked_tent cells, with mu 0.0
+    where a cell leaves the box."""
     total = 0.0
     for ell in mu.scales():
-        layer = mu.layer(ell)
-        if centre is None:
-            idx = ball_support(grid, d, ball)
-            kept = layer.ravel()[idx[d.closed_containment(ell, ball.scale, grid.points()[idx] - ball.center)]]
-        else:
-            stamp = tent_offset_mask(d, grid, ell, ball.scale)
-            offsets = np.argwhere(footprint) - np.array(footprint.shape) // 2
-            at = offsets + np.array(stamp.shape) // 2
-            on_stamp = ((at >= 0) & (at < stamp.shape)).all(axis=1)
-            offsets = offsets[on_stamp][stamp[tuple(at[on_stamp].T)]]
-            cells = np.array(centre) + offsets
-            in_box = ((cells >= 0) & (cells < grid.resolution)).all(axis=1)
-            kept = np.zeros(len(cells))
-            kept[in_box] = layer[tuple(cells[in_box].T)]
+        cells, in_box = _walked_tent(mu.grid, d, ball, ell)
+        kept = np.zeros(len(cells))
+        kept[in_box] = mu.layer(ell)[tuple(cells[in_box].T)]
         total += float(np.sum(kept))
-    return total * grid.cell_volume
+    return total * mu.grid.cell_volume
 
 
 # (dilation, grid, density window) for the stacked tent masses.
@@ -181,7 +180,9 @@ class TestTentMasses:
         balls = [ball for config in stream if config is not None for ball in config.balls()]
         balls.append(d.ball([0.3 * h for h in g.spacing], k_hi))
         balls.append(d.ball([ax[0] for ax in g.axes()], k_hi))  # at the box's corner
-        lattice = [ball for ball in balls if _lattice_index(g, ball.center) is not None]
+        balls.append(d.ball([u + 0.7 * h for u, h in zip(g.upper, g.spacing)], k_lo))  # beyond the box
+        shifts = lattice_anchors(g, [ball.center for ball in balls])[1]
+        lattice = [ball for ball, shift in zip(balls, shifts) if not shift.any()]
         assert len(lattice) < len(balls)  # an off-lattice ball
         assert any(ball_support(g, d, ball).size < np.count_nonzero(ball_footprint(d, g, ball.scale)) for ball in lattice)
         support_values = [mu.values.reshape(len(mu.values), -1)[0, ball_support(g, d, ball)] for ball in balls]
@@ -197,6 +198,33 @@ class TestTentMasses:
 
     def test_empty_list(self, d1, g1):
         assert tent_masses(zero_scale_function(g1, (-2, 0)), d1, []) == []
+
+    @settings(max_examples=40)
+    @given(case=st.sampled_from(sorted(_MASS_CASES)), data=st.data())
+    def test_walked_tent_equals_the_exact_test(self, case, data):
+        # The walk's cells in the box are the ball's lattice points that the
+        # exact test, on offsets from the centre itself, puts in the tent.
+        d, g, window = _MASS_CASES[case]
+        k_lo, k_hi = default_scale_window(d, g, min_points=1)
+        centre = [data.draw(st.floats(lo - 1.0, hi + 1.0)) for lo, hi in zip(g.lower, g.upper)]
+        ball = d.ball(centre, data.draw(st.integers(k_lo, k_hi)))
+        support = ball_support(g, d, ball)
+        for ell in range(window[0], window[1] + 1):
+            cells, in_box = _walked_tent(g, d, ball, ell)
+            exact = support[d.closed_containment(ell, ball.scale, g.points()[support] - ball.center)]
+            assert np.array_equal(np.sort(np.ravel_multi_index(cells[in_box].T, g.resolution)), exact)
+
+    def test_ball_missing_the_lattice_has_zero_mass(self, d1, g1):
+        mu = zero_scale_function(g1, (-2, 0))
+        mu.values[:] = 1.0
+        # Far off the box the anchored footprint is empty; just beyond its
+        # edge it is not, but every cell of it lies outside the box.
+        far, beyond = d1.ball([100.0], -8), d1.ball([8.5], 0)
+        shifts = lattice_anchors(g1, [far.center, beyond.center])[1]
+        assert not ball_footprint(d1, g1, far.scale, shifts[0]).any()
+        assert ball_footprint(d1, g1, beyond.scale, shifts[1]).any()
+        assert tent_mass(mu, d1, far) == tent_mass(mu, d1, beyond) == 0.0
+        assert tent_masses(mu, d1, [beyond, d1.ball([0.0], 0)])[0] == 0.0
 
 
 class TestCarlesonFunctional:

@@ -193,6 +193,22 @@ class TestValidation:
             ({"name": "v", "op": "bogus", "function": "f"}, "compute[0].op"),
             ({"name": "v", "op": "classic_functional", "function": "f", "center": [0.0]},
              "compute[0].scale"),
+            ({"name": "v", "op": "classic_functional", "function": "f", "center": [0.0, 0.0], "scale": 0},
+             "compute[0].center"),
+            ({"name": "v", "op": "classic_functional", "function": "f", "center": ["0"], "scale": 0},
+             "compute[0].center"),
+            ({"name": "v", "op": "classic_functional", "function": "f", "center": [0.0], "scale": "big"},
+             "compute[0].scale"),
+            ({"name": "v", "op": "campanato_functional", "function": "f", "configuration": {"center": [0.0]}},
+             "compute[0].configuration"),
+            ({"name": "v", "op": "campanato_functional", "function": "f", "configuration": [[0.0]]},
+             "compute[0].configuration[0].center"),
+            ({"name": "v", "op": "campanato_functional", "function": "f",
+              "configuration": [{"center": [0.0], "scale": 0}, {"center": [1.0], "scale": 1, "weight": "heavy"}]},
+             "compute[0].configuration[1].weight"),
+            ({"name": "v", "op": "campanato_functional", "function": "f",
+              "configuration": [{"center": [0.0], "scale": 0.5}]},
+             "compute[0].configuration[0].scale"),
         ],
     )
     def test_bad_compute_spec_is_config_error(self, cache_env, tmp_path, spec, field):
@@ -598,6 +614,25 @@ class TestCompletedInterfaces:
         r_hi, _ = run_config(QUICK, str(out_hi), resolution=1024)
         assert r_lo["config"]["grid"]["resolution"] == [512]
         assert r_lo["config_hash"] != r_hi["config_hash"]
+
+    def test_resolution_override_with_scalar_bounds(self, cache_env, tmp_path):
+        # Scalar bounds on a 2-D grid: the override is a bare resolution,
+        # which stands for every axis, for run and for a resolution sweep.
+        raw = {
+            "dilation": {"matrix": [[2.0, 0.0], [0.0, 3.0]]},
+            "grid": {"lower": -4.0, "upper": 4.0, "resolution": [16, 16]},
+            "exponent": {"kind": "constant", "value": 1.0},
+            "functions": {"f": {"kind": "expression", "formula": "x0 * exp(-x1**2)"}},
+            "compute": [{"name": "f_lux", "op": "luxemburg_norm", "function": "f"}],
+        }
+        path = tmp_path / "scalar2d.json"
+        path.write_text(json.dumps(raw))
+        report, _ = run_config(str(path), str(cache_env / "scalar2d_out.json"), resolution=24)
+        assert report["config"]["grid"]["resolution"] == 24
+        assert ExperimentConfig(report["config"]).grid.resolution == (24, 24)
+        assert main(["run", "--config", str(path), "--out", str(cache_env / "cli.json"), "--resolution", "24"]) == 0
+        rows = sweep_config(str(path), "resolution", [16, 24], str(cache_env / "scalar2d.csv"))
+        assert rows[1]["f_lux"] == report["values"]["f_lux"]
 
     def test_campanato_functional_configuration_block(self, cache_env, tmp_path):
         raw = json.loads(open(QUICK).read())

@@ -14,13 +14,13 @@ from conftest import shifted_footprint_sum
 
 from anivex import grid as gr
 from anivex.dilation import new_dilation
-from anivex.errors import ScaleTooFine
+from anivex.errors import EmptyMask, ScaleTooFine
+from anivex.exponents import constant_exponent, indicator_norm
 from anivex.grid import (
     Grid,
     GridFunction,
     _fast_len,
     _interpolate_linear,
-    _lattice_index,
     ball_footprint,
     ball_lattice_mask,
     ball_support,
@@ -31,7 +31,9 @@ from anivex.grid import (
     footprint_sum,
     integrate,
     kernel_grid,
+    lattice_anchors,
     sample,
+    scale_stacks,
     scaled_kernel_samples,
     uniform_grid,
 )
@@ -232,7 +234,8 @@ class TestBallSupport:
         if edge:
             cells[0] = 0 if u[0] < 0.5 else g.resolution[0] - 1
         center = [lo + (i + 0.5) * h for lo, i, h in zip(g.lower, cells, g.spacing)]
-        assert _lattice_index(g, center) == tuple(cells)
+        index, shift = lattice_anchors(g, [center])
+        assert index[0].tolist() == cells and not shift.any()
         ball = d.ball(center, k_lo + int(t * (k_hi - k_lo)))
         want = np.flatnonzero(d.ball_contains_many(ball, g.points()))
         assert np.array_equal(ball_support(g, d, ball), want)
@@ -253,22 +256,36 @@ class TestBallSupport:
         # Every centre the search emits takes the pasted-footprint path.
         d, g, _ = _support_case(name)
         window = default_scale_window(d, g, min_points=1)
-        for ball in _canonical_sweep(d, g, window):
-            assert _lattice_index(g, ball.center) is not None
+        centres = [ball.center for ball in _canonical_sweep(d, g, window)]
         rng = np.random.default_rng(5)
         for _ in range(200):
-            for ball, _ in _random_config(rng, d, g, window, 8).entries:
-                assert _lattice_index(g, ball.center) is not None
+            centres += [ball.center for ball, _ in _random_config(rng, d, g, window, 8).entries]
+        assert not lattice_anchors(g, centres)[1].any()
 
-    def test_short_centre_is_not_a_lattice_index(self):
-        # A one-coordinate centre on a 2-D grid broadcasts over both axes in
-        # the direct test; it must not be pasted as a 1-D index.
+    def test_short_centre_is_refused(self):
+        # A one-coordinate centre on a 2-D grid would broadcast over both
+        # axes; no ball is made of it, so it is never anchored.
         d, g, _ = _support_case("diag")
-        center = [g.lower[0] + 17.5 * g.spacing[0]]
-        assert _lattice_index(g, center) is None
-        ball = d.ball(center, 0)
-        want = np.flatnonzero(d.ball_contains_many(ball, g.points()))
-        assert want.size and np.array_equal(ball_support(g, d, ball), want)
+        for center in ([g.lower[0] + 17.5 * g.spacing[0]], [0.0, 0.0, 0.0], [[0.0, 0.0]]):
+            with pytest.raises(ValueError, match="2 coordinates"):
+                d.ball(center, 0)
+
+    def test_balls_missing_the_lattice(self, d1, g1):
+        # Far off the box the anchored footprint is empty (K = 0); just past
+        # its edge it is not, but each of its cells lies beyond the box.
+        # Neither ball has a lattice point, a stack, or an indicator norm.
+        far, beyond = d1.ball([100.0], -8), d1.ball([8.5], 0)
+        shifts = lattice_anchors(g1, [far.center, beyond.center])[1]
+        assert not ball_footprint(d1, g1, far.scale, shifts[0]).any()
+        assert ball_footprint(d1, g1, beyond.scale, shifts[1]).any()
+        p = constant_exponent(g1, 1.0)
+        for ball in (far, beyond):
+            assert ball_support(g1, d1, ball).size == 0
+            assert list(scale_stacks(g1, d1, [ball], 64)) == []
+            with pytest.raises(EmptyMask):
+                indicator_norm(d1, ball, p)
+        [(_, group, _, _, _)] = scale_stacks(g1, d1, [far, beyond, d1.ball([7.99], 0)], 64)
+        assert [ball.center.tolist() for ball in group] == [[7.99]]
 
     def test_lattice_aligned_centres_hit_lattice_points(self):
         d, g, _ = _support_case("diag")

@@ -257,6 +257,15 @@ class TestDilationInequality:
         report = dilation_indicator_inequality(cfg, d1, p1, k_max=2, r_aux=0.5)
         assert report.norms[0] == pytest.approx(1.0, rel=1e-9)
 
+    def test_default_r_aux_is_the_campanato_default(self, d1, g1):
+        # r_aux defaults to underline_p / 2 and must lie below underline_p.
+        p = constant_exponent(g1, 0.8)
+        cfg = BallConfiguration([(d1.ball([0.0], 0), 1.0)])
+        report = dilation_indicator_inequality(cfg, d1, p, k_max=1)
+        assert report.bound == 1.0 / CampanatoParams(p=p).r_aux + 0.05 == 1.0 / 0.4 + 0.05
+        with pytest.raises(ValueError, match="r_aux"):
+            dilation_indicator_inequality(cfg, d1, p, k_max=1, r_aux=0.81)
+
 
 def test_chain_warns_below_admissible_degree(d1, g1):
     from anivex.exponents import constant_exponent

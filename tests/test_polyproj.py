@@ -13,17 +13,17 @@ from anivex.errors import InsufficientSamples, SingularGram
 from anivex.exponents import constant_exponent
 from anivex.grid import (
     GridFunction,
-    _lattice_index,
     ball_lattice_mask,
+    ball_row,
     ball_support,
     footprint_rows,
+    lattice_anchors,
     sample,
     scale_stacks,
     uniform_grid,
 )
 from anivex.polyproj import (
     _ball_design,
-    _ball_row,
     _project,
     lq_error,
     lq_norm,
@@ -218,7 +218,9 @@ class TestProjectStack:
                 groups.setdefault(ball.scale, []).append(ball)
         ridge_in_stack = False
         for k, balls in groups.items():
-            rows, inside = footprint_rows(g, d, k, np.array([_lattice_index(g, b.center) for b in balls]))
+            index, shifts = lattice_anchors(g, [b.center for b in balls])
+            assert not shifts.any()
+            rows, inside = footprint_rows(g, d, k, index, shifts[0])
             coef, resid = project_stack(f, d, k, np.stack([b.center for b in balls]), rows, inside, s)
             for ball, coef_row, resid_row in zip(balls, coef, resid):
                 poly, alone = _project(f, d, ball, s)
@@ -307,7 +309,7 @@ class TestRefinement:
         p = constant_exponent(g, 1.5)
         for idx, scale in [((0, 0), 0), ((1, 47), 1), ((47, 20), 1), ((3, 2), 2), ((24, 24), 2)]:
             ball = d.ball(g.points()[np.ravel_multi_index(idx, g.resolution)], scale)
-            row, inside = _ball_row(g, d, ball)
+            row, inside = ball_row(g, d, ball)
             assert not inside.all()
             poly, resid = _project(f, d, ball, 1)
             want = np.abs(f.values.ravel()[row] - poly.evaluate(g.points()[row])) * inside
@@ -415,6 +417,7 @@ class TestProjectionResidual:
         ball = d.ball(center, data.draw(st.integers(k_lo, k_hi)))
         poly, resid = _project(f, d, ball, s)
         assert np.array_equal(poly.coefficients, minimizing_polynomial(f, d, ball, s).coefficients)
-        idx = ball_support(g, d, ball)
-        assert np.array_equal(resid, np.abs(f.values.ravel()[idx] - poly.evaluate(g.points()[idx])))
+        row, inside = ball_row(g, d, ball)
+        assert np.array_equal(row[inside], ball_support(g, d, ball))
+        assert np.array_equal(resid, np.abs(f.values.ravel()[row] - poly.evaluate(g.points()[row])) * inside)
         assert lq_norm(resid, q, g.cell_volume) == lq_error(f, d, ball, poly, q)

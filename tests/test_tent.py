@@ -25,10 +25,10 @@ from anivex.exponents import (
 )
 from anivex.grid import (
     GridFunction,
-    _lattice_index,
     ball_footprint,
     ball_lattice_mask,
     ball_support,
+    lattice_anchors,
     uniform_grid,
 )
 from anivex.hardy import FiniteAtomicRep, make_atom
@@ -37,9 +37,8 @@ from anivex.tent import (
     ScaleFunction,
     TentAtomEntry,
     TentAtomSet,
+    _anchored_nodes,
     _binary_erode,
-    _in_tent,
-    _lattice_offsets,
     _minimal_tent_expansion,
     _stamp_lookup,
     area_l2_weights,
@@ -431,10 +430,16 @@ _STAMP_CASES = {
 }
 
 
+def _tent_members(d, grid, ball, window, layers, flat):
+    """The stamp lookup of the nodes (flat[i], window[0] + layers[i]) at
+    their offsets from the ball's anchor."""
+    return _stamp_lookup(d, grid, ball.scale, window, layers, *_anchored_nodes(grid, ball.center, flat))
+
+
 def _one_scale(d, grid, ball, ell, flat):
-    """_in_tent over the one-scale window (ell, ell): y + B_ell inside the
+    """_tent_members over the one-scale window (ell, ell): y + B_ell inside the
     closed ball, one boolean per flat lattice index y."""
-    return _in_tent(d, grid, ball, (ell, ell), np.zeros(len(flat), dtype=int), flat, _lattice_offsets(grid, ball.center, flat))
+    return _tent_members(d, grid, ball, (ell, ell), np.zeros(len(flat), dtype=int), flat)
 
 
 class TestTentMembers:
@@ -468,10 +473,10 @@ class TestTentMembers:
 
 def _pasted_tent_members(d, grid, ball, ell, flat):
     """The pasted form of _one_scale, the reference for the stamp rows: a
-    full-grid copy of the stamp placed at the lattice centre, read at the
+    full-grid copy of the ball's stamp placed at its anchor, read at the
     flat indices."""
-    centre = _lattice_index(grid, ball.center)
-    stamp = paste_centered(grid.resolution, tent_offset_mask(d, grid, ell, ball.scale), centre)
+    [anchor], [shift] = lattice_anchors(grid, [ball.center])
+    stamp = paste_centered(grid.resolution, tent_offset_mask(d, grid, ell, ball.scale, shift), anchor)
     return stamp.ravel()[np.asarray(flat, dtype=int)]
 
 
@@ -490,6 +495,36 @@ def _edge_biased_centre(data, grid):
     return np.array([ax[i] for ax, i in zip(grid.axes(), idx)])
 
 
+def _anchor_test_centre(data, grid):
+    """A centre whose coordinates are each random in or near the box, on a
+    cell edge, on a lattice point, or far outside the box."""
+    centre = []
+    for lo, hi, h, r in zip(grid.lower, grid.upper, grid.spacing, grid.resolution):
+        centre.append(data.draw(st.one_of(
+            st.floats(lo - 1.0, hi + 1.0),
+            st.integers(0, r).map(lambda i, lo=lo, h=h: lo + i * h),
+            st.integers(0, r - 1).map(lambda i, lo=lo, h=h: lo + (i + 0.5) * h),
+            st.floats(-100.0, 100.0),
+        )))
+    return centre
+
+
+class TestAnchoredBalls:
+    # Every ball is a footprint row at its anchor: its lattice points and its
+    # tent at each scale equal the full-grid tests on offsets from the centre.
+    @settings(max_examples=100)
+    @given(case=st.sampled_from(sorted(_ROW_CASES)), data=st.data(), scale=st.integers(-10, 3), depth=st.integers(-1, 4))
+    def test_support_and_tent_equal_full_grid_tests(self, case, data, scale, depth):
+        d, grid = _ROW_CASES[case]
+        ball = d.ball(_anchor_test_centre(data, grid), scale)
+        points = grid.points()
+        assert np.array_equal(ball_support(grid, d, ball), np.flatnonzero(d.ball_contains_many(ball, points)))
+        every = np.arange(len(points))
+        for ell in (scale - depth, scale - depth - 2):
+            want = d.closed_containment(ell, scale, points - ball.center)
+            assert np.array_equal(_one_scale(d, grid, ball, ell, every), want)
+
+
 class TestStampRows:
     @given(
         case=st.sampled_from(sorted(_ROW_CASES)),
@@ -506,7 +541,7 @@ class TestStampRows:
         # Nodes in any order, repeats allowed, each at its own scale.
         flat = np.array(data.draw(st.lists(st.integers(0, size - 1), max_size=40)), dtype=int)
         layers = np.array(data.draw(st.lists(st.integers(0, width), min_size=len(flat), max_size=len(flat))), dtype=int)
-        got = _in_tent(d, grid, ball, window, layers, flat, _lattice_offsets(grid, ball.center, flat))
+        got = _tent_members(d, grid, ball, window, layers, flat)
         want = [bool(_pasted_tent_members(d, grid, ball, window[0] + l, [f])[0]) for f, l in zip(flat, layers)]
         assert got.tolist() == want
         every = np.arange(size)
@@ -531,7 +566,7 @@ class TestStampRows:
         # at 63 cells, and nowhere beyond it.
         d, grid = _ROW_CASES["A=[2]"]
         offsets = np.array([[63], [-63], [64], [-64], [500]])
-        got = _stamp_lookup(d, grid, 6, (0, 0), np.zeros(len(offsets), dtype=int), offsets)
+        got = _stamp_lookup(d, grid, 6, (0, 0), np.zeros(len(offsets), dtype=int), offsets, np.zeros(1))
         assert got.tolist() == [True, True, False, False, False]
 
     @given(case=st.sampled_from(sorted(_ROW_CASES)), data=st.data(), ball_scale=st.integers(-3, 2))
