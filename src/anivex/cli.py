@@ -162,6 +162,8 @@ def _validate_compute(cfg):
                 raise ConfigError(f"missing key {key!r}", field=f"{field}.{key}")
         if "function" in spec and spec["function"] not in list(cfg.functions):
             raise ConfigError(f"unknown function {spec['function']!r}", field=f"{field}.function")
+        if op == "log_holder":
+            _integer(spec.get("pairs", 4000), f"{field}.pairs", lowest=1)
         balls = [(spec, field)] if op == "classic_functional" else []
         if op == "campanato_functional":
             if not isinstance(spec["configuration"], list):

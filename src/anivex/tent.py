@@ -13,8 +13,9 @@ any set of nodes, at any mix of scales, is one gather from those rows at
 the nodes' integer offsets from the anchor, found once per ball; no query
 builds a grid-sized array.  Atom expansions read one gather per grown
 scale, atom validation one per atom, and the Carleson module's tent masses
-one per (scale, shift) and chunk of balls (carleson.tent_masses).  The
-lattice cells of a ball, cover balls included, come from grid.ball_support.
+one per (scale, shift) and chunk of balls (carleson.tent_masses).  A
+cover ball sits on a lattice cell: its cells are one grid.footprint_rows
+row, and its nodes' offsets are taken from that cell at shift zero.
 
 The decomposition fills its atoms' weights and amplitudes once every atom
 ball is known, from indicator norms solved in stacks
@@ -44,8 +45,8 @@ from .grid import (
     _c_strides,
     anchored_offsets,
     ball_footprint,
-    ball_support,
     dilation_cache,
+    footprint_rows,
     footprint_sum,
     lattice_anchors,
 )
@@ -202,17 +203,20 @@ def maximal_dilate(mask, d, grid, scale_window, gamma):
 
 @dataclass
 class CoverBall:
-    ball: object  # a DilatedBall centred on a lattice point
+    cell: int  # flat C-order index of the ball's lattice centre
+    scale: int
     guarded: bool
+    piece: np.ndarray  # the ball's cells no earlier ball covers, in C order
 
 
 def whitney_cover(mask, d, grid, cover_window):
     """Greedy cover of a lattice set by balls whose omega-expanded guards stay
-    inside it.
+    inside it, cut into disjoint pieces.
 
     Scans lattice points in C order; each uncovered point receives the
     largest admissible ball centered there (falling back to the smallest
-    window scale, flagged unguarded, when no guard fits).  Deterministic.
+    window scale, flagged unguarded, when no guard fits).  A ball's piece is
+    the part of its footprint row no earlier ball covers.  Deterministic.
     """
     k_lo, k_hi = cover_window
     # Largest window scale whose guard fits around each point; k_lo - 1 if none.
@@ -225,10 +229,12 @@ def whitney_cover(mask, d, grid, cover_window):
     for flat in np.flatnonzero(mask):
         if covered[flat]:
             continue
-        guarded = bool(best_scale[flat] >= k_lo)
-        ball = d.ball(grid.points()[flat], max(int(best_scale[flat]), k_lo))
-        covered[ball_support(grid, d, ball)] = True
-        balls.append(CoverBall(ball, guarded))
+        scale = max(int(best_scale[flat]), k_lo)
+        index = np.array(np.unravel_index(flat, grid.resolution))[None]
+        rows, inside = footprint_rows(grid, d, scale, index, np.zeros(grid.n))
+        cells = rows[0][inside[0]]
+        balls.append(CoverBall(int(flat), scale, bool(best_scale[flat] >= k_lo), cells[~covered[cells]]))
+        covered[cells] = True
     return balls
 
 
@@ -282,18 +288,18 @@ class TentAtomSet:
         return mask.reshape(self.template.values.shape)
 
 
-def _minimal_tent_expansion(d, grid, ball, window, layers, flat):
+def _minimal_tent_expansion(d, grid, cover, window, layers, flat):
     """Smallest e <= 10 such that every claimed node (flat[i], window[0] +
     layers[i]) satisfies y + B_l inside the cover ball grown to scale + e.
 
-    The nodes' offsets from the anchor are found once; a grown scale whose
-    stamp they overrun fails at once, any other is one gather.
+    The nodes' offsets from the ball's cell are found once; a grown scale
+    whose stamp they overrun fails at once, any other is one gather.
     """
-    cap = min(10, d.level_cap - ball.scale - 1)
-    offsets, shift = _anchored_nodes(grid, ball.center, flat)
+    cap = min(10, d.level_cap - cover.scale - 1)
+    offsets = np.array(np.unravel_index(flat, grid.resolution)).T - np.unravel_index(cover.cell, grid.resolution)
     reach = np.abs(offsets).max(axis=0)
     for extra in range(0, cap + 1):
-        half, strides, rows = _stamp_rows(d, grid, ball.scale + extra, window, shift)
+        half, strides, rows = _stamp_rows(d, grid, cover.scale + extra, window, np.zeros(grid.n))
         if (reach <= half).all() and rows[layers, offsets @ strides + rows.shape[1] // 2].all():
             return extra
     return None
@@ -349,8 +355,7 @@ def tent_atomic_decomposition(G, p, d, level_floor=60, leakage_bound=0.01):
             break  # no telescope can claim a node any more
         level_mask = area > 2.0**j
         if not level_mask.any():
-            prev_tent = np.zeros_like(prev_tent)
-            continue
+            continue  # as was every level above: prev_tent is still empty
         dilated = maximal_dilate(level_mask, d, grid, window, gamma=0.5)
         saturated = bool(dilated.all())
         tent_j = np.stack([_binary_erode(dilated, d, grid, ell) for ell in G.scales()])
@@ -363,33 +368,23 @@ def tent_atomic_decomposition(G, p, d, level_floor=60, leakage_bound=0.01):
         cover_sizes[j] = len(balls)
         unguarded += sum(1 for cb in balls if not cb.guarded)
 
-        # Nodes are split by the base point y across the disjointified cover
+        # Nodes are split by the base point y across the disjoint cover
         # pieces, then each atom's ball is the cover ball expanded just
         # enough to tent every node it claims.
         remaining = (telescope & support & ~assigned).reshape(nscales, -1)
-        claimed_base = np.zeros(ncells, dtype=bool)
         for k_index, cover in enumerate(balls):
-            if not remaining.any():
-                break
-            cells = ball_support(grid, d, cover.ball)
-            piece = cells[~claimed_base[cells]]
-            claimed_base[cells] = True
-            layers, cols = np.nonzero(remaining[:, piece])
+            layers, cols = np.nonzero(remaining[:, cover.piece])
             if not layers.size:
                 continue
-            flat = piece[cols]
-            remaining[layers, flat] = False
-            expansion = _minimal_tent_expansion(d, grid, cover.ball, layer_window, layers, flat)
+            flat = cover.piece[cols]
+            expansion = _minimal_tent_expansion(d, grid, cover, layer_window, layers, flat)
             if expansion is None:
-                # Geometry refused a bounded expansion; give the nodes back
-                # and let them count as leakage.
-                remaining[layers, flat] = True
-                continue
+                continue  # geometry refused a bounded expansion: the nodes leak
             flat_assigned[layers, flat] = True
             entries.append(
                 TentAtomEntry(
                     weight=None,  # filled once every atom ball is known
-                    ball=d.ball(cover.ball.center, cover.ball.scale + expansion),
+                    ball=d.ball(grid.points()[cover.cell], cover.scale + expansion),
                     level=j,
                     cover_index=k_index,
                     node_indices=flat + layers * ncells,

@@ -209,6 +209,8 @@ class TestValidation:
             ({"name": "v", "op": "campanato_functional", "function": "f",
               "configuration": [{"center": [0.0], "scale": 0.5}]},
              "compute[0].configuration[0].scale"),
+            ({"name": "v", "op": "log_holder", "pairs": "many"}, "compute[0].pairs"),
+            ({"name": "v", "op": "log_holder", "pairs": 0}, "compute[0].pairs"),
         ],
     )
     def test_bad_compute_spec_is_config_error(self, cache_env, tmp_path, spec, field):

@@ -34,6 +34,7 @@ from anivex.grid import (
 from anivex.hardy import FiniteAtomicRep, make_atom
 from anivex.search import BallConfiguration, default_scale_window
 from anivex.tent import (
+    CoverBall,
     ScaleFunction,
     TentAtomEntry,
     TentAtomSet,
@@ -179,6 +180,11 @@ def _duality_psi_side(case):
     return caught.value.args[0], d, p
 
 
+def _cover_ball(d, grid, cb, extra=0):
+    """The DilatedBall of a cover ball, grown by extra scales."""
+    return d.ball(grid.points()[cb.cell], cb.scale + extra)
+
+
 def _every_level_decomposition(G, p, d, level_floor, leakage_bound):
     """tent_atomic_decomposition as it was before the stop at the first
     level whose dilated set fills the box: every level down to j_lo runs
@@ -222,7 +228,7 @@ def _every_level_decomposition(G, p, d, level_floor, leakage_bound):
         for k_index, cover in enumerate(balls):
             if not remaining.any():
                 break
-            cells = ball_support(grid, d, cover.ball)
+            cells = ball_support(grid, d, _cover_ball(d, grid, cover))
             piece = cells[~claimed_base[cells]]
             claimed_base[cells] = True
             layers, cols = np.nonzero(remaining[:, piece])
@@ -230,12 +236,12 @@ def _every_level_decomposition(G, p, d, level_floor, leakage_bound):
                 continue
             flat = piece[cols]
             remaining[layers, flat] = False
-            expansion = _minimal_tent_expansion(d, grid, cover.ball, (G.l_min, G.l_max), layers, flat)
+            expansion = _minimal_tent_expansion(d, grid, cover, (G.l_min, G.l_max), layers, flat)
             if expansion is None:
                 remaining[layers, flat] = True
                 continue
             flat_assigned[layers, flat] = True
-            ball = d.ball(cover.ball.center, cover.ball.scale + expansion)
+            ball = _cover_ball(d, grid, cover, expansion)
             entries.append(TentAtomEntry(None, ball, j, k_index, flat + layers * ncells, flat_values[layers, flat], None, template))
     fill_indicator_norms(d, [e.ball for e in entries], p)
     for e in entries:
@@ -571,19 +577,22 @@ class TestStampRows:
 
     @given(case=st.sampled_from(sorted(_ROW_CASES)), data=st.data(), ball_scale=st.integers(-3, 2))
     def test_minimal_expansion_matches_pasted_stamps(self, case, data, ball_scale):
+        # Expansions start from cover balls, which sit on lattice points.
         d, grid = _ROW_CASES[case]
-        ball = d.ball(_edge_biased_centre(data, grid), ball_scale)
+        centre = _edge_biased_centre(data, grid)
+        cell = int(np.flatnonzero((grid.points() == centre).all(axis=1))[0])
         window = (-3, 0)
         size = int(np.prod(grid.resolution))
         flat = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=12)), dtype=int)
         layers = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(flat), max_size=len(flat))), dtype=int)
         want = None
         for extra in range(min(10, d.level_cap - ball_scale - 1) + 1):
-            grown = d.ball(ball.center, ball_scale + extra)
+            grown = d.ball(centre, ball_scale + extra)
             if all(_pasted_tent_members(d, grid, grown, window[0] + l, [f])[0] for f, l in zip(flat, layers)):
                 want = extra
                 break
-        assert _minimal_tent_expansion(d, grid, ball, window, layers, flat) == want
+        cover = CoverBall(cell, ball_scale, True, np.zeros(0, dtype=int))
+        assert _minimal_tent_expansion(d, grid, cover, window, layers, flat) == want
 
 
 class TestMaximalDilate:
@@ -609,11 +618,11 @@ class TestWhitneyCover:
         balls = whitney_cover(mask, d1, g1, (-8, 3))
         covered = np.zeros(g1.resolution, dtype=bool)
         for cb in balls:
-            covered |= ball_lattice_mask(g1, d1, cb.ball)
+            covered |= ball_lattice_mask(g1, d1, _cover_ball(d1, g1, cb))
         assert np.all(covered[mask])
         for cb in balls:
             if cb.guarded:
-                guard = d1.ball(cb.ball.center, cb.ball.scale + d1.omega)
+                guard = _cover_ball(d1, g1, cb, d1.omega)
                 assert np.all(mask[ball_lattice_mask(g1, d1, guard)])
 
     def test_bounded_overlap(self, d1, g1):
@@ -622,8 +631,28 @@ class TestWhitneyCover:
         balls = whitney_cover(mask, d1, g1, (-8, 3))
         counts = np.zeros(g1.resolution)
         for cb in balls:
-            counts += ball_lattice_mask(g1, d1, cb.ball)
+            counts += ball_lattice_mask(g1, d1, _cover_ball(d1, g1, cb))
         assert counts.max() <= 8
+
+    @settings(max_examples=60, derandomize=True)
+    @given(case=st.sampled_from(sorted(_ROW_CASES)), seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0))
+    def test_pieces_split_the_cover(self, case, seed, density):
+        # Each piece is the ball's support less every earlier ball's, in C
+        # order, at the first uncovered cell of the mask; the pieces are
+        # disjoint and their union covers the mask.
+        d, grid = _ROW_CASES[case]
+        mask = np.random.default_rng(seed).random(grid.resolution) < density
+        balls = whitney_cover(mask, d, grid, default_scale_window(d, grid, min_points=1))
+        covered = np.zeros(mask.size, dtype=bool)
+        for cb in balls:
+            assert cb.cell == np.flatnonzero(mask.ravel() & ~covered)[0]
+            support = ball_support(grid, d, _cover_ball(d, grid, cb))
+            assert np.array_equal(cb.piece, np.setdiff1d(support, np.flatnonzero(covered)))
+            covered[support] = True
+        pieces = np.concatenate([cb.piece for cb in balls] + [np.zeros(0, dtype=int)])
+        assert len(np.unique(pieces)) == len(pieces)
+        assert np.array_equal(np.sort(pieces), np.flatnonzero(covered))
+        assert covered[mask.ravel()].all()
 
 
 class TestDecomposition:
