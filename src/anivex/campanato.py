@@ -291,8 +291,8 @@ def campanato_type_norm(f, prm, d, budget=200, seed=0):
     return family_supremum(score, prm.p, prm.eta, d, f.grid, budget, seed, 4 + 2 * prm.s)
 
 
-# The largest stacked design matrix, in entries, that _score_sweep builds;
-# a larger scale is scored in chunks.
+# The most footprint cells times coefficients that one stack _score_sweep
+# scores may hold; a larger scale is scored in chunks.
 _STACK_ENTRIES = 1 << 16
 
 
@@ -303,13 +303,12 @@ def _score_sweep(f, prm, d, balls):
     gets no norm, and one with fewer lattice points than coefficients no term."""
     coefficients = len(multi_indices(f.grid.n, prm.s))
     terms = {}
-    for scale, group, rows, inside, _ in scale_stacks(f.grid, d, balls, _STACK_ENTRIES // coefficients):
+    for scale, group, rows, inside, shift in scale_stacks(f.grid, d, balls, _STACK_ENTRIES // coefficients):
         norms = stack_indicator_norms(d, group, rows, inside, prm.p)
         keep = np.flatnonzero(inside.sum(axis=1) >= coefficients)
         if not keep.size:
             continue
-        centers = np.array([group[i].center for i in keep.tolist()])
-        _, resid = project_stack(f, d, scale, centers, rows[keep], inside[keep], prm.s)
+        _, resid = project_stack(f, d, scale, shift, rows[keep], inside[keep], prm.s)
         vol = d.ball_volume(group[0])
         avgs = _mean_oscillation(resid, prm.q, vol, f.grid.cell_volume)
         for i, avg in zip(keep.tolist(), avgs.tolist()):

@@ -237,11 +237,11 @@ def _c_strides(shape):
 
 
 def ball_row(grid, d, ball):
-    """The ball's footprint row at its anchor and the mask of its inside:
-    footprint_rows of the one ball."""
+    """The ball's footprint row at its anchor, the mask of its inside and
+    its shift from the anchor: footprint_rows of the one ball."""
     index, shift = lattice_anchors(grid, ball.center[None])
     rows, inside = footprint_rows(grid, d, ball.scale, index, shift[0])
-    return rows[0], inside[0]
+    return rows[0], inside[0], shift[0]
 
 
 def ball_support(grid, d, ball):
@@ -251,7 +251,7 @@ def ball_support(grid, d, ball):
     cache = dilation_cache(d)
     key = ("support", grid.key(), ball.key())
     if key not in cache:
-        row, inside = ball_row(grid, d, ball)
+        row, inside, _ = ball_row(grid, d, ball)
         support = row[inside]
         support.setflags(write=False)
         cache[key] = support

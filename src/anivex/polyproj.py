@@ -2,15 +2,15 @@
 
 P_B^s f is the L^2(B) orthogonal projection of f onto polynomials of degree
 at most s, computed in ball-local coordinates u = A^-k (x - center) so the
-Gram matrix stays well conditioned across scales.  A projection returns
-its residual |f - P| on the ball's lattice points with the polynomial, taken
-from the same design matrix, so an L^q error needs no second pass over the
-ball.  Balls of one scale and shift project in one stack (project_stack) on
-their footprint rows, weighted 0 where the box clips them; each row is
-solved by itself, so it is bit for bit the ball's own (_project, the one-row
-case on grid.ball_row, whatever the centre).  lq_error and the iteratively
+Gram matrix stays well conditioned across scales.  Balls of one scale and
+shift are one footprint at different anchors, so they share one local
+design X, the monomials of the footprint's offsets (_local_design).  A stack
+of them (project_stack) forms its Gram matrices, right sides and residuals
+|f - P| as products of its masks and values with X, one row at a time, so a
+row is bit for bit the ball's own projection (_project, the one-row stack on
+grid.ball_row, whatever the centre).  lq_error and the iteratively
 reweighted least squares towards the q != 2 infimum read a ball on the same
-row.  The module needs numpy only.
+row and X.  The module needs numpy only.
 """
 
 from dataclasses import dataclass, replace
@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InsufficientSamples, SingularGram
-from .grid import GridFunction, ball_row, ball_support
+from .grid import GridFunction, ball_row, ball_support, footprint_offsets
 
 
 @cache
@@ -33,12 +33,12 @@ def multi_indices(n, s):
     return tuple(out)
 
 
-def _design_matrix(local_pts, indices, weight=1.0):
-    """Monomials of the points along the last axis times weight, one column per index."""
+def _design_matrix(local_pts, indices):
+    """Monomials of the points along the last axis, one column per index."""
     out = np.empty(local_pts.shape[:-1] + (len(indices),))
     for j, gamma in enumerate(indices):
         col = out[..., j]
-        col[...] = weight
+        col[...] = 1.0
         for axis, power in enumerate(gamma):
             if power:
                 col *= local_pts[..., axis] ** power
@@ -62,22 +62,23 @@ class Polynomial:
         return GridFunction(grid, self.evaluate(grid.points()).reshape(grid.resolution))
 
 
-def _designs(f, d, scale, centers, rows, inside, s):
-    """Local design matrices of balls of one scale on rows of flat lattice
-    indices, weighted by inside; each row needs an inside point per coefficient."""
-    indices = multi_indices(f.grid.n, s)
-    fewest = int(inside.sum(axis=-1).min())
-    if fewest < len(indices):
-        raise InsufficientSamples(f"{fewest} lattice points in the ball but {len(indices)} coefficients")
-    local = f.grid.points().take(rows, axis=0) - centers[:, None, :]
-    return indices, _design_matrix(local @ d.power(-scale).T, indices, inside)
+def _local_design(f, d, scale, shift, indices):
+    """The footprint's local design X of the balls of one scale and shift:
+    the (K, m) monomials of (offsets h - shift) A^-scale^T, one row per
+    footprint cell of grid.footprint_offsets, one column per index."""
+    offsets = footprint_offsets(d, f.grid, scale, shift)[0].T
+    return _design_matrix((offsets * f.grid.spacing - shift) @ d.power(-scale).T, indices)
 
 
 def _ball_design(f, d, ball, s):
-    """The ball's row, its inside mask and its design weighted by the mask."""
-    row, inside = ball_row(f.grid, d, ball)
-    _, design = _designs(f, d, ball.scale, ball.center[None], row[None], inside[None], s)
-    return row, inside, design[0]
+    """The ball's row, its inside mask and its local design weighted by the mask."""
+    row, inside, shift = ball_row(f.grid, d, ball)
+    return row, inside, _local_design(f, d, ball.scale, shift, multi_indices(f.grid.n, s)) * inside[:, None]
+
+
+def _residuals(fvals, coef, design, inside):
+    """|v - coef X^T| on the mask, one (1, m) @ (m, K) product per row."""
+    return np.abs(fvals - (coef[:, None, :] @ design.T)[:, 0]) * inside
 
 
 def minimizing_polynomial(f, d, ball, s):
@@ -87,10 +88,10 @@ def minimizing_polynomial(f, d, ball, s):
 
 def _project(f, d, ball, s):
     """minimizing_polynomial together with |f - P| on the ball's row, 0
-    where the box clips it, from the design matrix the solve used: the
-    ball's grid.ball_row as a one-row stack of project_stack."""
-    row, inside = ball_row(f.grid, d, ball)
-    coef, resid = project_stack(f, d, ball.scale, ball.center[None], row[None], inside[None], s)
+    where the box clips it, from the design the solve used: the ball's
+    grid.ball_row as a one-row stack of project_stack."""
+    row, inside, shift = ball_row(f.grid, d, ball)
+    coef, resid = project_stack(f, d, ball.scale, shift, row[None], inside[None], s)
     poly = Polynomial(
         center=ball.center,
         transform=d.power(-ball.scale),
@@ -100,26 +101,33 @@ def _project(f, d, ball, s):
     return poly, resid[0]
 
 
-def project_stack(f, d, scale, centers, rows, inside, s):
+def project_stack(f, d, scale, shift, rows, inside, s):
     """Coefficients and residuals |f - P| of the projections on balls of one
-    scale, on rows of grid.scale_stacks weighted by inside (the Gram matrix
-    (Xw)^T Xw, the right side (Xw)^T f, residuals 0 off the mask); each row
-    is built, tested and solved by itself, as _project solves it alone.  A
-    Gram matrix the solve finds singular raises SingularGram for the stack."""
-    _, design = _designs(f, d, scale, centers, rows, inside, s)
+    scale and shift, on rows of grid.scale_stacks weighted by inside.  With
+    X the stack's _local_design, w the mask as floats and v the values at
+    the rows, the Gram matrices are w (X_j X_l), the right sides (w v) X and
+    the residuals |v - coef X^T| w, each a (1, K) @ (K, .) product per row;
+    each row needs an inside point per coefficient and is tested and solved
+    by itself, as _project solves it alone.  A Gram matrix the solve finds
+    singular raises SingularGram for the stack."""
+    design = _local_design(f, d, scale, shift, multi_indices(f.grid.n, s))
+    size, m = design.shape
+    fewest = int(inside.sum(axis=-1).min())
+    if fewest < m:
+        raise InsufficientSamples(f"{fewest} lattice points in the ball but {m} coefficients")
+    weight = inside.astype(float)[:, None, :]
     fvals = f.values.ravel().take(rows)
-    design_t = design.swapaxes(-1, -2)
-    gram = design_t @ design
-    rhs = design_t @ fvals[..., None]
+    gram = (weight @ (design[:, :, None] * design[:, None, :]).reshape(size, m * m)).reshape(-1, m, m)
+    rhs = (weight * fvals[:, None, :]) @ design
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         gram = np.stack([_positive_definite(g) for g in gram])
     try:
-        coef = np.linalg.solve(gram, rhs)
+        coef = np.linalg.solve(gram, rhs.swapaxes(-1, -2))[..., 0]
     except np.linalg.LinAlgError:  # a Cholesky factor exists, an exact LU pivot is 0
         raise SingularGram("Gram matrix singular in the solve") from None
-    return coef[..., 0], np.abs(fvals - (design @ coef)[..., 0]) * inside
+    return coef, _residuals(fvals, coef, design, inside)
 
 
 def _positive_definite(gram):
@@ -173,10 +181,12 @@ def _lq_root(total, resid, q, cell):
 
 
 def lq_error(f, d, ball, poly, q):
-    """||f - poly||_{L^q(B)} by lattice quadrature on the ball's row, as _project's."""
-    row, inside = ball_row(f.grid, d, ball)
-    resid = np.abs(f.values.ravel().take(row) - poly.evaluate(f.grid.points().take(row, axis=0))) * inside
-    return lq_norm(resid, q, f.grid.cell_volume)
+    """||f - poly||_{L^q(B)} by lattice quadrature on the ball's row, with
+    the local design and residuals of _project; poly is centred at the ball's centre."""
+    row, inside, shift = ball_row(f.grid, d, ball)
+    design = _local_design(f, d, ball.scale, shift, poly.indices)
+    resid = _residuals(f.values.ravel().take(row), poly.coefficients[None], design, inside)
+    return lq_norm(resid[0], q, f.grid.cell_volume)
 
 
 def refine_lq(f, d, ball, s, q, start=None):

@@ -253,7 +253,8 @@ class TestStackedSweep:
             norm = exponents._luxemburg(compact, prm.p.values.values.ravel()[support][None], g.cell_volume)[0]
             assert prm.p._indicator_cache[_indicator_key(d, ball)] == norm
             if support.size >= coefficients:
-                _, resid = project_stack(f, d, scale, ball.center[None], support[None], compact.astype(bool), s)
+                shift = lattice_anchors(g, [ball.center])[1][0]
+                _, resid = project_stack(f, d, scale, shift, support[None], compact.astype(bool), s)
                 vol = d.ball_volume(ball)
                 term = vol / norm * campanato._mean_oscillation(resid, q, vol, g.cell_volume)[0]
                 assert _oscillation_term(f, prm, d)(ball) == term

@@ -169,10 +169,10 @@ class TestSingularGram:
         # quadratic (y - 3)(y - 11/3) vanishes on all of them, so the Gram
         # matrix is singular, yet rounding lets its Cholesky factor exist.
         d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
-        g = uniform_grid([-4.0, -4.0], [4.0, 4.0], (12, 12))
+        g = uniform_grid([-4.0, -4.0], [4.0, 4.0], (11, 12))
         f = sample(g, lambda x, y: np.sin(1.1 * x + 0.3) * np.cos(0.9 * y) * np.exp(-(x**2 + y**2) / 10) + 0.2 * x * y)
         center = g.points()[8 * 12 + 11]
-        assert np.allclose(center, [5.0 / 3.0, 11.0 / 3.0])
+        assert np.allclose(center, [24.0 / 11.0, 11.0 / 3.0])
         ball = d.ball(center, 1)
         idx, inside, design = _ball_design(f, d, ball, 2)
         assert np.count_nonzero(inside) == design.shape[1] == 6
@@ -180,9 +180,9 @@ class TestSingularGram:
         np.linalg.cholesky(design.T @ design)
         with pytest.raises(SingularGram):
             _project(f, d, ball, 2)
-        [(_, _, rows, inside, _)] = scale_stacks(g, d, [ball], 1)
+        [(_, _, rows, inside, shift)] = scale_stacks(g, d, [ball], 1)
         with pytest.raises(SingularGram):
-            project_stack(f, d, 1, np.stack([ball.center] * 2), np.repeat(rows, 2, 0), np.repeat(inside, 2, 0), 2)
+            project_stack(f, d, 1, shift, np.repeat(rows, 2, 0), np.repeat(inside, 2, 0), 2)
 
 
 def _eval_coeffs(poly, coeffs, pts):
@@ -194,6 +194,21 @@ def _eval_coeffs(poly, coeffs, pts):
             col = col * local[:, axis] ** power
         out += c * col
     return out
+
+
+def _on_local_design(f, d, ball, poly):
+    """poly on the ball's row where the projection evaluates it: the (1, m)
+    @ (m, K) product with the footprint's local design, 0 where the box
+    clips the ball."""
+    design = _ball_design(f, d, ball, sum(poly.indices[-1]))[2]
+    return (poly.coefficients[None, None, :] @ design.T)[0, 0]
+
+
+def _assert_near_global(resid, f, ball, poly, row, inside):
+    """The residual agrees with poly evaluated at the global lattice points,
+    to rounding in the local coordinates."""
+    want = np.abs(f.values.ravel()[row] - poly.evaluate(f.grid.points()[row])) * inside
+    assert np.allclose(resid, want, rtol=0.0, atol=1e-12 * (1.0 + np.abs(f.values).max()))
 
 
 class TestProjectStack:
@@ -221,7 +236,7 @@ class TestProjectStack:
             index, shifts = lattice_anchors(g, [b.center for b in balls])
             assert not shifts.any()
             rows, inside = footprint_rows(g, d, k, index, shifts[0])
-            coef, resid = project_stack(f, d, k, np.stack([b.center for b in balls]), rows, inside, s)
+            coef, resid = project_stack(f, d, k, shifts[0], rows, inside, s)
             for ball, coef_row, resid_row in zip(balls, coef, resid):
                 poly, alone = _project(f, d, ball, s)
                 assert np.array_equal(coef_row, poly.coefficients)
@@ -231,6 +246,57 @@ class TestProjectStack:
                     ridge_in_stack = True
         assert max(len(balls) for balls in groups.values()) > 1
         assert ridge_in_stack == ridged
+
+
+# Dilations with the scales at which their balls hold enough lattice points
+# of a 24-cell grid per axis for s <= 2.
+_ORACLE_CASES = {
+    "[2]": ([[2.0]], (24,), (1, 2, 3)),
+    "shear": ([[2.0, 1.0], [0.0, 2.0]], (24, 24), (1, 2)),
+    "diag(2,3)": ([[2.0, 0.0], [0.0, 3.0]], (24, 24), (1, 2)),
+}
+
+
+class TestLstsqOracle:
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+    def test_stack_matches_lstsq_on_the_support(self, case, s):
+        # Independent of the footprint layout: np.linalg.lstsq on each ball's
+        # own lattice points in global coordinates minus its centre.
+        matrix, resolution, scales = _ORACLE_CASES[case]
+        d = new_dilation(matrix)
+        n = len(resolution)
+        g = uniform_grid([-4.0] * n, [4.0] * n, resolution)
+        f = sample(g, lambda *x: np.sin(1.3 * x[0] + 0.2) * np.cos(0.7 * x[-1]) + 0.1 * x[0] * x[-1] ** 2)
+        rng = np.random.default_rng(7)
+        lattice = g.points()[rng.choice(len(g.points()), 8, replace=False)]
+        corners = g.points()[[0, -1]]  # balls the box clips
+        # Off-lattice centres: a stack of several at one shift, and loose ones.
+        shifted = lattice + 0.37 * g.spacing
+        centres = np.concatenate([lattice, corners, shifted, rng.uniform(-3.5, 3.5, (4, n))])
+        indices = multi_indices(n, s)
+        seen = {"clipped": 0, "off-lattice": 0, "stacked": 0}
+        balls = [d.ball(c, k) for k in scales for c in centres]
+        for scale, group, rows, inside, shift in scale_stacks(g, d, balls, 1 << 12):
+            keep = np.flatnonzero(inside.sum(axis=1) >= len(indices))
+            if not keep.size:
+                continue
+            coef, resid = project_stack(f, d, scale, shift, rows[keep], inside[keep], s)
+            for i, coef_row, resid_row in zip(keep.tolist(), coef, resid):
+                ball = group[i]
+                support = ball_support(g, d, ball)
+                local = (g.points()[support] - ball.center) @ np.linalg.inv(np.linalg.matrix_power(d.matrix, scale)).T
+                design = np.stack([np.prod(local ** np.array(gamma), axis=1) for gamma in indices], axis=1)
+                values = f.values.ravel()[support]
+                want, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+                assert rank == len(indices)
+                assert np.allclose(coef_row, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+                assert np.allclose(resid_row[inside[i]], np.abs(values - design @ want), rtol=0.0, atol=1e-9 * np.abs(values).max())
+                assert not resid_row[~inside[i]].any()
+                seen["clipped"] += not inside[i].all()
+                seen["off-lattice"] += bool(shift.any())
+                seen["stacked"] += len(keep) > 1 and bool(shift.any())
+        assert all(seen.values()), seen
 
 
 class TestMoments:
@@ -309,11 +375,12 @@ class TestRefinement:
         p = constant_exponent(g, 1.5)
         for idx, scale in [((0, 0), 0), ((1, 47), 1), ((47, 20), 1), ((3, 2), 2), ((24, 24), 2)]:
             ball = d.ball(g.points()[np.ravel_multi_index(idx, g.resolution)], scale)
-            row, inside = ball_row(g, d, ball)
+            row, inside, _ = ball_row(g, d, ball)
             assert not inside.all()
             poly, resid = _project(f, d, ball, 1)
-            want = np.abs(f.values.ravel()[row] - poly.evaluate(g.points()[row])) * inside
+            want = np.abs(f.values.ravel()[row] - _on_local_design(f, d, ball, poly)) * inside
             assert np.array_equal(resid, want)
+            _assert_near_global(resid, f, ball, poly, row, inside)
             assert lq_norm(resid, q, g.cell_volume) == lq_error(f, d, ball, poly, q)
             classic = classic_functional(f, d, ball, p, q, 1)
             assert classic.refined_value <= classic.projection_value
@@ -417,7 +484,8 @@ class TestProjectionResidual:
         ball = d.ball(center, data.draw(st.integers(k_lo, k_hi)))
         poly, resid = _project(f, d, ball, s)
         assert np.array_equal(poly.coefficients, minimizing_polynomial(f, d, ball, s).coefficients)
-        row, inside = ball_row(g, d, ball)
+        row, inside, _ = ball_row(g, d, ball)
         assert np.array_equal(row[inside], ball_support(g, d, ball))
-        assert np.array_equal(resid, np.abs(f.values.ravel()[row] - poly.evaluate(g.points()[row])) * inside)
+        assert np.array_equal(resid, np.abs(f.values.ravel()[row] - _on_local_design(f, d, ball, poly)) * inside)
+        _assert_near_global(resid, f, ball, poly, row, inside)
         assert lq_norm(resid, q, g.cell_volume) == lq_error(f, d, ball, poly, q)
