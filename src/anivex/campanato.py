@@ -291,9 +291,9 @@ def campanato_type_norm(f, prm, d, budget=200, seed=0):
     return family_supremum(score, prm.p, prm.eta, d, f.grid, budget, seed, 4 + 2 * prm.s)
 
 
-# The most footprint cells times coefficients that one stack _score_sweep
-# scores may hold; a larger scale is scored in chunks.
-_STACK_ENTRIES = 1 << 16
+# The most footprint cells, rows times K, that one _score_sweep stack holds:
+# its (rows, K) arrays set the sweep's peak memory.  A larger scale is chunked.
+_STACK_ENTRIES = 1 << 14
 
 
 def _score_sweep(f, prm, d, balls):
@@ -303,7 +303,7 @@ def _score_sweep(f, prm, d, balls):
     gets no norm, and one with fewer lattice points than coefficients no term."""
     coefficients = len(multi_indices(f.grid.n, prm.s))
     terms = {}
-    for scale, group, rows, inside, shift in scale_stacks(f.grid, d, balls, _STACK_ENTRIES // coefficients):
+    for scale, group, rows, inside, shift in scale_stacks(f.grid, d, balls, _STACK_ENTRIES):
         norms = stack_indicator_norms(d, group, rows, inside, prm.p)
         keep = np.flatnonzero(inside.sum(axis=1) >= coefficients)
         if not keep.size:

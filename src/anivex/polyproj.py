@@ -181,11 +181,12 @@ def _lq_root(total, resid, q, cell):
 
 
 def lq_error(f, d, ball, poly, q):
-    """||f - poly||_{L^q(B)} by lattice quadrature on the ball's row, with
-    the local design and residuals of _project; poly is centred at the ball's centre."""
+    """||f - poly||_{L^q(B)} by lattice quadrature on the ball's row, poly in its own
+    coordinates; for _project's poly on the ball, _project's residual bit for bit."""
     row, inside, shift = ball_row(f.grid, d, ball)
-    design = _local_design(f, d, ball.scale, shift, poly.indices)
-    resid = _residuals(f.values.ravel().take(row), poly.coefficients[None], design, inside)
+    offsets = footprint_offsets(d, f.grid, ball.scale, shift)[0].T
+    local = (offsets * f.grid.spacing - (shift + (poly.center - ball.center))) @ poly.transform.T
+    resid = _residuals(f.values.ravel().take(row), poly.coefficients[None], _design_matrix(local, poly.indices), inside)
     return lq_norm(resid[0], q, f.grid.cell_volume)
 
 

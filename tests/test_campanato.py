@@ -276,10 +276,9 @@ class TestStackedSweep:
         for module, name in ((exponents, "_luxemburg"), (campanato, "project_stack")):
             monkeypatch.setattr(module, name, _counting(counts, name, getattr(module, name)))
         _score_sweep(f, prm, d, balls + off_lattice)
-        coefficients = len(multi_indices(2, prm.s))
         chunks = 0
         for k in range(window[0], window[1] + 1):
-            per_chunk = max(campanato._STACK_ENTRIES // (np.count_nonzero(ball_footprint(d, g, k)) * coefficients), 1)
+            per_chunk = max(campanato._STACK_ENTRIES // np.count_nonzero(ball_footprint(d, g, k)), 1)
             chunks += -(-sum(ball.scale == k for ball in balls) // per_chunk)
         assert not lattice_anchors(g, [ball.center for ball in balls])[1].any()
         assert max(counts.values()) <= chunks + len(off_lattice) < 30

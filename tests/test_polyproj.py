@@ -16,6 +16,7 @@ from anivex.grid import (
     ball_lattice_mask,
     ball_row,
     ball_support,
+    footprint_offsets,
     footprint_rows,
     lattice_anchors,
     sample,
@@ -196,11 +197,19 @@ def _eval_coeffs(poly, coeffs, pts):
     return out
 
 
-def _on_local_design(f, d, ball, poly):
-    """poly on the ball's row where the projection evaluates it: the (1, m)
-    @ (m, K) product with the footprint's local design, 0 where the box
-    clips the ball."""
-    design = _ball_design(f, d, ball, sum(poly.indices[-1]))[2]
+def _on_footprint(f, d, ball, poly):
+    """poly at the cells of the ball's footprint row, in its own coordinates:
+    a lattice point x = anchor + offset h and the centre = anchor + shift, so
+    x - center is offset h - shift, then A^-k as poly.transform, the
+    monomials and one (1, m) @ (m, K) product.  Built here from the lattice
+    geometry alone, not from the module's design helpers."""
+    _, shifts = lattice_anchors(f.grid, ball.center[None])
+    offsets = footprint_offsets(d, f.grid, ball.scale, shifts[0])[0].T
+    local = (offsets * f.grid.spacing - shifts[0]) @ poly.transform.T
+    design = np.ones((len(local), len(poly.indices)))
+    for j, gamma in enumerate(poly.indices):
+        for axis, power in enumerate(gamma):
+            design[:, j] *= local[:, axis] ** power
     return (poly.coefficients[None, None, :] @ design.T)[0, 0]
 
 
@@ -378,7 +387,7 @@ class TestRefinement:
             row, inside, _ = ball_row(g, d, ball)
             assert not inside.all()
             poly, resid = _project(f, d, ball, 1)
-            want = np.abs(f.values.ravel()[row] - _on_local_design(f, d, ball, poly)) * inside
+            want = np.abs(f.values.ravel()[row] - _on_footprint(f, d, ball, poly)) * inside
             assert np.array_equal(resid, want)
             _assert_near_global(resid, f, ball, poly, row, inside)
             assert lq_norm(resid, q, g.cell_volume) == lq_error(f, d, ball, poly, q)
@@ -486,6 +495,19 @@ class TestProjectionResidual:
         assert np.array_equal(poly.coefficients, minimizing_polynomial(f, d, ball, s).coefficients)
         row, inside, _ = ball_row(g, d, ball)
         assert np.array_equal(row[inside], ball_support(g, d, ball))
-        assert np.array_equal(resid, np.abs(f.values.ravel()[row] - _on_local_design(f, d, ball, poly)) * inside)
+        assert np.array_equal(resid, np.abs(f.values.ravel()[row] - _on_footprint(f, d, ball, poly)) * inside)
         _assert_near_global(resid, f, ball, poly, row, inside)
         assert lq_norm(resid, q, g.cell_volume) == lq_error(f, d, ball, poly, q)
+
+    @pytest.mark.parametrize("case", sorted(_REFINE_CASES))
+    def test_lq_error_of_another_balls_polynomial(self, case):
+        # A polynomial of another centre and scale is read in its own
+        # coordinates: its error on the ball is the quadrature of f - poly
+        # evaluated at the ball's lattice points.
+        d, g, (k_lo, k_hi) = _REFINE_CASES[case]
+        f = GridFunction(g, _FAMILIES["wave"](g.meshes(), 1.3, 0.2))
+        ball = d.ball([0.31] * g.n, k_hi)
+        poly = minimizing_polynomial(f, d, d.ball([-0.47] * g.n, k_lo + 1), 2)
+        support = ball_support(g, d, ball)
+        want = np.sum(np.abs(f.values.ravel()[support] - poly.evaluate(g.points()[support])) ** 1.5 * g.cell_volume) ** (1 / 1.5)
+        assert lq_error(f, d, ball, poly, 1.5) == pytest.approx(want, rel=1e-12)
