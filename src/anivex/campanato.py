@@ -108,8 +108,9 @@ def aggregate_norm(config, p, eta, d):
 
 
 def per_ball_cache(term):
-    """Memoize a per-ball term by ball key; a ball with too few lattice
-    points is remembered too, and raises InsufficientSamples on every hit."""
+    """Memoize a per-ball term by ball key; a ball whose lattice points do
+    not fix its polynomial is remembered too, and raises InsufficientSamples
+    on every hit."""
     cache = {}
 
     def cached(ball):
@@ -162,8 +163,9 @@ def family_supremum(score, p, eta, d, grid, budget, seed, min_points):
     only reweight balls of the stream, so the search only looks terms up,
     and its candidate order, values and counters are those of scoring one
     candidate at a time.  A ball that score leaves out is one the one-ball
-    term refuses; it raises InsufficientSamples (one that misses the
-    lattice raises EmptyMask in aggregate_norm first)."""
+    term refuses, as its lattice points do not fix its polynomial; it raises
+    InsufficientSamples (one that misses the lattice raises EmptyMask in
+    aggregate_norm first)."""
     stream = candidate_stream(d, grid, budget, seed, default_scale_window(d, grid, min_points))
     balls = {ball.key(): ball for config in stream if config is not None for ball in config.balls()}
     terms = score(balls.values())
@@ -171,7 +173,7 @@ def family_supremum(score, p, eta, d, grid, budget, seed, min_points):
     def term(ball):
         key = ball.key()
         if key not in terms:
-            raise InsufficientSamples(f"ball at scale {ball.scale} has too few lattice points")
+            raise InsufficientSamples(f"the lattice points of the scale-{ball.scale} ball do not fix its polynomial")
         return terms[key]
 
     return supremum_search(partial(config_quotient, term=term, p=p, eta=eta, d=d), stream)
@@ -300,7 +302,9 @@ def _score_sweep(f, prm, d, balls):
     """family_supremum's score of the oscillation terms: one stacked
     Luxemburg solve (filling indicator_norm's cache) and one stacked
     projection per grid.scale_stacks stack.  A ball that misses the lattice
-    gets no norm, and one with fewer lattice points than coefficients no term."""
+    gets no norm, and one with fewer lattice points than coefficients, or
+    whose points do not fix its polynomial (project_stack's rank decision),
+    no term."""
     coefficients = len(multi_indices(f.grid.n, prm.s))
     terms = {}
     for scale, group, rows, inside, shift in scale_stacks(f.grid, d, balls, _STACK_ENTRIES):
@@ -308,10 +312,10 @@ def _score_sweep(f, prm, d, balls):
         keep = np.flatnonzero(inside.sum(axis=1) >= coefficients)
         if not keep.size:
             continue
-        _, resid = project_stack(f, d, scale, shift, rows[keep], inside[keep], prm.s)
+        _, resid, ranked = project_stack(f, d, scale, shift, rows[keep], inside[keep], prm.s)
         vol = d.ball_volume(group[0])
         avgs = _mean_oscillation(resid, prm.q, vol, f.grid.cell_volume)
-        for i, avg in zip(keep.tolist(), avgs.tolist()):
+        for i, avg in zip(keep[ranked].tolist(), avgs.tolist()):
             terms[group[i].key()] = vol / norms[i] * avg
     return terms
 

@@ -34,12 +34,8 @@ class NotConjugable(ToolkitError):
 
 
 class InsufficientSamples(ToolkitError):
-    """Too few lattice points in the ball for the requested degree."""
-
-
-class SingularGram(ToolkitError):
-    """The projection Gram matrix stayed singular after the ridge fallback,
-    or its solve met an exactly zero pivot."""
+    """The ball's lattice points do not fix a polynomial of the requested
+    degree: too few of them, or all on the zero set of one such polynomial."""
 
 
 class ZeroDenominator(ToolkitError):

@@ -8,9 +8,13 @@ design X, the monomials of the footprint's offsets (_local_design).  A stack
 of them (project_stack) forms its Gram matrices, right sides and residuals
 |f - P| as products of its masks and values with X, one row at a time, so a
 row is bit for bit the ball's own projection (_project, the one-row stack on
-grid.ball_row, whatever the centre).  lq_error and the iteratively
-reweighted least squares towards the q != 2 infimum read a ball on the same
-row and X.  The module needs numpy only.
+grid.ball_row, whatever the centre).  A ball whose lattice points do not
+fix a polynomial of degree <= s fails an eigenvalue floor on its Gram
+matrix, derived from the rounding of its sums, and is refused the same way
+in a stack and alone: project_stack leaves it out and _project raises
+InsufficientSamples.  lq_error and the iteratively reweighted least squares
+towards the q != 2 infimum read a ball on the same row and X.  The module
+needs numpy only.
 """
 
 from dataclasses import dataclass, replace
@@ -19,8 +23,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import InsufficientSamples, SingularGram
-from .grid import GridFunction, ball_row, ball_support, footprint_offsets
+from .errors import InsufficientSamples
+from .grid import GridFunction, ball_row, footprint_offsets
 
 
 @cache
@@ -91,72 +95,65 @@ def _project(f, d, ball, s):
     where the box clips it, from the design the solve used: the ball's
     grid.ball_row as a one-row stack of project_stack."""
     row, inside, shift = ball_row(f.grid, d, ball)
-    coef, resid = project_stack(f, d, ball.scale, shift, row[None], inside[None], s)
+    coef, resid, ranked = project_stack(f, d, ball.scale, shift, row[None], inside[None], s)
+    indices = multi_indices(f.grid.n, s)
+    if not ranked[0]:
+        raise InsufficientSamples(f"{np.count_nonzero(inside)} lattice points in the ball do not fix its {len(indices)} coefficients")
     poly = Polynomial(
         center=ball.center,
         transform=d.power(-ball.scale),
-        indices=multi_indices(f.grid.n, s),
+        indices=indices,
         coefficients=coef[0],
     )
     return poly, resid[0]
 
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
 def project_stack(f, d, scale, shift, rows, inside, s):
     """Coefficients and residuals |f - P| of the projections on balls of one
-    scale and shift, on rows of grid.scale_stacks weighted by inside.  With
-    X the stack's _local_design, w the mask as floats and v the values at
-    the rows, the Gram matrices are w (X_j X_l), the right sides (w v) X and
-    the residuals |v - coef X^T| w, each a (1, K) @ (K, .) product per row;
-    each row needs an inside point per coefficient and is tested and solved
-    by itself, as _project solves it alone.  A Gram matrix the solve finds
-    singular raises SingularGram for the stack."""
+    scale and shift, on rows of grid.scale_stacks weighted by inside, and
+    the mask of the rows whose points fix a polynomial; coefficients and
+    residuals are those of these ranked rows alone.  With X the stack's
+    _local_design, w the mask as floats and v the values at the rows, the
+    Gram matrices are w (X_j X_l), the right sides (w v) X and the residuals
+    |v - coef X^T| w, each a (1, K) @ (K, .) product per row, so a row is
+    solved by itself, as _project solves it alone.
+
+    A row is ranked when its Gram eigenvalues satisfy
+    lambda_min > tau lambda_max with tau = m (K + m) u, for m coefficients, K
+    footprint cells and u the unit roundoff.  Each Gram entry is a K-term
+    sum, which rounding moves by at most gamma_K ~ K u times the largest
+    diagonal entry, so the matrix moves by at most m K u lambda_max in norm
+    and, by Weyl's inequality, so does each eigenvalue; the eigensolver adds
+    about m u lambda_max more.  A ball with fewer points than coefficients,
+    or whose points all lie on the zero set of a nonzero polynomial of
+    degree <= s, has lambda_min = 0 in exact arithmetic, so its computed
+    lambda_min stays under the floor and it is refused."""
     design = _local_design(f, d, scale, shift, multi_indices(f.grid.n, s))
     size, m = design.shape
-    fewest = int(inside.sum(axis=-1).min())
-    if fewest < m:
-        raise InsufficientSamples(f"{fewest} lattice points in the ball but {m} coefficients")
     weight = inside.astype(float)[:, None, :]
     fvals = f.values.ravel().take(rows)
     gram = (weight @ (design[:, :, None] * design[:, None, :]).reshape(size, m * m)).reshape(-1, m, m)
     rhs = (weight * fvals[:, None, :]) @ design
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        gram = np.stack([_positive_definite(g) for g in gram])
+    eigen = np.linalg.eigvalsh(gram)
+    ranked = eigen[:, 0] > m * (size + m) * _UNIT_ROUNDOFF * eigen[:, -1]
+    if not ranked.all():  # copies of the (rows, K) arrays only when a row is refused
+        gram, rhs, fvals, inside = gram[ranked], rhs[ranked], fvals[ranked], inside[ranked]
     try:
         coef = np.linalg.solve(gram, rhs.swapaxes(-1, -2))[..., 0]
-    except np.linalg.LinAlgError:  # a Cholesky factor exists, an exact LU pivot is 0
-        raise SingularGram("Gram matrix singular in the solve") from None
-    return coef, _residuals(fvals, coef, design, inside)
+    except np.linalg.LinAlgError:  # an exact zero pivot in a ranked row
+        raise InsufficientSamples("Gram matrix singular in the solve") from None
+    return coef, _residuals(fvals, coef, design, inside), ranked
 
 
-def _positive_definite(gram):
-    """The Gram matrix, or, when its Cholesky factor fails to exist, the
-    matrix with a small ridge; one that fails again is singular."""
-    try:
-        np.linalg.cholesky(gram)
-        return gram
-    except np.linalg.LinAlgError:
-        pass
-    gram = gram + 1e-12 * np.trace(gram) * np.eye(gram.shape[0])
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise SingularGram("Gram matrix singular even with ridge") from None
-    return gram
-
-
-def moments(f, s, d=None, ball=None):
-    """Global-coordinate moments of f against x^gamma for |gamma| <= s.
-
-    With a ball given, integration restricts to lattice points inside it;
-    otherwise the whole box contributes.
-    """
+def moments(f, s):
+    """Global-coordinate moments of f against x^gamma for |gamma| <= s over
+    the whole box."""
     indices = multi_indices(f.grid.n, s)
-    idx = slice(None) if ball is None else ball_support(f.grid, d, ball)
-    pts = f.grid.points()[idx]
-    vals = np.asarray(f.values).ravel()[idx]
-    design = _design_matrix(pts, indices)
+    vals = np.asarray(f.values).ravel()
+    design = _design_matrix(f.grid.points(), indices)
     return design.T @ vals * f.grid.cell_volume
 
 

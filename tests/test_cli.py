@@ -447,6 +447,29 @@ class TestRun:
         captured = capsys.readouterr()
         assert "PASS" in captured.out
 
+    def test_rank_deficient_ball_is_skipped(self, cache_env, tmp_path):
+        # On the 12 x 12 shear grid at s = 2 a scale-1 sweep ball holds six
+        # lattice points on two rows, which fix no quadratic: the search
+        # skips it, and the run reports its value.
+        raw = {
+            "dilation": {"matrix": [[2.0, 1.0], [0.0, 2.0]]},
+            "grid": {"lower": [-4.0, -4.0], "upper": [4.0, 4.0], "resolution": [12, 12]},
+            "exponent": {"kind": "expression", "formula": "0.8 + 0.4 * sin(x0) * cos(x1)"},
+            "functions": {"f": {"kind": "expression",
+                                "formula": "sin(1.1 * x0 + 0.3) * cos(0.9 * x1) * exp(-(x0**2 + x1**2) / 10) + 0.2 * x0 * x1"}},
+            "params": {"q": 1.5, "s": 2},
+            "seed": 1,
+            "budget": 700,
+            "compute": [{"name": "f_campanato", "op": "campanato_norm", "function": "f"}],
+        }
+        path = tmp_path / "shear12.json"
+        path.write_text(json.dumps(raw))
+        out = cache_env / "shear12_out.json"
+        assert main(["run", "--config", str(path), "--out", str(out), "--no-cache"]) == 0
+        report = json.loads(out.read_text())
+        assert report["errors"] == []
+        assert report["values"]["f_campanato"] == {"evaluations": 619, "value": 0.15683082681038665}
+
     def test_empty_checks_echo_only(self, cache_env):
         report, _ = run_config(QUICK, str(cache_env / "echo.json"))
         assert report["checks"] == []

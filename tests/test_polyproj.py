@@ -9,7 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from anivex.campanato import classic_functional
 from anivex.dilation import new_dilation
-from anivex.errors import InsufficientSamples, SingularGram
+from anivex.errors import InsufficientSamples
 from anivex.exponents import constant_exponent
 from anivex.grid import (
     GridFunction,
@@ -145,45 +145,41 @@ def _one_row_ball(d2):
     return sample(g, lambda x, y: 1.0 + 2.0 * x + 3.0 * y), ball
 
 
-class TestSingularGram:
-    def test_ridge_fits_the_row(self, d2):
-        f, ball = _one_row_ball(d2)
-        idx, _, design = _ball_design(f, d2, ball, 1)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(design.T @ design)
-        poly = minimizing_polynomial(f, d2, ball, 1)
-        # The ridge leaves the unseen y coefficient at zero and fits the row.
-        assert poly.coefficients[2] == 0.0
-        pts = f.grid.points()[idx]
-        assert np.allclose(poly.evaluate(pts), f.values.ravel()[idx], rtol=0.0, atol=1e-9)
+def _assert_refused(f, d, ball, s, points, coefficients):
+    """The ball is refused alone, naming its point and coefficient counts,
+    and as both rows of a two-row stack."""
+    with pytest.raises(InsufficientSamples, match=f"^{points} lattice points .* {coefficients} coefficients$"):
+        _project(f, d, ball, s)
+    [(_, _, rows, inside, shift)] = scale_stacks(f.grid, d, [ball], 1)
+    coef, resid, ranked = project_stack(f, d, ball.scale, shift, np.repeat(rows, 2, 0), np.repeat(inside, 2, 0), s)
+    assert not ranked.any()
+    assert coef.shape == (0, coefficients) and resid.shape == (0, rows.shape[1])
 
-    def test_singular_even_with_ridge(self, d2, monkeypatch):
-        # A finite Gram matrix passes once ridged: the ridge outweighs its
-        # rounding.  Scaled to nothing, it leaves the matrix singular.
+
+class TestSingularGram:
+    def test_one_row_ball_is_refused(self, d2):
+        # A row fixes no y coefficient: the ball is refused, not fitted.
         f, ball = _one_row_ball(d2)
-        monkeypatch.setattr(np, "trace", lambda a: 0.0)
-        with pytest.raises(SingularGram):
-            minimizing_polynomial(f, d2, ball, 1)
+        _assert_refused(f, d2, ball, 1, 5, 3)
 
     def test_zero_pivot_in_the_solve(self):
         # Six lattice points on two rows, one per degree-2 coefficient: the
         # quadratic (y - 3)(y - 11/3) vanishes on all of them, so the Gram
-        # matrix is singular, yet rounding lets its Cholesky factor exist.
+        # matrix is singular.  Rounding leaves a Cholesky factor on both
+        # grids, and whether an LU solve meets an exact zero pivot depends
+        # on the grid; the rank decision refuses the ball on both.
         d = new_dilation([[2.0, 1.0], [0.0, 2.0]])
-        g = uniform_grid([-4.0, -4.0], [4.0, 4.0], (11, 12))
-        f = sample(g, lambda x, y: np.sin(1.1 * x + 0.3) * np.cos(0.9 * y) * np.exp(-(x**2 + y**2) / 10) + 0.2 * x * y)
-        center = g.points()[8 * 12 + 11]
-        assert np.allclose(center, [24.0 / 11.0, 11.0 / 3.0])
-        ball = d.ball(center, 1)
-        idx, inside, design = _ball_design(f, d, ball, 2)
-        assert np.count_nonzero(inside) == design.shape[1] == 6
-        assert np.allclose(np.unique(g.points()[idx[inside]][:, 1].round(9)), [3.0, 11.0 / 3.0])
-        np.linalg.cholesky(design.T @ design)
-        with pytest.raises(SingularGram):
-            _project(f, d, ball, 2)
-        [(_, _, rows, inside, shift)] = scale_stacks(g, d, [ball], 1)
-        with pytest.raises(SingularGram):
-            project_stack(f, d, 1, shift, np.repeat(rows, 2, 0), np.repeat(inside, 2, 0), 2)
+        for resolution in ((11, 12), (12, 12)):
+            g = uniform_grid([-4.0, -4.0], [4.0, 4.0], resolution)
+            f = sample(g, lambda x, y: np.sin(1.1 * x + 0.3) * np.cos(0.9 * y) * np.exp(-(x**2 + y**2) / 10) + 0.2 * x * y)
+            center = g.points()[8 * 12 + 11]
+            assert np.allclose(center, [-4.0 + 8.5 * 8.0 / resolution[0], 11.0 / 3.0])
+            ball = d.ball(center, 1)
+            idx, inside, design = _ball_design(f, d, ball, 2)
+            assert np.count_nonzero(inside) == design.shape[1] == 6
+            assert np.allclose(np.unique(g.points()[idx[inside]][:, 1].round(9)), [3.0, 11.0 / 3.0])
+            np.linalg.cholesky(design.T @ design)
+            _assert_refused(f, d, ball, 2, 6, 6)
 
 
 def _eval_coeffs(poly, coeffs, pts):
@@ -222,16 +218,16 @@ def _assert_near_global(resid, f, ball, poly, row, inside):
 
 class TestProjectStack:
     @pytest.mark.parametrize(
-        "matrix, resolution, s, ridged",
+        "matrix, resolution, s, refused",
         [
             ([[2.0]], (256,), 2, False),
             ([[2.0, 0.0], [0.0, 3.0]], (48, 48), 1, False),
-            # Coarse in y: a few sweep balls hold one lattice row, so their
-            # Gram matrices take the ridge inside a stack of ones that do not.
+            # Coarse in y: a few sweep balls hold one lattice row, so they are
+            # refused inside a stack of balls that are not.
             ([[2.0, 1.0], [0.0, 2.0]], (32, 8), 1, True),
         ],
     )
-    def test_rows_are_one_ball_projections(self, matrix, resolution, s, ridged):
+    def test_rows_are_one_ball_projections(self, matrix, resolution, s, refused):
         d = new_dilation(matrix)
         n = len(resolution)
         g = uniform_grid([-4.0] * n, [4.0] * n, resolution)
@@ -240,29 +236,33 @@ class TestProjectStack:
         for ball in _canonical_sweep(d, g, default_scale_window(d, g, 4 + 2 * s)):
             if ball_support(g, d, ball).size >= len(multi_indices(n, s)):
                 groups.setdefault(ball.scale, []).append(ball)
-        ridge_in_stack = False
+        refused_in_stack = False
         for k, balls in groups.items():
             index, shifts = lattice_anchors(g, [b.center for b in balls])
             assert not shifts.any()
             rows, inside = footprint_rows(g, d, k, index, shifts[0])
-            coef, resid = project_stack(f, d, k, shifts[0], rows, inside, s)
-            for ball, coef_row, resid_row in zip(balls, coef, resid):
+            coef, resid, ranked = project_stack(f, d, k, shifts[0], rows, inside, s)
+            for ball, coef_row, resid_row in zip([b for b, r in zip(balls, ranked) if r], coef, resid):
                 poly, alone = _project(f, d, ball, s)
                 assert np.array_equal(coef_row, poly.coefficients)
                 assert np.array_equal(resid_row, alone)
-                design = _ball_design(f, d, ball, s)[2]
-                if len(balls) > 1 and np.linalg.eigvalsh(design.T @ design)[0] < 1e-9:
-                    ridge_in_stack = True
+            for ball in [b for b, r in zip(balls, ranked) if not r]:
+                with pytest.raises(InsufficientSamples):
+                    _project(f, d, ball, s)
+            refused_in_stack |= ranked.any() and not ranked.all()
         assert max(len(balls) for balls in groups.values()) > 1
-        assert ridge_in_stack == ridged
+        assert refused_in_stack == refused
 
 
-# Dilations with the scales at which their balls hold enough lattice points
-# of a 24-cell grid per axis for s <= 2.
+# Dilations on grids of 24 cells per axis, or of 6 in y, at scales from
+# balls too small to fix a polynomial of degree s <= 2 to balls that hold
+# enough lattice points; on the grids coarse in y some balls hold one row.
 _ORACLE_CASES = {
-    "[2]": ([[2.0]], (24,), (1, 2, 3)),
-    "shear": ([[2.0, 1.0], [0.0, 2.0]], (24, 24), (1, 2)),
-    "diag(2,3)": ([[2.0, 0.0], [0.0, 3.0]], (24, 24), (1, 2)),
+    "[2]": ([[2.0]], (24,), (-1, 1, 2, 3)),
+    "shear": ([[2.0, 1.0], [0.0, 2.0]], (24, 24), (-1, 1, 2)),
+    "diag(2,3)": ([[2.0, 0.0], [0.0, 3.0]], (24, 24), (-1, 1, 2)),
+    "shear-24x6": ([[2.0, 1.0], [0.0, 2.0]], (24, 6), (0, 1, 2)),
+    "diag(2,3)-24x6": ([[2.0, 0.0], [0.0, 3.0]], (24, 6), (0, 1, 2)),
 }
 
 
@@ -270,8 +270,10 @@ class TestLstsqOracle:
     @pytest.mark.parametrize("s", [0, 1, 2])
     @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
     def test_stack_matches_lstsq_on_the_support(self, case, s):
-        # Independent of the footprint layout: np.linalg.lstsq on each ball's
-        # own lattice points in global coordinates minus its centre.
+        # Independent of the footprint layout: each ball's own lattice points
+        # in global coordinates minus its centre.  np.linalg.matrix_rank of
+        # their design decides which balls the projection refuses, stacked
+        # and alone, and np.linalg.lstsq is the projection of the others.
         matrix, resolution, scales = _ORACLE_CASES[case]
         d = new_dilation(matrix)
         n = len(resolution)
@@ -284,34 +286,45 @@ class TestLstsqOracle:
         shifted = lattice + 0.37 * g.spacing
         centres = np.concatenate([lattice, corners, shifted, rng.uniform(-3.5, 3.5, (4, n))])
         indices = multi_indices(n, s)
-        seen = {"clipped": 0, "off-lattice": 0, "stacked": 0}
+        seen = {"clipped": 0, "off-lattice": 0, "stacked": 0, "refused": 0, "one row": 0}
         balls = [d.ball(c, k) for k in scales for c in centres]
         for scale, group, rows, inside, shift in scale_stacks(g, d, balls, 1 << 12):
-            keep = np.flatnonzero(inside.sum(axis=1) >= len(indices))
-            if not keep.size:
-                continue
-            coef, resid = project_stack(f, d, scale, shift, rows[keep], inside[keep], s)
-            for i, coef_row, resid_row in zip(keep.tolist(), coef, resid):
-                ball = group[i]
+            coef, resid, ranked = project_stack(f, d, scale, shift, rows, inside, s)
+            fits = zip(coef, resid)
+            for i, ball in enumerate(group):
                 support = ball_support(g, d, ball)
                 local = (g.points()[support] - ball.center) @ np.linalg.inv(np.linalg.matrix_power(d.matrix, scale)).T
                 design = np.stack([np.prod(local ** np.array(gamma), axis=1) for gamma in indices], axis=1)
+                assert ranked[i] == (np.linalg.matrix_rank(design) == len(indices))
+                if not ranked[i]:
+                    with pytest.raises(InsufficientSamples):
+                        _project(f, d, ball, s)
+                    seen["refused"] += 1
+                    seen["one row"] += support.size >= len(indices) and len(set(g.points()[support][:, -1])) == 1
+                    continue
+                coef_row, resid_row = next(fits)
+                assert np.array_equal(_project(f, d, ball, s)[0].coefficients, coef_row)
                 values = f.values.ravel()[support]
-                want, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
-                assert rank == len(indices)
+                want = np.linalg.lstsq(design, values, rcond=None)[0]
                 assert np.allclose(coef_row, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
                 assert np.allclose(resid_row[inside[i]], np.abs(values - design @ want), rtol=0.0, atol=1e-9 * np.abs(values).max())
                 assert not resid_row[~inside[i]].any()
                 seen["clipped"] += not inside[i].all()
                 seen["off-lattice"] += bool(shift.any())
-                seen["stacked"] += len(keep) > 1 and bool(shift.any())
-        assert all(seen.values()), seen
+                seen["stacked"] += ranked.sum() > 1 and bool(shift.any())
+            assert next(fits, None) is None
+        # Every ball with a lattice point fixes a constant; on the coarse
+        # grids some linear fits see one row only.
+        wanted = {"clipped", "off-lattice", "stacked"} | ({"refused"} if s else set())
+        wanted |= {"one row"} if s == 1 and "24x6" in case else set()
+        assert all(seen[kind] for kind in wanted), seen
 
 
 class TestMoments:
-    def test_odd_function_symmetric_ball(self, d1, g1):
+    def test_odd_function_symmetric_ball(self, g1):
+        # The whole box (-8, 8) is symmetric about 0.
         f = sample(g1, lambda x: x**3)
-        vals = moments(f, 0, d=d1, ball=d1.ball([0.0], 1))
+        vals = moments(f, 0)
         assert abs(vals[0]) < 1e-8
 
     def test_unit_interval(self, g1):
