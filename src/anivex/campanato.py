@@ -19,8 +19,11 @@ classic_functional reports.  N_B passed the unit-modular guard, so
 N_B >= ||1_B|| up to the rounding of the modular sum, and the value stays a
 lower bound of the true quotient.
 
-campanato_type_norm is family_supremum over _score_sweep, one stacked
-Luxemburg solve and one stacked projection per scale and chunk.
+Every projected term, of campanato_type_norm, campanato_type_functional and
+countable_limit_check, is _score_sweep's: one stacked Luxemburg solve and
+one stacked projection per grid.scale_stacks stack, looked up by
+stacked_term.  Only the refined and the epsilon-kernel variants score one
+ball at a time.
 """
 
 import warnings
@@ -107,25 +110,15 @@ def aggregate_norm(config, p, eta, d):
     return _aggregate_value(acc, p, eta)
 
 
-def per_ball_cache(term):
-    """Memoize a per-ball term by ball key; a ball whose lattice points do
-    not fix its polynomial is remembered too, and raises InsufficientSamples
-    on every hit."""
-    cache = {}
-
-    def cached(ball):
-        key = ball.key()
-        if key not in cache:
-            try:
-                cache[key] = term(ball)
-            except InsufficientSamples as exc:
-                cache[key] = exc
-        value = cache[key]
-        if isinstance(value, InsufficientSamples):
-            raise value.with_traceback(None)
-        return value
-
-    return cached
+def stacked_term(terms, ball):
+    """The ball's term from a stacked score {ball key: term}.  A ball the
+    score leaves out is one whose lattice points do not fix its polynomial;
+    it raises InsufficientSamples on every lookup (one that misses the
+    lattice raises EmptyMask in the aggregate first)."""
+    key = ball.key()
+    if key not in terms:
+        raise InsufficientSamples(f"the lattice points of the scale-{ball.scale} ball do not fix its polynomial")
+    return terms[key]
 
 
 def config_quotient(config, term, p, eta, d):
@@ -137,18 +130,21 @@ def config_quotient(config, term, p, eta, d):
     return sum(w * term(ball) for ball, w in config.entries if w != 0.0) / denom
 
 
-def prefix_quotients(entries, term, p, eta, d):
+def prefix_quotients(entries, score, p, eta, d):
     """config_quotient of every prefix of a truncated countable family (0.0
     while the numerator is zero), and the largest fluctuation of the last
-    20 values about the final one."""
-    term = per_ball_cache(term)
+    20 values about the final one.  The nonzero-weight balls are scored in
+    stacks first, score(balls) -> {ball key: term} as in family_supremum,
+    and each ball enters the aggregate before its term is looked up, as in
+    config_quotient."""
+    term = partial(stacked_term, score([ball for ball, weight in entries if weight != 0.0]))
     acc = np.zeros(p.grid.resolution)
     numer = 0.0
     values = []
     for ball, weight in entries:
         if weight != 0.0:
-            numer += weight * term(ball)
             _aggregate(acc, ball, weight, p, eta, d)
+            numer += weight * term(ball)
         values.append(numer / _aggregate_value(acc, p, eta) if numer != 0.0 else 0.0)
     values = np.array(values)
     tail = float(np.max(np.abs(values[-20:] - values[-1]))) if len(values) else 0.0
@@ -160,22 +156,12 @@ def family_supremum(score, p, eta, d, grid, budget, seed, min_points):
     default_scale_window(d, grid, min_points), with every ball of the fixed
     stream scored in stacks before the search: score(balls) -> {ball key:
     term}, each value bit for bit the ball's own term.  The ascent variants
-    only reweight balls of the stream, so the search only looks terms up,
-    and its candidate order, values and counters are those of scoring one
-    candidate at a time.  A ball that score leaves out is one the one-ball
-    term refuses, as its lattice points do not fix its polynomial; it raises
-    InsufficientSamples (one that misses the lattice raises EmptyMask in
-    aggregate_norm first)."""
+    only reweight balls of the stream, so the search only looks terms up
+    (stacked_term), and its candidate order, values and counters are those
+    of scoring one candidate at a time."""
     stream = candidate_stream(d, grid, budget, seed, default_scale_window(d, grid, min_points))
     balls = {ball.key(): ball for config in stream if config is not None for ball in config.balls()}
-    terms = score(balls.values())
-
-    def term(ball):
-        key = ball.key()
-        if key not in terms:
-            raise InsufficientSamples(f"the lattice points of the scale-{ball.scale} ball do not fix its polynomial")
-        return terms[key]
-
+    term = partial(stacked_term, score(balls.values()))
     return supremum_search(partial(config_quotient, term=term, p=p, eta=eta, d=d), stream)
 
 
@@ -194,15 +180,13 @@ def _mean_oscillation(resid, q, vol, cell):
     return lq_norm(resid, q, cell) * vol ** (-1.0 / q)
 
 
-def _oscillation(f, d, ball, q, s, refine=False):
-    """(avg_B |f - P|^q)^(1/q) with analytic |B|; optionally the refined inf."""
+def _oscillation(f, d, ball, q, s):
+    """(avg_B |f - P|^q)^(1/q) with analytic |B|, for the projection and for
+    the refined inf."""
     poly, resid = _project(f, d, ball, s)
     vol = d.ball_volume(ball)
-    out = _mean_oscillation(resid, q, vol, f.grid.cell_volume)
-    if not refine:
-        return out, out
     _, ref_err = refine_lq(f, d, ball, s, q, start=poly)  # never above the projection's
-    return out, ref_err * vol ** (-1.0 / q)
+    return _mean_oscillation(resid, q, vol, f.grid.cell_volume), ref_err * vol ** (-1.0 / q)
 
 
 def classic_functional(f, d, ball, p, q, s):
@@ -211,7 +195,7 @@ def classic_functional(f, d, ball, p, q, s):
     Reports both the minimizing-polynomial value (the primary one) and the
     IRLS-refined infimum.
     """
-    proj_avg, ref_avg = _oscillation(f, d, ball, q, s, refine=True)
+    proj_avg, ref_avg = _oscillation(f, d, ball, q, s)
     factor = d.ball_volume(ball) / indicator_norm(d, ball, p)
     return ClassicResult(factor * proj_avg, factor * ref_avg, ball)
 
@@ -222,25 +206,20 @@ def plain_summand(f, d, ball, p, s):
     return lq_norm(resid, 1.0, f.grid.cell_volume) / indicator_norm(d, ball, p)
 
 
-def _oscillation_term(f, prm, d, refine=False):
-    """ball -> (|B|/||1_B||) (avg_B |f - P|^q)^(1/q), P projected or refined."""
-
-    def term(ball):
-        proj_avg, ref_avg = _oscillation(f, d, ball, prm.q, prm.s, refine=refine)
-        avg = ref_avg if refine else proj_avg
-        return d.ball_volume(ball) / indicator_norm(d, ball, prm.p) * avg
-
-    return term
-
-
 def campanato_type_functional(f, config, prm, d):
-    """The configuration quotient with per-ball minimizing polynomials."""
-    return config_quotient(config, _oscillation_term(f, prm, d), prm.p, prm.eta, d)
+    """The configuration quotient with per-ball minimizing polynomials, the
+    terms _score_sweep's."""
+    terms = _score_sweep(f, prm, d, [ball for ball, w in config.entries if w != 0.0])
+    return config_quotient(config, partial(stacked_term, terms), prm.p, prm.eta, d)
 
 
 def variant_inf_functional(f, config, prm, d):
     """The configuration quotient with per-ball refined infima over P."""
-    return config_quotient(config, _oscillation_term(f, prm, d, refine=True), prm.p, prm.eta, d)
+
+    def term(ball):
+        return d.ball_volume(ball) / indicator_norm(d, ball, prm.p) * _oscillation(f, d, ball, prm.q, prm.s)[1]
+
+    return config_quotient(config, term, prm.p, prm.eta, d)
 
 
 def eps_kernel_summand(f, d, ball, p, s, epsilon):
@@ -293,21 +272,17 @@ def campanato_type_norm(f, prm, d, budget=200, seed=0):
     return family_supremum(score, prm.p, prm.eta, d, f.grid, budget, seed, 4 + 2 * prm.s)
 
 
-# The most footprint cells, rows times K, that one _score_sweep stack holds:
-# its (rows, K) arrays set the sweep's peak memory.  A larger scale is chunked.
-_STACK_ENTRIES = 1 << 14
-
-
 def _score_sweep(f, prm, d, balls):
-    """family_supremum's score of the oscillation terms: one stacked
-    Luxemburg solve (filling indicator_norm's cache) and one stacked
+    """The oscillation terms (|B|/||1_B||) (avg_B |f - P|^q)^(1/q) by ball
+    key, P the minimizing polynomial, of every projected quotient: one
+    stacked Luxemburg solve (filling indicator_norm's cache) and one stacked
     projection per grid.scale_stacks stack.  A ball that misses the lattice
     gets no norm, and one with fewer lattice points than coefficients, or
     whose points do not fix its polynomial (project_stack's rank decision),
     no term."""
     coefficients = len(multi_indices(f.grid.n, prm.s))
     terms = {}
-    for scale, group, rows, inside, shift in scale_stacks(f.grid, d, balls, _STACK_ENTRIES):
+    for scale, group, rows, inside, shift in scale_stacks(f.grid, d, balls):
         norms = stack_indicator_norms(d, group, rows, inside, prm.p)
         keep = np.flatnonzero(inside.sum(axis=1) >= coefficients)
         if not keep.size:
@@ -335,17 +310,14 @@ def countable_limit_check(f, entries, prm, d, tol=1e-6):
     report carries every prefix value, the largest fluctuation over the last
     20 prefixes, and the first index after which nothing changes.
     """
-    values, tail = prefix_quotients(entries, _oscillation_term(f, prm, d), prm.p, prm.eta, d)
-    stabilized = None
-    for m in range(len(values)):
-        if np.all(values[m:] == values[-1]):
-            stabilized = m
-            break
+    values, tail = prefix_quotients(entries, partial(_score_sweep, f, prm, d), prm.p, prm.eta, d)
+    # The run of trailing values equal to the last one, read back to front.
+    run = int(np.logical_and.accumulate(values[::-1] == values[-1:]).sum())
     return LimitReport(
         values=values,
         converged=bool(tail < tol),
         tail=tail,
-        stabilized_at=stabilized,
+        stabilized_at=len(values) - run if run else None,
     )
 
 

@@ -18,11 +18,12 @@ polynomial in z_i = exp(-2 pi i h_i xi_i) on the kernel's lattice, summed
 by nested Horner (_fourier_at): n + 1 exponentials per frequency, none per
 kernel point.
 
-carleson_functional is campanato.family_supremum over _carleson_terms:
-exponents.fill_indicator_norms, then tent_masses, whose one-ball stack is
-tent_mass.  tent_masses reads every ball's tent columns from the stamp rows
-of its scale and shift (tent module), whatever the centre.  The duality
-check's Cauchy-Schwarz loop reads its atoms' tent masses from it.
+Every Carleson term, of carleson_functional (campanato.family_supremum)
+and of carleson_prefix_check (campanato.prefix_quotients), is
+_carleson_terms': fill_indicator_norms, then tent_masses.  tent_masses
+reads every ball's tent columns from the stamp rows of its scale and shift
+(tent module), whatever the centre; tent_mass is its one-ball stack.  The
+duality check's Cauchy-Schwarz loop reads its atoms' tent masses from it.
 """
 
 from dataclasses import dataclass
@@ -70,11 +71,6 @@ def tent_mass(mu, d, ball):
     return tent_masses(mu, d, [ball])[0]
 
 
-# The most entries tent_masses gathers in one stack; a larger scale is
-# gathered in chunks.
-_STACK_ENTRIES = 1 << 12
-
-
 def tent_masses(mu, d, balls):
     """The tent masses of a list of balls, a (scale, shift) at a time on the
     stacks of grid.scale_stacks: per layer, mu over the tent columns of each
@@ -89,7 +85,7 @@ def tent_masses(mu, d, balls):
     layer_values = mu.values.reshape(mu.values.shape[0], -1)
     layers = np.arange(layer_values.shape[0])[:, None]
     masses, tents = {}, {}
-    for scale, group, rows, inside, shift in scale_stacks(grid, d, balls, _STACK_ENTRIES):
+    for scale, group, rows, inside, shift in scale_stacks(grid, d, balls):
         key = (scale, shift.tobytes())
         if key not in tents:  # each layer's tent columns of the footprint rows
             offsets = footprint_offsets(d, grid, scale, shift)[0].T
@@ -102,18 +98,9 @@ def tent_masses(mu, d, balls):
     return [masses.get(ball.key(), 0.0) for ball in balls]
 
 
-def _carleson_term(mu, p, d):
-    """ball -> sqrt(|B|) / ||1_B|| * sqrt(tent mass of mu over B)."""
-
-    def term(ball):
-        vol = d.ball_volume(ball)
-        return np.sqrt(vol) / indicator_norm(d, ball, p) * np.sqrt(tent_mass(mu, d, ball))
-
-    return term
-
-
 def _carleson_terms(mu, p, d, balls):
-    """_carleson_term of the balls that meet the lattice by key, from stacks."""
+    """sqrt(|B|) / ||1_B|| * sqrt(tent mass of mu over B) by ball key, for
+    the balls that meet the lattice, from stacks."""
     live = fill_indicator_norms(d, balls, p)
     return {
         ball.key(): np.sqrt(d.ball_volume(ball)) / indicator_norm(d, ball, p) * np.sqrt(mass)
@@ -136,7 +123,7 @@ def carleson_prefix_check(mu, entries, p, d, eta=None):
     converged when the last 20 prefix values stay within 1e-6 of the final one."""
     if eta is None:
         eta = p.underline_p
-    values, tail = prefix_quotients(entries, _carleson_term(mu, p, d), p, eta, d)
+    values, tail = prefix_quotients(entries, partial(_carleson_terms, mu, p, d), p, eta, d)
     return values, bool(tail < 1e-6), tail
 
 

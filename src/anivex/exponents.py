@@ -9,8 +9,9 @@ as modular() does, so the unit-modular property is exact.
 The solver takes a stack of rows and solves each row as it would alone,
 bit for bit: luxemburg_norm passes it one row of nonzero cells, and
 stack_indicator_norms (under indicator_norm and fill_indicator_norms) the
-indicators of a grid.scale_stacks stack, 0 where the box clips a ball; a
-stack holds only balls that meet the lattice, so every row has a 1.
+indicators of a grid.scale_stacks stack, 0 where the box clips a ball.
+scale_stacks alone bounds a stack's size, and a stack holds only balls that
+meet the lattice, so every row has a 1.
 Log-Holder checking is diagnostic only and never gates any other operation.
 """
 
@@ -162,17 +163,12 @@ def indicator_norm(d, ball, p):
     return p._indicator_cache[key]
 
 
-# The largest stack, in entries, that fill_indicator_norms solves at once;
-# a larger scale is solved in chunks.
-_STACK_ENTRIES = 1 << 12
-
-
 def fill_indicator_norms(d, balls, p):
     """Put indicator_norm of each ball into its cache a stack of
     grid.scale_stacks at a time and return the balls that meet the lattice;
     one that misses it gets no norm, so indicator_norm still raises on it."""
     live = []
-    for _, group, rows, inside, _ in scale_stacks(p.grid, d, balls, _STACK_ENTRIES):
+    for _, group, rows, inside, _ in scale_stacks(p.grid, d, balls):
         stack_indicator_norms(d, group, rows, inside, p)
         live += group
     return live

@@ -289,10 +289,17 @@ def footprint_rows(grid, d, scale, index, shift):
     return np.where(inside, centres + steps, centres), inside
 
 
-def scale_stacks(grid, d, balls, entries):
+# The most footprint cells, rows times K, that one scale_stacks stack holds:
+# its (rows, K) arrays set the peak memory of every stacked pass.  Each row
+# is solved by itself, so the bound moves no bit.
+_STACK_ENTRIES = 1 << 14
+
+
+def scale_stacks(grid, d, balls):
     """The distinct balls that meet the lattice in stacks (scale, balls,
     rows, inside, shift): the balls of one scale and shift as footprint_rows
-    at their anchors, at most entries // K a stack for K footprint cells."""
+    at their anchors, at most _STACK_ENTRIES // K a stack for K footprint
+    cells."""
     balls = list({ball.key(): ball for ball in balls}.values())
     index, shifts = lattice_anchors(grid, np.reshape([ball.center for ball in balls], (len(balls), grid.n)))
     stacks, memo = {}, dilation_cache(d)
@@ -300,7 +307,7 @@ def scale_stacks(grid, d, balls, entries):
         stacks.setdefault((ball.scale, shifts[i].tobytes()), []).append(i)
     for members in stacks.values():
         scale, shift = balls[members[0]].scale, shifts[members[0]]
-        step = max(entries // max(len(footprint_offsets(d, grid, scale, shift)[1]), 1), 1)
+        step = max(_STACK_ENTRIES // max(len(footprint_offsets(d, grid, scale, shift)[1]), 1), 1)
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
             rows, inside = footprint_rows(grid, d, scale, index[chunk], shift)

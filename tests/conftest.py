@@ -77,3 +77,23 @@ def recorded(config_value, record):
         return out
 
     return value
+
+
+def memoized(term):
+    """A one-ball term memoized per ball key, a refusal included: a ball the
+    term refuses with InsufficientSamples is refused again on every later
+    call, without calling term again."""
+    memo = {}
+
+    def cached(ball):
+        key = ball.key()
+        if key not in memo:
+            try:
+                memo[key] = term(ball)
+            except InsufficientSamples as exc:
+                memo[key] = exc
+        if isinstance(memo[key], InsufficientSamples):
+            raise InsufficientSamples(*memo[key].args)
+        return memo[key]
+
+    return cached

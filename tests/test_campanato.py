@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import paste_centered, recorded
+from conftest import memoized, paste_centered, recorded
 
 from anivex import campanato, carleson, exponents
+from anivex import grid as grid_module
 from anivex.campanato import (
     BallConfiguration,
     CampanatoParams,
-    _oscillation_term,
     _score_sweep,
     aggregate_norm,
     aggregation_vs_total_weight,
@@ -22,8 +22,8 @@ from anivex.campanato import (
     countable_limit_check,
     eps_kernel_summand,
     minimal_admissible_degree,
-    per_ball_cache,
     plain_summand,
+    stacked_term,
     variant_eps_functional,
     variant_inf_functional,
 )
@@ -175,13 +175,26 @@ def _wavy(g):
     return sample(g, lambda x, *y: np.sin(1.3 * x + 0.4) * np.cos(0.9 * (y[0] if y else x)) + 0.2 * x)
 
 
+def _one_ball_term(f, prm, d):
+    """ball -> (|B|/||1_B||) (avg_B |f - P|^q)^(1/q) for one ball by itself,
+    from campanato._project, indicator_norm and _mean_oscillation: the
+    reference the stacked terms must equal bit for bit."""
+
+    def term(ball):
+        _, resid = campanato._project(f, d, ball, prm.s)
+        vol = d.ball_volume(ball)
+        return vol / indicator_norm(d, ball, prm.p) * campanato._mean_oscillation(resid, prm.q, vol, f.grid.cell_volume)
+
+    return term
+
+
 def _check_stacks(f, prm, d, balls):
     """_score_sweep's norms and terms equal the one-ball calls bit for bit,
     and a ball the search skips gets no norm or no term; returns the count
     of balls per (scale, support size) group."""
     terms = _score_sweep(f, prm, d, balls)
     alone = _params(prm, _fresh(prm.p))
-    term = _oscillation_term(f, alone, d)
+    term = _one_ball_term(f, alone, d)
     coefficients = len(multi_indices(f.grid.n, prm.s))
     groups = {}
     for ball in balls:
@@ -230,18 +243,20 @@ class TestStackedSweep:
         # for bit: ball_support on a fresh dilation, and the footprint of the
         # stack's shift pasted at the ball's anchor.
         fresh, unclipped = new_dilation(d.matrix), []
-        for _, group, rows, inside, shift in scale_stacks(g, d, balls, data.draw(st.sampled_from([64, 1 << 12]))):
-            for ball, row, mask in zip(group, rows, inside):
-                [anchor], [ball_shift] = lattice_anchors(g, [ball.center])
-                assert np.array_equal(shift, ball_shift)
-                assert np.array_equal(row[mask], ball_support(g, fresh, ball))
-                pasted = paste_centered(g.resolution, ball_footprint(d, g, scale, shift), anchor)
-                assert np.array_equal(row[mask], np.flatnonzero(pasted))
-                if mask.all() and mask.size:
-                    unclipped.append(ball)
         prm = CampanatoParams(p=_fresh(ps[which_p]), q=q, s=s)
         f = _wavy(g)
-        _check_stacks(f, prm, d, balls)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid_module, "_STACK_ENTRIES", data.draw(st.sampled_from([64, 1 << 12])))
+            for _, group, rows, inside, shift in scale_stacks(g, d, balls):
+                for ball, row, mask in zip(group, rows, inside):
+                    [anchor], [ball_shift] = lattice_anchors(g, [ball.center])
+                    assert np.array_equal(shift, ball_shift)
+                    assert np.array_equal(row[mask], ball_support(g, fresh, ball))
+                    pasted = paste_centered(g.resolution, ball_footprint(d, g, scale, shift), anchor)
+                    assert np.array_equal(row[mask], np.flatnonzero(pasted))
+                    if mask.all() and mask.size:
+                        unclipped.append(ball)
+            _check_stacks(f, prm, d, balls)
         # A ball the box does not clip keeps the norm and term of its compact
         # support, bit for bit: the indicator solve on ones and the one-row
         # projection of the support that indicator_norm and _project made
@@ -257,7 +272,7 @@ class TestStackedSweep:
                 _, resid, _ = project_stack(f, d, scale, shift, support[None], compact.astype(bool), s)
                 vol = d.ball_volume(ball)
                 term = vol / norm * campanato._mean_oscillation(resid, q, vol, g.cell_volume)[0]
-                assert _oscillation_term(f, prm, d)(ball) == term
+                assert _one_ball_term(f, prm, d)(ball) == term
 
     def test_one_solve_and_one_projection_per_scale_and_chunk(self, monkeypatch):
         # A run-2d-like input: the sweep and the random stage hold clipped
@@ -278,7 +293,7 @@ class TestStackedSweep:
         _score_sweep(f, prm, d, balls + off_lattice)
         chunks = 0
         for k in range(window[0], window[1] + 1):
-            per_chunk = max(campanato._STACK_ENTRIES // np.count_nonzero(ball_footprint(d, g, k)), 1)
+            per_chunk = max(grid_module._STACK_ENTRIES // np.count_nonzero(ball_footprint(d, g, k)), 1)
             chunks += -(-sum(ball.scale == k for ball in balls) // per_chunk)
         assert not lattice_anchors(g, [ball.center for ball in balls])[1].any()
         assert max(counts.values()) <= chunks + len(off_lattice) < 30
@@ -375,7 +390,7 @@ def _reference_search(f, prm, d, budget, seed, record=None):
     """campanato_type_norm one candidate at a time: config_quotient on each
     candidate as it is drawn, with no stacks and a fresh cache."""
     alone = _params(prm, _fresh(prm.p))
-    term = per_ball_cache(_oscillation_term(f, alone, d))
+    term = memoized(_one_ball_term(f, alone, d))
     window = default_scale_window(d, f.grid, min_points=4 + 2 * prm.s)
 
     def value(config):
@@ -518,19 +533,45 @@ class TestStackedSearch:
         assert counts["luxemburg"] == counts["multi"] > 200
 
 
-def test_per_ball_cache_remembers_too_few_samples():
-    calls = []
-
-    def term(ball):
-        calls.append(ball)
-        raise InsufficientSamples("too few lattice points")
-
-    cached = per_ball_cache(term)
-    ball = new_dilation([[2.0]]).ball([0.0], 0)
+def test_too_few_samples_raise_on_every_lookup(d1, g1, p1):
+    # A lattice-centred ball with one lattice point cannot fix the two
+    # coefficients of a degree-1 polynomial: the stacked score leaves it out,
+    # and each lookup, through either functional, refuses it again.
+    f = sample(g1, np.sin)
+    prm = CampanatoParams(p=p1, q=2.0, s=1)
+    centre = [g1.axes()[0][2048]]
+    small = next(d1.ball(centre, k) for k in range(0, -20, -1) if ball_support(g1, d1, d1.ball(centre, k)).size == 1)
+    terms = _score_sweep(f, prm, d1, [small])
+    assert small.key() not in terms
+    entries = [(d1.ball([1.0], 0), 1.0), (small, 0.5)]
     for _ in range(3):
         with pytest.raises(InsufficientSamples):
-            cached(ball)
-    assert len(calls) == 1
+            stacked_term(terms, small)
+        with pytest.raises(InsufficientSamples):
+            campanato_type_functional(f, BallConfiguration(entries), prm, d1)
+        with pytest.raises(InsufficientSamples):
+            countable_limit_check(f, entries, prm, d1)
+
+
+def test_ball_missing_the_lattice_raises_empty_mask_everywhere(d1):
+    # Every prefix quotient aggregates a ball before it reads its term, as
+    # config_quotient does, so a ball with no lattice point raises EmptyMask
+    # in all three quotients, not InsufficientSamples from its term.
+    g = uniform_grid([-8.0], [8.0], 1024)
+    p = constant_exponent(g, 1.0)
+    far = d1.ball([40.0], -3)
+    assert ball_support(g, d1, far).size == 0
+    entries = [(d1.ball([0.0], 0), 1.0), (far, 0.5)]
+    f = sample(g, np.sin)
+    prm = CampanatoParams(p=p, q=2.0, s=0)
+    mu = zero_scale_function(g, (-3, 0))
+    mu.values[:] = 1.0
+    with pytest.raises(EmptyMask):
+        campanato_type_functional(f, BallConfiguration(entries), prm, d1)
+    with pytest.raises(EmptyMask):
+        countable_limit_check(f, entries, prm, d1)
+    with pytest.raises(EmptyMask):
+        carleson.carleson_prefix_check(mu, entries, p, d1, eta=1.0)
 
 
 class TestStackedSkips:
@@ -799,6 +840,22 @@ class TestCountableLimit:
         entries = [(d1.ball([0.0], 0), 0.5)] * 10
         report = countable_limit_check(f, entries, prm, d1)
         assert np.allclose(report.values, report.values[0], rtol=1e-9)
+
+    def test_stabilized_at_is_the_first_index_of_the_final_run(self, d1, g1, p1):
+        f = sample(g1, lambda x: np.sin(x))
+        prm = CampanatoParams(p=p1, q=1.0, s=0, eta=1.0)
+        ball, other = d1.ball([0.0], 0), d1.ball([2.5], 1)
+        cases = [
+            ([], None),
+            ([(ball, 0.0)] * 3, 0),  # zero weights: every value is 0.0
+            ([(ball, 0.0), (ball, 1.0), (ball, 0.0)], 1),
+            ([(ball, 1.0)] * 4 + [(other, 1.0)], 4),  # only the last value differs
+        ]
+        for entries, want in cases:
+            report = countable_limit_check(f, entries, prm, d1)
+            values = report.values
+            first = next((m for m in range(len(values)) if np.all(values[m:] == values[-1])), None)
+            assert report.stabilized_at == first == want
 
 
 class TestAggregationReport:

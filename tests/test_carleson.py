@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import recorded
+from conftest import memoized, recorded
 
 from anivex import campanato as campanato_module
 from anivex import carleson as carleson_module
-from anivex import exponents as exponents_module
-from anivex.campanato import config_quotient, per_ball_cache
+from anivex import grid as grid_module
+from anivex.campanato import config_quotient
 from anivex.carleson import (
-    _carleson_term,
     _fft_frequencies,
     _fourier_at,
     band_limited_pair,
@@ -28,7 +27,7 @@ from anivex.carleson import (
     tent_masses,
 )
 from anivex.dilation import new_dilation
-from anivex.exponents import Exponent, constant_exponent, exponent_from_callable
+from anivex.exponents import Exponent, constant_exponent, exponent_from_callable, indicator_norm
 from anivex.grid import (
     GridFunction,
     ball_footprint,
@@ -167,7 +166,7 @@ class TestTentMasses:
         want = [tent_mass(mu, d, ball) for ball in balls]
         with pytest.MonkeyPatch.context() as mp:
             # Small stacks, so groups split into several chunks.
-            mp.setattr(carleson_module, "_STACK_ENTRIES", data.draw(st.sampled_from([64, 1 << 12])))
+            mp.setattr(grid_module, "_STACK_ENTRIES", data.draw(st.sampled_from([64, 1 << 12])))
             assert tent_masses(mu, d, balls) == want
         assert want == [_pasted_tent_mass(mu, d, ball) for ball in balls]
 
@@ -240,8 +239,6 @@ class TestCarlesonFunctional:
         mu.values[0, 1024] = 4.0 / g1.cell_volume
         ball = d1.ball([0.0], 0)
         cfg = BallConfiguration([(ball, 0.6)])
-        from anivex.exponents import indicator_norm
-
         term = (
             np.sqrt(d1.ball_volume(ball))
             / indicator_norm(d1, ball, p1)
@@ -266,7 +263,7 @@ class TestCarlesonFunctional:
     @pytest.mark.parametrize("past", [-1, 1, 9])
     def test_stacked_scores_match_one_ball_at_a_time(self, case, past, monkeypatch):
         # Budget half the sweep (past = -1), one past it, and nine past it.
-        monkeypatch.setattr(exponents_module, "_STACK_ENTRIES", 256)
+        monkeypatch.setattr(grid_module, "_STACK_ENTRIES", 256)
         d, g, window = _MASS_CASES[case]
         mu = _holed_density(g, window, 7)
         p = exponent_from_callable(g, lambda x, *y: 0.7 + 0.25 * np.sin(x) ** 2)
@@ -280,7 +277,11 @@ class TestCarlesonFunctional:
         )
         got = carleson_functional(mu, p, d, eta=1.0, budget=budget, seed=3)
         fresh = Exponent(p.values, p.p_infinity)
-        term = per_ball_cache(_carleson_term(mu, fresh, d))
+        # The reference scores each ball by itself: its tent_mass and its
+        # indicator_norm on a fresh cache.
+        term = memoized(
+            lambda ball: np.sqrt(d.ball_volume(ball)) / indicator_norm(d, ball, fresh) * np.sqrt(tent_mass(mu, d, ball))
+        )
         ref = supremum_search(
             recorded(partial(config_quotient, term=term, p=fresh, eta=1.0, d=d), reference),
             candidate_stream(d, g, budget, 3, scales),

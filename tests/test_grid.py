@@ -270,7 +270,7 @@ class TestBallSupport:
             with pytest.raises(ValueError, match="2 coordinates"):
                 d.ball(center, 0)
 
-    def test_balls_missing_the_lattice(self, d1, g1):
+    def test_balls_missing_the_lattice(self, d1, g1, monkeypatch):
         # Far off the box the anchored footprint is empty (K = 0); just past
         # its edge it is not, but each of its cells lies beyond the box.
         # Neither ball has a lattice point, a stack, or an indicator norm.
@@ -279,12 +279,13 @@ class TestBallSupport:
         assert not ball_footprint(d1, g1, far.scale, shifts[0]).any()
         assert ball_footprint(d1, g1, beyond.scale, shifts[1]).any()
         p = constant_exponent(g1, 1.0)
+        monkeypatch.setattr(gr, "_STACK_ENTRIES", 64)
         for ball in (far, beyond):
             assert ball_support(g1, d1, ball).size == 0
-            assert list(scale_stacks(g1, d1, [ball], 64)) == []
+            assert list(scale_stacks(g1, d1, [ball])) == []
             with pytest.raises(EmptyMask):
                 indicator_norm(d1, ball, p)
-        [(_, group, _, _, _)] = scale_stacks(g1, d1, [far, beyond, d1.ball([7.99], 0)], 64)
+        [(_, group, _, _, _)] = scale_stacks(g1, d1, [far, beyond, d1.ball([7.99], 0)])
         assert [ball.center.tolist() for ball in group] == [[7.99]]
 
     def test_lattice_aligned_centres_hit_lattice_points(self):

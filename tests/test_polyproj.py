@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from anivex import grid as grid_module
 from anivex.campanato import classic_functional
 from anivex.dilation import new_dilation
 from anivex.errors import InsufficientSamples
@@ -150,7 +151,9 @@ def _assert_refused(f, d, ball, s, points, coefficients):
     and as both rows of a two-row stack."""
     with pytest.raises(InsufficientSamples, match=f"^{points} lattice points .* {coefficients} coefficients$"):
         _project(f, d, ball, s)
-    [(_, _, rows, inside, shift)] = scale_stacks(f.grid, d, [ball], 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "_STACK_ENTRIES", 1)
+        [(_, _, rows, inside, shift)] = scale_stacks(f.grid, d, [ball])
     coef, resid, ranked = project_stack(f, d, ball.scale, shift, np.repeat(rows, 2, 0), np.repeat(inside, 2, 0), s)
     assert not ranked.any()
     assert coef.shape == (0, coefficients) and resid.shape == (0, rows.shape[1])
@@ -269,7 +272,7 @@ _ORACLE_CASES = {
 class TestLstsqOracle:
     @pytest.mark.parametrize("s", [0, 1, 2])
     @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
-    def test_stack_matches_lstsq_on_the_support(self, case, s):
+    def test_stack_matches_lstsq_on_the_support(self, case, s, monkeypatch):
         # Independent of the footprint layout: each ball's own lattice points
         # in global coordinates minus its centre.  np.linalg.matrix_rank of
         # their design decides which balls the projection refuses, stacked
@@ -288,7 +291,8 @@ class TestLstsqOracle:
         indices = multi_indices(n, s)
         seen = {"clipped": 0, "off-lattice": 0, "stacked": 0, "refused": 0, "one row": 0}
         balls = [d.ball(c, k) for k in scales for c in centres]
-        for scale, group, rows, inside, shift in scale_stacks(g, d, balls, 1 << 12):
+        monkeypatch.setattr(grid_module, "_STACK_ENTRIES", 1 << 12)
+        for scale, group, rows, inside, shift in scale_stacks(g, d, balls):
             coef, resid, ranked = project_stack(f, d, scale, shift, rows, inside, s)
             fits = zip(coef, resid)
             for i, ball in enumerate(group):

@@ -9,7 +9,7 @@ from scipy.signal import fftconvolve
 from conftest import paste_centered, shifted_footprint_sum
 
 from anivex import carleson as carleson_module
-from anivex import exponents as exponents_module
+from anivex import grid as grid_module
 from anivex import tent as tent_module
 from anivex.campanato import aggregate_norm
 from anivex.carleson import band_limited_pair, build_analyzing_function, carleson_duality_check
@@ -810,7 +810,7 @@ class TestDecomposition:
     @pytest.mark.parametrize("case", ("1d", "shear"))
     def test_weights_from_stacked_norms(self, d1, case, monkeypatch):
         # Small stacks, so the atom balls' norms are solved in several chunks.
-        monkeypatch.setattr(exponents_module, "_STACK_ENTRIES", 64)
+        monkeypatch.setattr(grid_module, "_STACK_ENTRIES", 64)
         if case == "1d":
             d, g = d1, uniform_grid([-8.0], [8.0], 1024)
             G = blob_scale_function(g, (-4, 0), [-1.0, 1.5], [0.5, 0.7], {-3: 1.0, -1: 0.5, 0: 0.3})
